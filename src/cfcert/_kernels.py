@@ -1,18 +1,19 @@
-"""Kernel dispatch: numba-jitted hot loops with a pure-numpy fallback.
+"""Dense primal simplex pivot kernel, vectorised with numpy.
 
-The dense simplex pivot loop is the hot path of the whole package (every
-robustness certificate is a stack of LP solves).  By default it is compiled
-with numba; set ``CFCERT_PURE_NUMPY=1`` to force the interpreted numpy path,
-e.g. for debugging or on platforms without a working numba install.
+The pivot loop is the hot path of the whole package (every robustness
+certificate is a stack of LP solves).  Each pivot prices the reduced costs,
+runs the ratio test and updates the tableau with whole-array numpy
+operations.  It makes exactly the choices of the textbook scalar loop
+(Dantzig pricing with a switch to Bland's rule, minimum-ratio test with
+ties to the smallest basic index) and produces the same tableau bit for bit;
+the test suite keeps that scalar loop as its reference oracle.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-PURE_NUMPY = os.environ.get("CFCERT_PURE_NUMPY", "").strip().lower() in ("1", "true", "yes")
+KERNEL_MODE = "numpy"
 
 # Kernel status codes shared with the simplex driver.
 STATUS_OPTIMAL = 0
@@ -23,81 +24,98 @@ STATUS_ITER_LIMIT = 2
 # from Dantzig to Bland (anti-cycling; Bland guarantees termination).
 _DEGENERATE_STREAK = 40
 
+# Ratios within this distance of the running minimum count as tied.
+_RATIO_TIE = 1e-12
 
-def _pivot_loop(tab, basis, max_iter, tol):
-    """Primal simplex pivots on a dense tableau, in place.
+
+def pivot(tab, leave, enter):
+    """Pivot the tableau on (leave, enter) in place.
+
+    Scales the leaving row so the entering column holds a one there, then
+    eliminates the entering column from every other row whose entry in it is
+    nonzero with one rank-1 update.
+    """
+    row = tab[leave]
+    row *= 1.0 / row[enter]
+    col = tab[:, enter]
+    mask = col != 0.0
+    mask[leave] = False
+    f = col[mask]
+    if f.size:
+        tab[mask] -= f[:, None] * row
+
+
+def _ratio_scan(rows, ratios, basis):
+    """Sequential minimum-ratio scan over the eligible rows, in row order.
+
+    A ratio more than ``_RATIO_TIE`` below the running minimum replaces it;
+    one within ``_RATIO_TIE`` of it takes the row only if its basic column
+    has a smaller index, which keeps the Bland regime cycle-free.  Returns
+    (leaving row, running minimum).
+    """
+    leave = -1
+    leave_basic = 0
+    best = np.inf
+    for i, r, basic in zip(rows.tolist(), ratios.tolist(), basis[rows].tolist()):
+        if r < best - _RATIO_TIE:
+            best, leave, leave_basic = r, i, basic
+        elif r <= best + _RATIO_TIE and basic < leave_basic:
+            leave, leave_basic = i, basic
+    return leave, best
+
+
+def pivot_loop(tab, basis, max_iter, tol):
+    """Primal simplex pivots on a dense, finite tableau, in place.
 
     ``tab`` is (m+1) x (n+1): the first m rows are [B^-1 A | B^-1 b], the last
     row holds reduced costs and the negated objective.  ``basis`` holds the
-    basic column of each row.  Returns (status, iterations).
+    basic column of each row.  Returns (status, iterations); the pricing step
+    that finds no entering column counts as an iteration.
     """
     m = tab.shape[0] - 1
     n = tab.shape[1] - 1
+    cost = tab[m, :n]
+    rhs = tab[:m, n]
     bland = False
     degenerate = 0
     it = 0
     while it < max_iter:
         it += 1
-        # Entering column: most negative reduced cost (Dantzig), or the first
-        # negative one once Bland's rule is active.
-        enter = -1
+        # Entering column: most negative reduced cost (Dantzig, first index
+        # on ties), or the first negative one once Bland's rule is active.
         if bland:
-            for j in range(n):
-                if tab[m, j] < -tol:
-                    enter = j
-                    break
+            negative = cost < -tol
+            enter = int(negative.argmax())
+            if not negative[enter]:
+                return STATUS_OPTIMAL, it
         else:
-            best = -tol
-            for j in range(n):
-                if tab[m, j] < best:
-                    best = tab[m, j]
-                    enter = j
-        if enter < 0:
-            return STATUS_OPTIMAL, it
-        # Ratio test; ties resolved towards the smallest basic index so the
-        # Bland regime is cycle-free.
-        leave = -1
-        best_ratio = np.inf
-        for i in range(m):
-            a = tab[i, enter]
-            if a > tol:
-                r = tab[i, n] / a
-                if r < best_ratio - 1e-12:
-                    best_ratio = r
-                    leave = i
-                elif r <= best_ratio + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
-                    leave = i
-        if leave < 0:
+            enter = int(cost.argmin())
+            if not cost[enter] < -tol:
+                return STATUS_OPTIMAL, it
+        column = tab[:m, enter]
+        rows = (column > tol).nonzero()[0]
+        if rows.size == 0:
             return STATUS_UNBOUNDED, it
+        ratios = rhs[rows] / column[rows]
+        k = int(ratios.argmin())
+        best_ratio = float(ratios[k])
+        # The sequential scan ends on row k exactly as found here when every
+        # other ratio r has r > min + tie and r - tie > min, so it neither
+        # ties with nor is displaced by k; checking the runner-up suffices
+        # (rounding is monotone).  Otherwise replay the scan.
+        ratios[k] = np.inf
+        runner_up = float(ratios.min())
+        ratios[k] = best_ratio
+        if runner_up > best_ratio + _RATIO_TIE and runner_up - _RATIO_TIE > best_ratio:
+            leave = int(rows[k])
+        else:
+            leave, best_ratio = _ratio_scan(rows, ratios, basis)
         if best_ratio <= tol:
             degenerate += 1
             if degenerate > _DEGENERATE_STREAK:
                 bland = True
         else:
             degenerate = 0
-        piv = tab[leave, enter]
-        inv = 1.0 / piv
-        for j in range(n + 1):
-            tab[leave, j] *= inv
-        for i in range(m + 1):
-            if i != leave:
-                f = tab[i, enter]
-                if f != 0.0:
-                    for j in range(n + 1):
-                        tab[i, j] -= f * tab[leave, j]
+        pivot(tab, leave, enter)
         basis[leave] = enter
     return STATUS_ITER_LIMIT, it
-
-
-if PURE_NUMPY:
-    pivot_loop = _pivot_loop
-    KERNEL_MODE = "numpy"
-else:
-    try:
-        from numba import njit
-
-        pivot_loop = njit(cache=True)(_pivot_loop)
-        KERNEL_MODE = "numba"
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pivot_loop = _pivot_loop
-        KERNEL_MODE = "numpy"

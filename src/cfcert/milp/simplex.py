@@ -1,6 +1,6 @@
 """Two-phase dense simplex over general bounded-variable LPs.
 
-The pivot loop lives in ``cfcert._kernels`` (numba-jitted by default).  This
+The pivot loop lives in ``cfcert._kernels`` (vectorised numpy).  This
 driver converts a :class:`LinearProgram` to standard equality form, runs
 phase 1 with artificial variables to find a basic feasible solution, then
 phase 2 on the real objective.  Tolerances: 1e-9 inside the pivoting,
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._kernels import STATUS_ITER_LIMIT, STATUS_OPTIMAL, STATUS_UNBOUNDED, pivot_loop
+from .._kernels import STATUS_ITER_LIMIT, STATUS_OPTIMAL, STATUS_UNBOUNDED, pivot, pivot_loop
 from .problem import EQ, GE, LE, LinearProgram, SolveResult
 
 __all__ = ["simplex_solve", "FEASIBILITY_TOL"]
@@ -130,19 +130,12 @@ def _drive_out_artificials(tab, basis, n_real):
     for i in range(m):
         if basis[i] < n_real:
             continue
-        enter = -1
-        for j in range(n_real):
-            if abs(tab[i, j]) > PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        candidates = np.flatnonzero(np.abs(tab[i, :n_real]) > PIVOT_TOL)
+        if candidates.size == 0:
             keep[i] = False  # redundant row
             continue
-        piv = tab[i, enter]
-        tab[i, :] /= piv
-        for r in range(tab.shape[0]):
-            if r != i and tab[r, enter] != 0.0:
-                tab[r, :] -= tab[r, enter] * tab[i, :]
+        enter = int(candidates[0])
+        pivot(tab, i, enter)
         basis[i] = enter
     rows = np.concatenate([np.flatnonzero(keep), [m]])
     return tab[rows], basis[keep]
@@ -160,9 +153,11 @@ def simplex_solve(lp: LinearProgram) -> SolveResult:
     max_iter = 200 * (m + n_real) + 2000
 
     if m == 0:
-        # No constraints at all: optimum sits on variable bounds.
-        y = np.zeros(n_real)
-        return _extract(lp, y, kinds, consts, cols)
+        # No constraints at all: every y is only bounded below by zero, so a
+        # negative cost is an unbounded ray; otherwise y = 0 is optimal.
+        if np.any(c < 0.0):
+            return SolveResult(status="unbounded")
+        return _extract(lp, np.zeros(n_real), kinds, consts, cols)
 
     # Phase 1: artificial identity basis.
     A1 = np.hstack([A, np.eye(m)])
@@ -177,17 +172,7 @@ def simplex_solve(lp: LinearProgram) -> SolveResult:
 
     # Phase 2 on the real objective, artificial columns removed.
     m2 = tab.shape[0] - 1
-    A2 = tab[:m2, :n_real].copy()
-    b2 = tab[:m2, -1].copy()
-    tab2 = np.zeros((m2 + 1, n_real + 1))
-    tab2[:m2, :n_real] = A2
-    tab2[:m2, n_real] = b2
-    tab2[m2, :n_real] = c
-    for i in range(m2):
-        cb = c[basis[i]]
-        if cb != 0.0:
-            tab2[m2, :] -= cb * tab2[i, :]
-    status, _ = pivot_loop(tab2, basis, max_iter, PIVOT_TOL)
+    tab, status = _run_phase(tab[:m2, :n_real], tab[:m2, -1], c, basis, max_iter)
     if status == STATUS_ITER_LIMIT:
         raise RuntimeError("simplex iteration limit hit in phase 2")
     if status == STATUS_UNBOUNDED:
@@ -195,7 +180,7 @@ def simplex_solve(lp: LinearProgram) -> SolveResult:
     assert status == STATUS_OPTIMAL
 
     y = np.zeros(n_real)
-    y[basis] = tab2[:m2, -1]
+    y[basis] = tab[:m2, -1]
     return _extract(lp, y, kinds, consts, cols)
 
 

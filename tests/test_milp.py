@@ -21,6 +21,28 @@ def _lp(c, A, rel, rhs, lo, hi, sense="min"):
     return LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense=sense)
 
 
+def _highs_optimum(problem):
+    """Optimal objective of a MilpProblem according to scipy's HiGHS."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lp = problem.lp
+    sign = 1.0 if lp.sense == "min" else -1.0
+    integrality = np.zeros(lp.num_vars)
+    integrality[problem.binary_idx] = 1
+    rows = LinearConstraint(
+        lp.A, np.where(lp.rel == LE, -np.inf, lp.rhs), np.where(lp.rel == GE, np.inf, lp.rhs)
+    )
+    res = milp(
+        sign * lp.c,
+        integrality=integrality,
+        bounds=Bounds(lp.lo, lp.hi),
+        constraints=[rows],
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message
+    return sign * float(res.fun)
+
+
 class TestSimplex:
     def test_single_var_box(self):
         lp = _lp([1.0], [[1.0], [1.0]], [GE, LE], [3.0, 5.0], [-np.inf], [np.inf])
@@ -42,11 +64,45 @@ class TestSimplex:
         lp = _lp([-1.0], [[1.0]], [GE], [0.0], [-np.inf], [np.inf])
         assert simplex_solve(lp).status == "unbounded"
 
+    def test_unbounded_without_constraints(self):
+        no_rows = np.zeros((0, 1))
+        lp = _lp([1.0], no_rows, [], [], [0.0], [np.inf], "max")
+        assert simplex_solve(lp).status == "unbounded"
+        free = _lp([1.0], no_rows, [], [], [-np.inf], [np.inf])
+        assert simplex_solve(free).status == "unbounded"
+
+    def test_bounded_without_constraints(self):
+        lp = _lp([1.0, -1.0], np.zeros((0, 2)), [], [], [2.0, -np.inf], [np.inf, 3.0])
+        res = simplex_solve(lp)
+        assert res.optimal and res.objective == pytest.approx(-1.0)
+        assert np.allclose(res.x, [2.0, 3.0])
+
     def test_equality_rows(self):
         lp = _lp([2.0, 3.0], [[1, 1]], [EQ], [1.0], [0, 0], [0.4, np.inf])
         res = simplex_solve(lp)
         assert res.objective == pytest.approx(2.6)
         assert np.allclose(res.x, [0.4, 0.6])
+
+    def test_zero_level_artificials_after_phase_1(self, monkeypatch):
+        from cfcert.milp import simplex
+
+        drive_out_pivots = []
+        pivot = simplex.pivot
+
+        def counting_pivot(tab, leave, enter):
+            drive_out_pivots.append(enter)
+            pivot(tab, leave, enter)
+
+        monkeypatch.setattr(simplex, "pivot", counting_pivot)
+        # An artificial stays basic at zero and is pivoted onto a real column.
+        lp = _lp([-2.0, 2.0, 1.0], [[1, 0, 0], [-1, -1, -1]], [EQ, EQ], [0, 0], [0] * 3, [2] * 3)
+        res = simplex_solve(lp)
+        assert drive_out_pivots
+        assert res.optimal and res.objective == pytest.approx(enumerate_vertices(lp)[0])
+        # A duplicated equality row is redundant and dropped.
+        lp = _lp([1.0, -1.0], [[1, 1], [2, 2]], [EQ, EQ], [1, 2], [0, 0], [np.inf] * 2)
+        res = simplex_solve(lp)
+        assert res.optimal and res.objective == pytest.approx(-1.0)
 
     def test_random_lps_match_vertex_enumeration(self):
         rng = np.random.default_rng(3)
@@ -148,6 +204,21 @@ class TestBranchAndBound:
                 got = branch_and_bound(enc.problem).objective
                 want = enumerate_pattern_bound(net, x, delta, 0, direction)
                 assert got == pytest.approx(want, abs=1e-7)
+
+    def test_matches_highs_on_16x16_networks(self):
+        # Two hidden layers of 16 ReLUs are beyond pattern enumeration; HiGHS
+        # solves the same encoded MILP independently.
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            net = random_network(rng, hidden=[16, 16])
+            x = rng.uniform(0, 1, net.input_dim)
+            delta = float(rng.uniform(0.01, 0.05))
+            for direction in ("min", "max"):
+                problem = encode_output_bound(net, x, delta, 0, direction).problem
+                got = branch_and_bound(problem)
+                assert got.optimal
+                assert got.objective == pytest.approx(_highs_optimum(problem), abs=1e-6)
 
 
 class TestEncodeOutputBound:
