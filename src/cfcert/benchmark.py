@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, SplitSpec, split
-from .generators import gce, gce_robust, mce, mce_robust, nnce, rnce
+from .generators import generate
 from .intervals import ShiftSet
 from .metrics import DEFAULT_LOF_K, l1_normalized, lof_scores, validity_after_retraining
 from .models import classify, classify_batch
@@ -154,42 +154,6 @@ def _fmt(v):
     return v
 
 
-def _generate(method, model, shift, x, target, X_train, config: BenchmarkConfig):
-    if method == "mce":
-        return mce(model, x, target, node_limit=config.node_limit)
-    if method == "mce-r":
-        return mce_robust(
-            model,
-            shift,
-            x,
-            target,
-            margin_step=config.margin_step,
-            max_rounds=config.max_rounds,
-            node_limit=config.node_limit,
-        )
-    if method == "gce":
-        return gce(model, x, target)
-    if method == "gce-r":
-        return gce_robust(
-            model, shift, x, target, max_rounds=config.max_rounds, node_limit=config.node_limit
-        )
-    if method == "nnce":
-        return nnce(model, X_train, x, target)
-    if method.startswith("rnce"):
-        flags = method.split("-")[1]
-        return rnce(
-            model,
-            X_train,
-            x,
-            shift,
-            target=target,
-            robust_init=flags[0] == "t",
-            optimal=flags[1] == "t",
-            node_limit=config.node_limit,
-        )
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _run_seed(args):
     """Full pipeline for one seed; pure function of (dataset, config, seed)."""
     dataset_dict, config, seed = args
@@ -255,7 +219,11 @@ def _run_seed(args):
             shift = ShiftSet(config.p, delta) if delta is not None else ShiftSet(config.p, 0.0)
             started = time.perf_counter()
             records = [
-                _generate(method, model, shift, x, target, d1_train.X, config)
+                generate(
+                    method, model, shift, x, target, d1_train.X,
+                    margin_step=config.margin_step, max_rounds=config.max_rounds,
+                    node_limit=config.node_limit,
+                )
                 for x in test_inputs
             ]
             seconds = time.perf_counter() - started

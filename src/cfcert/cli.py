@@ -22,7 +22,7 @@ from . import __version__
 from ._kernels import KERNEL_MODE
 from .benchmark import METHODS, BenchmarkConfig, run_benchmark
 from .data import Dataset, SplitSpec, fit_scale, load_csv, split, synth_binary, synth_multiclass
-from .generators import gce, gce_robust, mce, mce_robust, nnce, rnce
+from .generators import generate
 from .intervals import ShiftSet
 from .models import classify, classify_batch, load_model, save_model
 from .training import (
@@ -156,37 +156,7 @@ def _explain_job(job):
         if model.num_outputs > 1:
             raise ValueError("multi-class explanation needs --target (or per-input targets)")
         target = 1 - classify(model, x)
-    if method == "mce":
-        return mce(model, x, target, margin=opts["margin"], node_limit=opts["node_limit"])
-    if method == "mce-r":
-        return mce_robust(
-            model,
-            shift,
-            x,
-            target,
-            margin_step=opts["margin_step"],
-            max_rounds=opts["max_iters"],
-            node_limit=opts["node_limit"],
-        )
-    if method == "gce":
-        return gce(model, x, target, lam=opts["lam"])
-    if method == "gce-r":
-        return gce_robust(
-            model, shift, x, target, lam=opts["lam"], max_rounds=opts["max_iters"],
-            node_limit=opts["node_limit"],
-        )
-    if method == "nnce":
-        return nnce(model, X_train, x, target)
-    return rnce(
-        model,
-        X_train,
-        x,
-        shift,
-        target=target,
-        robust_init=opts["robust_init"],
-        optimal=opts["optimal"],
-        node_limit=opts["node_limit"],
-    )
+    return generate(method, model, shift, x, target, X_train, **opts)
 
 
 def cmd_explain(args) -> int:
@@ -200,7 +170,7 @@ def cmd_explain(args) -> int:
     opts = {
         "margin": args.margin,
         "margin_step": args.margin_step,
-        "max_iters": args.max_iters,
+        "max_rounds": args.max_iters,
         "lam": args.lam,
         "node_limit": args.node_limit,
         "robust_init": args.robust_init == "t",

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .intervals import ShiftSet
-from .kdtree import KDTree, l1_distance
+from .kdtree import KDTree
+from .metrics import l1_normalized
 from .milp import DEFAULT_NODE_LIMIT, branch_and_bound, encode_nearest_ce
 from .models import (
     LogisticModel,
@@ -38,10 +39,14 @@ __all__ = [
     "get_candidates",
     "get_robust_ce",
     "rnce",
+    "generate",
 ]
 
 LINE_SEARCH_START = 1.0
 LINE_SEARCH_STEP = 0.05
+
+# rnce-XY: X = robust_init, Y = optimal, each t or f.
+_RNCE_FLAGS = {f"rnce-{a}{b}": (a == "t", b == "t") for a in "tf" for b in "tf"}
 
 
 @dataclass
@@ -107,7 +112,7 @@ def mce(
         target_class=target,
         found=True,
         x_prime=x_prime,
-        distance=l1_distance(x_prime, x),
+        distance=l1_normalized(x_prime, x),
         trace=[margin],
     )
 
@@ -176,7 +181,7 @@ def gce(
     best_dist = np.inf
     for it in range(max_iters + 1):
         if classify(model, x_cur) == target:
-            d = l1_distance(x_cur, x)
+            d = l1_normalized(x_cur, x)
             if d < best_dist:
                 best = x_cur.copy()
                 best_dist = d
@@ -208,7 +213,7 @@ def nnce(model: ParametricModel, X, x, target: int) -> CounterfactualRecord:
         return _not_found("nnce", target)
     idx = np.flatnonzero(valid)
     # Same distance expression as the k-d tree so orderings agree bitwise.
-    dists = np.array([l1_distance(X[i], x) for i in idx])
+    dists = np.array([l1_normalized(X[i], x) for i in idx])
     pos = int(np.argmin(dists))  # argmin takes the lowest index on ties
     return CounterfactualRecord(
         method="nnce",
@@ -404,7 +409,7 @@ def get_robust_ce(
         target_class=target,
         found=True,
         x_prime=x_prime,
-        distance=l1_distance(x_prime, x),
+        distance=l1_normalized(x_prime, x),
         robust=True,
         shift=shift,
         iterations=queries,
@@ -452,3 +457,52 @@ def rnce(
     )
     record.method = f"rnce-{flags}"
     return record
+
+
+def generate(
+    method: str,
+    model: ParametricModel,
+    shift: ShiftSet,
+    x,
+    target: int,
+    X=None,
+    *,
+    margin: float = 0.0,
+    margin_step: float = 0.1,
+    max_rounds: int = 10,
+    lam: float = 0.1,
+    robust_init: bool = False,
+    optimal: bool = False,
+    node_limit: int = DEFAULT_NODE_LIMIT,
+) -> CounterfactualRecord:
+    """One counterfactual by method name.
+
+    ``X`` holds the training rows the nearest-neighbour methods search;
+    ``rnce-XY`` sets ``robust_init``/``optimal`` from its two t/f letters.
+    The generators are looked up at call time, so rebinding a module name
+    (as a tracer does) reaches this dispatch too.
+    """
+    if method == "mce":
+        return mce(model, x, target, margin=margin, node_limit=node_limit)
+    if method == "mce-r":
+        return mce_robust(
+            model, shift, x, target, margin_step=margin_step, max_rounds=max_rounds,
+            node_limit=node_limit,
+        )
+    if method == "gce":
+        return gce(model, x, target, lam=lam)
+    if method == "gce-r":
+        return gce_robust(
+            model, shift, x, target, lam=lam, max_rounds=max_rounds, node_limit=node_limit
+        )
+    if method == "nnce":
+        return nnce(model, X, x, target)
+    if method in _RNCE_FLAGS:
+        robust_init, optimal = _RNCE_FLAGS[method]
+        method = "rnce"
+    if method == "rnce":
+        return rnce(
+            model, X, x, shift, target=target, robust_init=robust_init, optimal=optimal,
+            node_limit=node_limit,
+        )
+    raise ValueError(f"unknown method {method!r}")

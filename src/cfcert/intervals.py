@@ -6,6 +6,10 @@ arithmetic then encloses the outputs of every model whose parameters sit in
 that box.  Classification over output intervals is three-valued: a class is
 assigned only when its logit interval dominates, otherwise the verdict is
 undefined.
+
+The box is the same for every norm order p: a shift with ||dtheta||_p <=
+delta has every coordinate within +/- delta, so for p in {1, 2} the p-ball
+lies inside the inf-box and the abstraction is a sound, looser enclosure.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ __all__ = [
     "IntervalModel",
     "IntervalVerdict",
     "abstract",
+    "interval_bounds",
     "interval_forward",
     "interval_classify_binary",
     "interval_classify_multi",
@@ -154,15 +159,22 @@ def interval_affine(layer: IntervalLayer, v_lo, v_hi):
     return lo, hi
 
 
+def interval_bounds(im: IntervalModel, v_lo, v_hi) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pre-activation (lo, hi) of every layer, the logits last, enclosing
+    every box-shifted model at every input in the box [v_lo, v_hi]."""
+    bounds = []
+    for layer in im.layers:
+        if bounds:
+            v_lo = np.maximum(bounds[-1][0], 0.0)
+            v_hi = np.maximum(bounds[-1][1], 0.0)
+        bounds.append(interval_affine(layer, v_lo, v_hi))
+    return bounds
+
+
 def interval_forward(im: IntervalModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Pre-squash logit intervals enclosing every box-shifted model at x."""
-    v_lo = v_hi = as_feature_vector(x, im.input_dim)
-    for i, layer in enumerate(im.layers):
-        v_lo, v_hi = interval_affine(layer, v_lo, v_hi)
-        if i < len(im.layers) - 1:
-            v_lo = np.maximum(v_lo, 0.0)
-            v_hi = np.maximum(v_hi, 0.0)
-    return v_lo, v_hi
+    x = as_feature_vector(x, im.input_dim)
+    return interval_bounds(im, x, x)[-1]
 
 
 def interval_classify_binary(im: IntervalModel, x) -> IntervalVerdict:

@@ -3,8 +3,8 @@ query under normalised L1 distance.
 
 The iterator yields every indexed point exactly once in non-decreasing
 distance order (ties to the lowest point index), then stops.  Point distances
-are computed with the same expression as the brute-force generators so that
-orderings agree bit-for-bit.
+come from ``metrics.l1_normalized``, as in the brute-force generators, so
+that orderings agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KDTree", "l1_distance"]
+from .metrics import l1_normalized
+
+__all__ = ["KDTree"]
 
 _LEAF_SIZE = 8
-
-
-def l1_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Normalised L1 distance, the metric used throughout the toolkit."""
-    return float(np.abs(a - b).sum() / a.size)
 
 
 @dataclass
@@ -82,7 +79,7 @@ class KDTree:
             node: _Node = payload
             if node.indices is not None:
                 for i in node.indices:
-                    d = l1_distance(self.points[i], q)
+                    d = l1_normalized(self.points[i], q)
                     heapq.heappush(heap, (d, 1, int(i), None))
             else:
                 for child in (node.left, node.right):

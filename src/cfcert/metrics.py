@@ -13,10 +13,15 @@ DEFAULT_LOF_K = 20
 
 
 def l1_normalized(x, x_prime) -> float:
-    a = np.asarray(x, dtype=np.float64).reshape(-1)
-    b = np.asarray(x_prime, dtype=np.float64).reshape(-1)
-    if a.size != b.size:
-        raise ValueError(f"vectors differ in length ({a.size} vs {b.size})")
+    """Normalised L1 distance, the one metric of the toolkit; the k-d tree
+    and the generators call it in their inner loops, hence the fast path
+    for two vectors of equal length."""
+    a = np.asarray(x, dtype=np.float64)
+    b = np.asarray(x_prime, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
+        a, b = a.reshape(-1), b.reshape(-1)
+        if a.size != b.size:
+            raise ValueError(f"vectors differ in length ({a.size} vs {b.size})")
     return float(np.abs(a - b).sum() / a.size)
 
 

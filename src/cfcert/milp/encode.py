@@ -1,7 +1,7 @@
 """MILP encodings of the two bound problems.
 
 ``encode_output_bound`` builds the output-range problem of the interval
-abstraction at a fixed input: per hidden node the four big-M rows with
+abstraction at a fixed input: per hidden node the big-M rows with
 coefficients widened by +/- delta (applied independently in every row, as
 the formulation prescribes), per output node the two widened affine rows.
 
@@ -10,9 +10,11 @@ model: input features are the decision variables inside a box, the
 normalised L1 objective uses auxiliary absolute-difference variables, ReLUs
 use exact big-M rows, and validity demands a logit margin for the target.
 
-Big-M constants are per node, taken from interval propagation inflated by
-1.5; nodes whose pre-activation interval is stably signed get their binary
-fixed up front.
+Big-M constants are per node, taken from interval propagation
+(``cfcert.intervals.interval_bounds``) inflated by 1.5; nodes whose
+pre-activation interval is stably signed get their binary fixed up front.
+Both encoders build their rows one layer at a time as dense blocks, node
+by node: [v <= M (1 - xi)], the upper and the lower affine row.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..models import LogisticModel, ParametricModel, as_feature_vector
+from ..intervals import IntervalModel, ShiftSet, abstract, interval_bounds
+from ..models import ParametricModel, as_feature_vector
 from .problem import EQ, GE, LE, LinearProgram, MilpProblem
 
 __all__ = ["BigMBounds", "EncodedProblem", "encode_output_bound", "encode_nearest_ce"]
@@ -54,101 +57,102 @@ class EncodedProblem:
     var_index: dict  # name -> index array, e.g. "x" for CE features, "out"
 
 
-def _layers_view(model: ParametricModel):
-    """Uniform (weights, bias) layer list for both model families."""
-    if isinstance(model, LogisticModel):
-        b = None if model.bias is None else np.array([model.bias])
-        return [(model.weights.reshape(1, -1), b)]
-    return [(layer.weights, layer.bias) for layer in model.layers]
+def _propagate(model: ParametricModel, delta: float, in_lo, in_hi):
+    """The delta-widened model and the pre-activation enclosures of its layers."""
+    im = abstract(model, ShiftSet("inf", delta))
+    pre = interval_bounds(im, in_lo, in_hi)
+    bounds = BigMBounds(pre_lo=[lo for lo, _ in pre], pre_hi=[hi for _, hi in pre])
+    bounds.validate()
+    return im, bounds
 
 
-def _interval_product_fixed(w_lo, w_hi, v):
-    """Bounds of W' @ v over W' in [w_lo, w_hi] for a fixed vector v."""
-    p_lo = np.minimum(w_lo * v, w_hi * v)
-    p_hi = np.maximum(w_lo * v, w_hi * v)
-    return p_lo.sum(axis=1), p_hi.sum(axis=1)
+def _layout(im: IntervalModel, head: int):
+    """Variable indices after ``head`` leading ones: every hidden node, the
+    outputs, then one binary per hidden node."""
+    hidden = [layer.w_lo.shape[0] for layer in im.layers[:-1]]
+    sizes = hidden + [im.num_outputs] + hidden
+    starts = head + np.concatenate([[0], np.cumsum(sizes)])
+    blocks = [np.arange(start, start + size) for start, size in zip(starts, sizes)]
+    k = len(hidden)
+    return blocks[:k], blocks[k], blocks[k + 1 :], int(starts[-1])
 
 
-def _interval_product_range(w_lo, w_hi, v_lo, v_hi):
-    p1, p2 = w_lo * v_lo, w_lo * v_hi
-    p3, p4 = w_hi * v_lo, w_hi * v_hi
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)).sum(axis=1)
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)).sum(axis=1)
+def _names(node_idx, out_idx, xi_idx) -> list[str]:
+    names = [f"v{layer + 1}_{j}" for layer, idx in enumerate(node_idx) for j in range(idx.size)]
+    names += [f"out_{j}" for j in range(out_idx.size)]
+    names += [f"xi{layer + 1}_{j}" for layer, idx in enumerate(xi_idx) for j in range(idx.size)]
+    return names
+
+
+def _var_bounds(num_vars, out_idx, xi_idx, bigm: BigMBounds):
+    """Nodes >= 0, outputs free, binaries in [0, 1] or fixed when stable."""
+    lo = np.zeros(num_vars)
+    hi = np.full(num_vars, np.inf)
+    lo[out_idx] = -np.inf
+    for layer, idx in enumerate(xi_idx):
+        hi[idx] = 1.0
+        active = bigm.pre_lo[layer] >= 0.0
+        inactive = ~active & (bigm.pre_hi[layer] <= 0.0)
+        lo[idx[active]] = hi[idx[active]] = 0.0
+        lo[idx[inactive]] = hi[idx[inactive]] = 1.0
     return lo, hi
 
 
-def _propagate(layers, delta, in_lo, in_hi) -> BigMBounds:
-    """Pre-activation enclosures of every layer of the delta-widened network."""
-    bounds = BigMBounds()
-    v_lo, v_hi = in_lo, in_hi
-    for i, (w, b) in enumerate(layers):
-        if np.array_equal(v_lo, v_hi):
-            lo, hi = _interval_product_fixed(w - delta, w + delta, v_lo)
+def _bias(b, size: int) -> np.ndarray:
+    return np.zeros(size) if b is None else b
+
+
+def _rows(num_vars: int, rel: int, rhs, *terms):
+    """One row per right-hand side.  A term is (variables, coefficients):
+    one variable per row (1-D coefficients or a scalar), or variables shared
+    by every row with a 2-D coefficient block.  Coefficients are added onto
+    zeros, so a -0.0 coefficient reads 0.0."""
+    rhs = np.asarray(rhs, dtype=np.float64).reshape(-1)
+    A = np.zeros((rhs.size, num_vars))
+    rows = np.arange(rhs.size)
+    for cols, coef in terms:
+        if np.ndim(coef) == 2:
+            A[rows[:, None], cols[None, :]] += coef
         else:
-            lo, hi = _interval_product_range(w - delta, w + delta, v_lo, v_hi)
-        if b is not None:
-            lo = lo + b - delta
-            hi = hi + b + delta
-        bounds.pre_lo.append(lo)
-        bounds.pre_hi.append(hi)
-        if i < len(layers) - 1:
-            v_lo = np.maximum(lo, 0.0)
-            v_hi = np.maximum(hi, 0.0)
-    bounds.validate()
-    return bounds
+            A[rows, cols] += coef
+    return A, np.full(rhs.size, rel, dtype=np.int64), rhs
 
 
-class _RowBuilder:
-    def __init__(self, num_vars: int):
-        self.n = num_vars
-        self.rows: list[np.ndarray] = []
-        self.rel: list[int] = []
-        self.rhs: list[float] = []
-
-    def add(self, coeffs: dict[int, float], rel: int, rhs: float) -> None:
-        row = np.zeros(self.n)
-        for j, a in coeffs.items():
-            row[j] += a
-        self.rows.append(row)
-        self.rel.append(rel)
-        self.rhs.append(rhs)
-
-    def build(self):
-        if self.rows:
-            return np.vstack(self.rows), np.array(self.rel), np.array(self.rhs)
-        return np.zeros((0, self.n)), np.zeros(0, dtype=np.int64), np.zeros(0)
+def _interleave(*blocks):
+    """Row blocks of equal height merged node-major: row j of every block,
+    then row j + 1."""
+    A = np.stack([b[0] for b in blocks], axis=1).reshape(-1, blocks[0][0].shape[1])
+    rel = np.stack([b[1] for b in blocks], axis=1).reshape(-1)
+    rhs = np.stack([b[2] for b in blocks], axis=1).reshape(-1)
+    return A, rel, rhs
 
 
-def _relu_layout(layers, extra_head: int):
-    """Index bookkeeping: hidden node vars, output vars, binaries."""
-    hidden_sizes = [w.shape[0] for w, _ in layers[:-1]]
-    out_size = layers[-1][0].shape[0]
-    node_idx = []
-    pos = extra_head
-    for h in hidden_sizes:
-        node_idx.append(np.arange(pos, pos + h))
-        pos += h
-    out_idx = np.arange(pos, pos + out_size)
-    pos += out_size
-    xi_idx = []
-    for h in hidden_sizes:
-        xi_idx.append(np.arange(pos, pos + h))
-        pos += h
-    return node_idx, out_idx, xi_idx, pos
+def _layer_rows(num_vars, v, prev, up, low, xi=None, m=None):
+    """Rows of one layer: v - W_up prev - M xi <= rhs_up and
+    v - W_low prev >= rhs_low per node, preceded on a hidden layer (``xi``
+    given) by v <= M (1 - xi).  ``up``/``low`` are (W, rhs) pairs; ``prev``
+    is None when the layer input is fixed and already sits in the rhs."""
+    (w_up, rhs_up), (w_low, rhs_low) = up, low
+    up_terms, low_terms = [(v, 1.0)], [(v, 1.0)]
+    if xi is not None:
+        up_terms.append((xi, -m))
+    if prev is not None:
+        up_terms.append((prev, -w_up))
+        low_terms.append((prev, -w_low))
+    upper = _rows(num_vars, LE, rhs_up, *up_terms)
+    lower = _rows(num_vars, GE, rhs_low, *low_terms)
+    if xi is None:
+        return _interleave(upper, lower)
+    return _interleave(_rows(num_vars, LE, m, (v, 1.0), (xi, m)), upper, lower)
 
 
-def _names(prefix, idx):
-    return [f"{prefix}{i}" for i in range(len(idx))]
-
-
-def _fix_stable_binaries(lo, hi, xi_idx, bigm: BigMBounds) -> None:
-    for layer, idx in enumerate(xi_idx):
-        pre_lo, pre_hi = bigm.pre_lo[layer], bigm.pre_hi[layer]
-        for j, var in enumerate(idx):
-            if pre_lo[j] >= 0.0:
-                lo[var] = hi[var] = 0.0  # provably active
-            elif pre_hi[j] <= 0.0:
-                lo[var] = hi[var] = 1.0  # provably inactive
+def _milp(c, blocks, lo, hi, sense, names, binaries_of) -> MilpProblem:
+    A = np.vstack([b[0] for b in blocks])
+    rel = np.concatenate([b[1] for b in blocks])
+    rhs = np.concatenate([b[2] for b in blocks])
+    lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense=sense, names=names)
+    binaries = np.concatenate(binaries_of) if binaries_of else np.empty(0, dtype=np.int64)
+    return MilpProblem(lp=lp, binary_idx=binaries)
 
 
 def encode_output_bound(
@@ -163,82 +167,32 @@ def encode_output_bound(
         raise ValueError("delta must be >= 0")
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    layers = _layers_view(model)
-    x = as_feature_vector(x_fixed, layers[0][0].shape[1])
-    out_size = layers[-1][0].shape[0]
+    x = as_feature_vector(x_fixed, model.input_dim)
+    out_size = model.num_outputs
     if not 0 <= output_index < out_size:
         raise ValueError(f"output index {output_index} out of range for {out_size} outputs")
 
-    bigm = _propagate(layers, delta, x, x)
-    node_idx, out_idx, xi_idx, num_vars = _relu_layout(layers, extra_head=0)
+    im, bigm = _propagate(model, delta, x, x)
+    node_idx, out_idx, xi_idx, num_vars = _layout(im, head=0)
+    lo, hi = _var_bounds(num_vars, out_idx, xi_idx, bigm)
 
-    lo = np.zeros(num_vars)
-    hi = np.full(num_vars, np.inf)
-    lo[out_idx] = -np.inf
-    for idx in xi_idx:
-        hi[idx] = 1.0
-    _fix_stable_binaries(lo, hi, xi_idx, bigm)
-
-    rb = _RowBuilder(num_vars)
-    for layer, (w, b) in enumerate(layers[:-1]):
-        m_consts = bigm.big_m(layer)
-        b_lo = (b - delta) if b is not None else np.zeros(w.shape[0])
-        b_hi = (b + delta) if b is not None else np.zeros(w.shape[0])
-        prev = node_idx[layer - 1] if layer > 0 else None
-        for j in range(w.shape[0]):
-            v = node_idx[layer][j]
-            xi = xi_idx[layer][j]
-            m = m_consts[j]
-            rb.add({v: 1.0, xi: m}, LE, m)  # v <= M (1 - xi)
-            if prev is None:
-                up_lo, up_hi = _interval_product_fixed(
-                    (w - delta)[j : j + 1], (w + delta)[j : j + 1], x
-                )
-                rb.add({v: 1.0, xi: -m}, LE, float(up_hi[0]) + b_hi[j])
-                rb.add({v: 1.0}, GE, float(up_lo[0]) + b_lo[j])
-            else:
-                up = {v: 1.0, xi: -m}
-                low = {v: 1.0}
-                for l, p in enumerate(prev):
-                    up[p] = -(w[j, l] + delta)
-                    low[p] = -(w[j, l] - delta)
-                rb.add(up, LE, b_hi[j])
-                rb.add(low, GE, b_lo[j])
-    # Output layer: the two widened affine rows per class.
-    w, b = layers[-1]
-    b_lo = (b - delta) if b is not None else np.zeros(out_size)
-    b_hi = (b + delta) if b is not None else np.zeros(out_size)
-    prev = node_idx[-1] if node_idx else None
-    for j in range(out_size):
-        v = out_idx[j]
-        if prev is None:
-            up_lo, up_hi = _interval_product_fixed(
-                (w - delta)[j : j + 1], (w + delta)[j : j + 1], x
-            )
-            rb.add({v: 1.0}, LE, float(up_hi[0]) + b_hi[j])
-            rb.add({v: 1.0}, GE, float(up_lo[0]) + b_lo[j])
+    blocks = []
+    for layer, (v, il) in enumerate(zip(node_idx + [out_idx], im.layers)):
+        if layer == 0:  # fixed input: the layer's enclosure is its rhs
+            prev = None
+            up, low = (None, bigm.pre_hi[0]), (None, bigm.pre_lo[0])
         else:
-            up = {v: 1.0}
-            low = {v: 1.0}
-            for l, p in enumerate(prev):
-                up[p] = -(w[j, l] + delta)
-                low[p] = -(w[j, l] - delta)
-            rb.add(up, LE, b_hi[j])
-            rb.add(low, GE, b_lo[j])
+            prev = node_idx[layer - 1]
+            up = (il.w_hi, _bias(il.b_hi, v.size))
+            low = (il.w_lo, _bias(il.b_lo, v.size))
+        # The output layer has no binaries: the two widened affine rows per class.
+        relu = (xi_idx[layer], bigm.big_m(layer)) if layer < len(node_idx) else ()
+        blocks.append(_layer_rows(num_vars, v, prev, up, low, *relu))
 
-    A, rel, rhs = rb.build()
     c = np.zeros(num_vars)
     c[out_idx[output_index]] = 1.0
-    names = []
-    for layer, idx in enumerate(node_idx):
-        names += [f"v{layer + 1}_{j}" for j in range(len(idx))]
-    names += [f"out_{j}" for j in range(out_size)]
-    for layer, idx in enumerate(xi_idx):
-        names += [f"xi{layer + 1}_{j}" for j in range(len(idx))]
-    lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense=direction, names=names)
-    binaries = np.concatenate(xi_idx) if xi_idx else np.empty(0, dtype=np.int64)
     return EncodedProblem(
-        problem=MilpProblem(lp=lp, binary_idx=binaries),
+        problem=_milp(c, blocks, lo, hi, direction, _names(node_idx, out_idx, xi_idx), xi_idx),
         bigm=bigm,
         var_index={"nodes": node_idx, "out": out_idx, "xi": xi_idx},
     )
@@ -259,10 +213,9 @@ def encode_nearest_ce(
     """
     if margin < 0 or not np.isfinite(margin):
         raise ValueError("margin must be finite and >= 0")
-    layers = _layers_view(model)
-    n = layers[0][0].shape[1]
+    n = model.input_dim
     x = as_feature_vector(x, n)
-    out_size = layers[-1][0].shape[0]
+    out_size = model.num_outputs
     if out_size == 1:
         if target not in (0, 1):
             raise ValueError("binary target must be 0 or 1")
@@ -275,77 +228,53 @@ def encode_nearest_ce(
         box_lo = np.broadcast_to(np.asarray(box[0], dtype=np.float64), (n,)).copy()
         box_hi = np.broadcast_to(np.asarray(box[1], dtype=np.float64), (n,)).copy()
 
-    bigm = _propagate(layers, 0.0, box_lo, box_hi)
+    # At delta = 0 the lower endpoints are the model's own parameters, bit for bit.
+    im, bigm = _propagate(model, 0.0, box_lo, box_hi)
     x_idx = np.arange(0, n)
     t_idx = np.arange(n, 2 * n)
-    node_idx, out_idx, xi_idx, num_vars = _relu_layout(layers, extra_head=2 * n)
-
-    lo = np.zeros(num_vars)
-    hi = np.full(num_vars, np.inf)
+    node_idx, out_idx, xi_idx, num_vars = _layout(im, head=2 * n)
+    lo, hi = _var_bounds(num_vars, out_idx, xi_idx, bigm)
     lo[x_idx] = box_lo
     hi[x_idx] = box_hi
-    lo[out_idx] = -np.inf
-    for idx in xi_idx:
-        hi[idx] = 1.0
-    _fix_stable_binaries(lo, hi, xi_idx, bigm)
 
-    rb = _RowBuilder(num_vars)
-    for i in range(n):  # t_i >= |x'_i - x_i|
-        rb.add({t_idx[i]: 1.0, x_idx[i]: -1.0}, GE, -x[i])
-        rb.add({t_idx[i]: 1.0, x_idx[i]: 1.0}, GE, x[i])
-    for layer, (w, b) in enumerate(layers[:-1]):
-        m_consts = bigm.big_m(layer)
-        bias = b if b is not None else np.zeros(w.shape[0])
-        prev = node_idx[layer - 1] if layer > 0 else x_idx
-        for j in range(w.shape[0]):
-            v = node_idx[layer][j]
-            xi = xi_idx[layer][j]
-            m = m_consts[j]
-            rb.add({v: 1.0, xi: m}, LE, m)
-            up = {v: 1.0, xi: -m}
-            low = {v: 1.0}
-            for l, p in enumerate(prev):
-                up[p] = -w[j, l]
-                low[p] = -w[j, l]
-            rb.add(up, LE, bias[j])
-            rb.add(low, GE, bias[j])
-    w, b = layers[-1]
-    bias = b if b is not None else np.zeros(out_size)
-    prev = node_idx[-1] if node_idx else x_idx
-    for j in range(out_size):
-        row = {out_idx[j]: 1.0}
-        for l, p in enumerate(prev):
-            row[p] = -w[j, l]
-        rb.add(row, EQ, bias[j])
+    blocks = [  # t_i >= |x'_i - x_i|
+        _interleave(
+            _rows(num_vars, GE, -x, (t_idx, 1.0), (x_idx, -1.0)),
+            _rows(num_vars, GE, x, (t_idx, 1.0), (x_idx, 1.0)),
+        )
+    ]
+    prev = x_idx
+    for layer, (v, il) in enumerate(zip(node_idx, im.layers)):
+        exact = (il.w_lo, _bias(il.b_lo, v.size))
+        relu = (xi_idx[layer], bigm.big_m(layer))
+        blocks.append(_layer_rows(num_vars, v, prev, exact, exact, *relu))
+        prev = v
+    last = im.layers[-1]
+    out_bias = _bias(last.b_lo, out_size)
+    blocks.append(_rows(num_vars, EQ, out_bias, (out_idx, 1.0), (prev, -last.w_lo)))
 
     # Validity: the target logit must clear the margin (strictly where the
     # point tie-break would go against the target).
     if out_size == 1:
         if target == 1:
-            rb.add({out_idx[0]: 1.0}, GE, margin)
+            blocks.append(_rows(num_vars, GE, margin, (out_idx, 1.0)))
         else:
-            rb.add({out_idx[0]: 1.0}, LE, -margin - STRICT_EPS)
+            blocks.append(_rows(num_vars, LE, -margin - STRICT_EPS, (out_idx, 1.0)))
     else:
         t0 = target - 1
-        for j in range(out_size):
-            if j == t0:
-                continue
-            eps = STRICT_EPS if j < t0 else 0.0
-            rb.add({out_idx[t0]: 1.0, out_idx[j]: -1.0}, GE, margin + eps)
+        others = np.delete(np.arange(out_size), t0)
+        eps = np.where(others < t0, STRICT_EPS, 0.0)
+        target_out = np.full(others.size, out_idx[t0])
+        blocks.append(
+            _rows(num_vars, GE, margin + eps, (target_out, 1.0), (out_idx[others], -1.0))
+        )
 
-    A, rel, rhs = rb.build()
     c = np.zeros(num_vars)
     c[t_idx] = 1.0 / n
     names = [f"x{i}" for i in range(n)] + [f"t{i}" for i in range(n)]
-    for layer, idx in enumerate(node_idx):
-        names += [f"v{layer + 1}_{j}" for j in range(len(idx))]
-    names += [f"out_{j}" for j in range(out_size)]
-    for layer, idx in enumerate(xi_idx):
-        names += [f"xi{layer + 1}_{j}" for j in range(len(idx))]
-    lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense="min", names=names)
-    binaries = np.concatenate(xi_idx) if xi_idx else np.empty(0, dtype=np.int64)
+    names += _names(node_idx, out_idx, xi_idx)
     return EncodedProblem(
-        problem=MilpProblem(lp=lp, binary_idx=binaries),
+        problem=_milp(c, blocks, lo, hi, "min", names, xi_idx),
         bigm=bigm,
         var_index={"x": x_idx, "t": t_idx, "nodes": node_idx, "out": out_idx, "xi": xi_idx},
     )

@@ -344,6 +344,8 @@ def estimate_delta_validation(
         raise ValueError("need at least one retrained model")
     X_candidates = np.asarray(X_candidates, dtype=np.float64)
     val_inputs = [np.asarray(v, dtype=np.float64) for v in val_inputs]
+    if not val_inputs:
+        raise ValueError("need at least one validation input")
     if targets is None:
         targets = [None] * len(val_inputs)
     grid = sorted(float(g) for g in grid)

@@ -94,6 +94,65 @@ def logit_bound(
     return res.objective, res.nodes, False
 
 
+def _certify(
+    model: ParametricModel, shift: ShiftSet, x, target: int, node_limit: int
+) -> RobustnessVerdict:
+    """The one robustness decision: certify every side, then compare.
+
+    A side is (logit index, direction, bounds label): the target's minimum
+    first, then each competitor's maximum; a single-logit model has the one
+    side its target demands.  Each side's certified endpoint replaces its
+    interval-arithmetic one in ``bounds``; an unresolved side keeps the
+    enclosure and makes the verdict not robust.  Binary: the logit minimum
+    is >= 0 for class 1, the maximum < 0 for class 0.  Multi-class: the
+    target's minimum is >= every competitor's maximum.
+    """
+    if model.num_outputs == 1:
+        sides = [(0, "min" if target == 1 else "max", 1)]
+    else:
+        t0 = target - 1
+        sides = [(t0, "min", target)]
+        sides += [(j, "max", j + 1) for j in range(model.num_outputs) if j != t0]
+    ia_lo, ia_hi = interval_forward(abstract(model, shift), x)
+    bounds: dict[int, tuple[float, float]] = {}
+    values = []
+    nodes = 0
+    unresolved = False
+    for index, direction, label in sides:
+        value, n, u = logit_bound(model, shift, x, index, direction, node_limit)
+        nodes += n
+        unresolved |= u
+        lo, hi = float(ia_lo[index]), float(ia_hi[index])
+        if not u:
+            lo, hi = (value, hi) if direction == "min" else (lo, value)
+        bounds[label] = (lo, hi)
+        values.append(value)
+    if unresolved:
+        robust = False
+    elif model.num_outputs == 1:
+        robust = values[0] >= 0.0 if target == 1 else values[0] < 0.0
+    else:
+        robust = not any(values[0] < hi_j for hi_j in values[1:])
+    return RobustnessVerdict(
+        robust=robust,
+        target_class=target,
+        bounds=bounds,
+        nodes_explored=nodes,
+        unresolved=unresolved,
+    )
+
+
+def _checked_verdict(model, shift, x_prime, target, check_soundness_of, node_limit):
+    """``_certify`` timed, plus the optional soundness check of the original input."""
+    start = time.perf_counter()
+    verdict = _certify(model, shift, x_prime, target, node_limit)
+    if check_soundness_of is not None:
+        sound = is_sound(model, shift, check_soundness_of, node_limit=node_limit)
+        verdict.strictly_robust = bool(verdict.robust and sound)
+    verdict.wall_ms = (time.perf_counter() - start) * 1000.0
+    return verdict
+
+
 def is_delta_robust_binary(
     model: ParametricModel,
     shift: ShiftSet,
@@ -107,32 +166,7 @@ def is_delta_robust_binary(
         raise ValueError("binary robustness test needs a single-logit model")
     if target not in (0, 1):
         raise ValueError("binary target must be 0 or 1")
-    start = time.perf_counter()
-    im = abstract(model, shift)
-    ia_lo, ia_hi = interval_forward(im, x_prime)
-    direction = "min" if target == 1 else "max"
-    value, nodes, unresolved = logit_bound(model, shift, x_prime, 0, direction, node_limit)
-    if unresolved:
-        robust = False
-        bounds = {1: (float(ia_lo[0]), float(ia_hi[0]))}
-    elif target == 1:
-        robust = value >= 0.0
-        bounds = {1: (value, float(ia_hi[0]))}
-    else:
-        robust = value < 0.0
-        bounds = {1: (float(ia_lo[0]), value)}
-    verdict = RobustnessVerdict(
-        robust=robust,
-        target_class=target,
-        bounds=bounds,
-        nodes_explored=nodes,
-        unresolved=unresolved,
-    )
-    if check_soundness_of is not None:
-        sound = is_sound(model, shift, check_soundness_of, node_limit=node_limit)
-        verdict.strictly_robust = bool(robust and sound)
-    verdict.wall_ms = (time.perf_counter() - start) * 1000.0
-    return verdict
+    return _checked_verdict(model, shift, x_prime, target, check_soundness_of, node_limit)
 
 
 def is_delta_robust_multi(
@@ -150,39 +184,7 @@ def is_delta_robust_multi(
         raise ValueError("multi-class robustness test needs >= 2 logits")
     if not 1 <= target <= n_out:
         raise ValueError(f"target class {target} out of range 1..{n_out}")
-    start = time.perf_counter()
-    im = abstract(model, shift)
-    ia_lo, ia_hi = interval_forward(im, x_prime)
-    bounds: dict[int, tuple[float, float]] = {}
-    nodes = 0
-    unresolved = False
-    t0 = target - 1
-    lo_t, n, u = logit_bound(model, shift, x_prime, t0, "min", node_limit)
-    nodes += n
-    unresolved |= u
-    bounds[target] = (float(ia_lo[t0]) if u else lo_t, float(ia_hi[t0]))
-    robust = not u
-    for j in range(n_out):
-        if j == t0:
-            continue
-        hi_j, n, u = logit_bound(model, shift, x_prime, j, "max", node_limit)
-        nodes += n
-        unresolved |= u
-        bounds[j + 1] = (float(ia_lo[j]), float(ia_hi[j]) if u else hi_j)
-        if u or lo_t is None or lo_t < hi_j:
-            robust = False
-    verdict = RobustnessVerdict(
-        robust=robust,
-        target_class=target,
-        bounds=bounds,
-        nodes_explored=nodes,
-        unresolved=unresolved,
-    )
-    if check_soundness_of is not None:
-        sound = is_sound(model, shift, check_soundness_of, node_limit=node_limit)
-        verdict.strictly_robust = bool(robust and sound)
-    verdict.wall_ms = (time.perf_counter() - start) * 1000.0
-    return verdict
+    return _checked_verdict(model, shift, x_prime, target, check_soundness_of, node_limit)
 
 
 def is_delta_robust(
@@ -210,24 +212,7 @@ def is_sound(
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> bool:
     """True iff the abstraction still assigns x its point-model class."""
-    label = classify(model, x)
-    if model.num_outputs == 1:
-        direction = "min" if label == 1 else "max"
-        value, _, unresolved = logit_bound(model, shift, x, 0, direction, node_limit)
-        if unresolved:
-            return False
-        return value >= 0.0 if label == 1 else value < 0.0
-    t0 = label - 1
-    lo_t, _, u = logit_bound(model, shift, x, t0, "min", node_limit)
-    if u:
-        return False
-    for j in range(model.num_outputs):
-        if j == t0:
-            continue
-        hi_j, _, u = logit_bound(model, shift, x, j, "max", node_limit)
-        if u or lo_t < hi_j:
-            return False
-    return True
+    return _certify(model, shift, x, classify(model, x), node_limit).robust
 
 
 def delta_validity(

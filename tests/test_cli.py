@@ -188,6 +188,30 @@ def test_estimate_delta_incremental_cli(tmp_path, capsys):
     assert report["strategy"] == "incremental" and report["delta_inc"] > 0
 
 
+def test_estimate_delta_validation_empty_pool_cli(capsys):
+    rc = main(
+        [
+            "estimate-delta",
+            "--strategy",
+            "validation",
+            "--synth",
+            "moons:200",
+            "--epochs",
+            "40",
+            "--replicas",
+            "1",
+            "--seed",
+            "0",
+            "--n-val",
+            "0",
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: need at least one validation input" in err
+    assert "Traceback" not in err
+
+
 def test_benchmark_smoke_and_outputs(tmp_path, capsys):
     out = tmp_path / "bench"
     rc = main(

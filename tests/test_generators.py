@@ -4,6 +4,7 @@ import pytest
 from cfcert.generators import (
     gce,
     gce_robust,
+    generate,
     get_candidates,
     get_robust_ce,
     iterative_robustify,
@@ -13,7 +14,8 @@ from cfcert.generators import (
     rnce,
 )
 from cfcert.intervals import ShiftSet
-from cfcert.kdtree import KDTree, l1_distance
+from cfcert.kdtree import KDTree
+from cfcert.metrics import l1_normalized
 from cfcert.models import LogisticModel, classify, classify_batch
 from cfcert.verifier import is_delta_robust
 
@@ -303,4 +305,41 @@ class TestRnce:
         doc = r.to_dict()
         assert doc["method"] == "rnce-ff" and doc["found"] is True
         assert doc["shift"] == {"p": "inf", "delta": 0.05}
-        assert doc["distance"] == pytest.approx(l1_distance(np.array(doc["x_prime"]), X[0]))
+        assert doc["distance"] == pytest.approx(l1_normalized(np.array(doc["x_prime"]), X[0]))
+
+
+class TestGenerate:
+    def test_dispatch_matches_direct_calls(self, blob_problem):
+        model, X = blob_problem
+        shift = ShiftSet("inf", 0.05)
+        x = X[0]
+        direct = {
+            "mce": mce(model, x, 1, margin=0.2),
+            "mce-r": mce_robust(model, shift, x, 1, margin_step=0.3, max_rounds=4),
+            "gce": gce(model, x, 1, lam=0.05),
+            "gce-r": gce_robust(model, shift, x, 1, lam=0.05, max_rounds=4),
+            "nnce": nnce(model, X, x, 1),
+            "rnce": rnce(model, X, x, shift, target=1, robust_init=True),
+            "rnce-ft": rnce(model, X, x, shift, target=1, optimal=True),
+        }
+        for method, want in direct.items():
+            got = generate(
+                method, model, shift, x, 1, X, margin=0.2, margin_step=0.3, max_rounds=4,
+                lam=0.05, robust_init=method == "rnce",
+            )
+            assert got.to_dict() == want.to_dict(), method
+
+    def test_rnce_name_sets_both_flags(self, blob_problem):
+        model, X = blob_problem
+        shift = ShiftSet("inf", 0.05)
+        for flags in ("ff", "ft", "tf", "tt"):
+            got = generate(
+                f"rnce-{flags}", model, shift, X[0], 1, X, robust_init=True, optimal=True
+            )
+            assert got.method == f"rnce-{flags}"
+
+    def test_unknown_method(self, blob_problem):
+        model, X = blob_problem
+        for method in ("mce-x", "rnce-xy", "rnce-t"):
+            with pytest.raises(ValueError, match="unknown method"):
+                generate(method, model, ShiftSet("inf", 0.05), X[0], 1, X)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cfcert.kdtree import KDTree, l1_distance
+from cfcert.kdtree import KDTree
+from cfcert.metrics import l1_normalized
 
 
 def brute_order(points, q):
-    d = np.array([l1_distance(p, q) for p in points])
+    d = np.array([l1_normalized(p, q) for p in points])
     return sorted(range(len(points)), key=lambda i: (d[i], i)), d
 
 

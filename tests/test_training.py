@@ -208,6 +208,11 @@ class TestEstimateDeltaValidation:
         )
         assert rep["not_reached"] and rep["delta_val"] == 0.02
 
+    def test_empty_validation_pool_is_rejected(self):
+        ds, m, _ = self._setup()
+        with pytest.raises(ValueError, match="at least one validation input"):
+            estimate_delta_validation(m, [m], ds.X, ds.X[:0], targets=[], grid=(0.01,))
+
     def test_generator_failure_skips_grid_point(self):
         ds, m, pool = self._setup()
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfcert.intervals import ShiftSet, abstract, interval_classify
-from cfcert.models import LogisticModel, classify
+from cfcert.models import LogisticModel, classify, flatten, unflatten
 from cfcert.verifier import (
     delta_validity,
     is_delta_robust,
@@ -160,3 +160,45 @@ def test_verdict_serialization(logistic_ref):
 def test_multi_requires_target(multi_net):
     with pytest.raises(ValueError):
         is_delta_robust(multi_net, ShiftSet("inf", 0.05), [2, 2])
+
+
+def _verdict_doc(verdict):
+    doc = verdict.to_dict()
+    doc.pop("wall_ms")
+    return doc
+
+
+def _p_sphere(rng, size, p, radius):
+    """A random point of the p-sphere of the given radius: Gaussian or
+    one-hot directions, rescaled to p-norm radius."""
+    u = np.zeros(size)
+    if rng.random() < 0.3:
+        u[rng.integers(size)] = rng.choice([-1.0, 1.0])  # a vertex of the 1-ball
+    else:
+        u = rng.normal(size=size)
+    return radius * u / np.linalg.norm(u, ord=p)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_p_norm_shift_uses_the_enclosing_inf_box(p):
+    rng = np.random.default_rng(20 + p)
+    robust_seen = 0
+    for k in range(12):
+        if k % 3 == 0:
+            model = LogisticModel(weights=rng.normal(0, 1, 3), bias=float(rng.normal()))
+        else:
+            model = random_network(rng, n_in=3, hidden=[4], n_out=1 if k % 3 == 1 else 3)
+        delta = float(rng.uniform(0.01, 0.1))
+        theta = flatten(model)
+        for x in rng.uniform(0, 1, (3, 3)):
+            target = classify(model, x)
+            verdict = is_delta_robust(model, ShiftSet(p, delta), x, target=target)
+            reference = is_delta_robust(model, ShiftSet("inf", delta), x, target=target)
+            assert _verdict_doc(verdict) == _verdict_doc(reference)
+            if not verdict.robust:
+                continue
+            robust_seen += 1
+            for _ in range(50):
+                shifted = unflatten(model, theta + _p_sphere(rng, theta.size, p, delta))
+                assert classify(shifted, x) == target
+    assert robust_seen >= 5
