@@ -26,7 +26,7 @@ from .models import (
     classify_batch,
     forward,
 )
-from .verifier import is_delta_robust
+from .verifier import is_delta_robust, robust_flags
 
 __all__ = [
     "CounterfactualRecord",
@@ -336,7 +336,9 @@ def get_candidates(
     Without ``robust_init`` a row qualifies when the point model classifies
     it to the target class; with it the row must additionally pass the
     robustness test.  (Robustness implies target-class point classification,
-    so the point filter is applied first in both modes.)
+    so the point filter is applied first in both modes.)  The test is one
+    :func:`robust_flags` call over the target-class rows: interval arithmetic
+    certifies what it can and only the rest is solved as a MILP.
     """
     X = np.asarray(X, dtype=np.float64)
     if target is None:
@@ -346,12 +348,8 @@ def get_candidates(
     idx = np.flatnonzero(classify_batch(model, X) == target)
     if not robust_init or shift.delta == 0.0:
         return idx
-    keep = [
-        i
-        for i in idx
-        if is_delta_robust(model, shift, X[i], target=target, node_limit=node_limit).robust
-    ]
-    return np.asarray(keep, dtype=np.int64)
+    keep = robust_flags(model, shift, X[idx], target, node_limit)
+    return idx[np.asarray(keep, dtype=bool)]
 
 
 def get_robust_ce(
@@ -370,7 +368,12 @@ def get_robust_ce(
 
     The line search scans the fixed segment between the query and the chosen
     neighbour with interpolation weight a = 1, 1 - s, 1 - 2s, ..., keeping
-    the last interpolant that passes the robustness test.
+    the last interpolant that passes the robustness test.  Unless the
+    candidates are pre-verified, each neighbour is tested on its own, so the
+    walk stays lazy; the interpolants are tested in one batch.  Both go
+    through :func:`robust_flags`, which rejects a point of another point
+    class and accepts one interval arithmetic certifies before any MILP.
+    (With delta = 0 the point class alone decides.)
     """
     x = as_feature_vector(x, model.input_dim)
     x_prime = None
@@ -383,7 +386,7 @@ def get_robust_ce(
         elif candidates_verified:
             ok = True
         else:
-            ok = is_delta_robust(model, shift, candidate, target=target, node_limit=node_limit).robust
+            ok = robust_flags(model, shift, [candidate], target, node_limit)[0]
         if ok:
             x_prime = candidate.copy()
             break
@@ -391,19 +394,20 @@ def get_robust_ce(
         return _not_found("rnce", target, shift=shift, iterations=queries)
     if optimal:
         anchor = x_prime.copy()
+        line = []
         k = 1
         a = LINE_SEARCH_START - line_step
         while a > 1e-12:
-            x_line = a * anchor + (1.0 - a) * x
-            robust = (
-                classify(model, x_line) == target
-                if shift.delta == 0.0
-                else is_delta_robust(model, shift, x_line, target=target, node_limit=node_limit).robust
-            )
-            if robust:
-                x_prime = x_line
+            line.append(a * anchor + (1.0 - a) * x)
             k += 1
             a = LINE_SEARCH_START - k * line_step
+        if shift.delta == 0.0:
+            flags = [classify(model, x_line) == target for x_line in line]
+        else:
+            flags = robust_flags(model, shift, line, target, node_limit)
+        for x_line, robust in zip(line, flags):
+            if robust:
+                x_prime = x_line
     return CounterfactualRecord(
         method="rnce",
         target_class=target,

@@ -200,14 +200,17 @@ def interval_classify_multi(im: IntervalModel, x) -> IntervalVerdict:
     return IntervalVerdict(label=label, lo=lo, hi=hi)
 
 
+def dominates(lo: np.ndarray, hi: np.ndarray, c: int) -> bool:
+    """Class c (1-based) wins for every logit vector in the box: its lower
+    bound reaches every other upper bound, strictly for lower classes, since
+    ties go to the lowest class index as in point classification."""
+    i = c - 1
+    return bool(lo[i] > hi[:i].max(initial=-np.inf) and lo[i] >= hi[i + 1 :].max(initial=-np.inf))
+
+
 def dominant_class(lo: np.ndarray, hi: np.ndarray) -> int | None:
-    """First class whose lower bound >= all other upper bounds, else None."""
-    n = lo.size
-    for c in range(n):
-        others = np.delete(hi, c)
-        if lo[c] >= others.max():
-            return c + 1
-    return None
+    """The class that wins for every logit vector in the box, else None."""
+    return next((c for c in range(1, lo.size + 1) if dominates(lo, hi, c)), None)
 
 
 def interval_classify(im: IntervalModel, x) -> IntervalVerdict:

@@ -4,6 +4,8 @@ Depth-first search with deterministic exploration order: branch on the most
 fractional binary (ties to the lowest index), explore the child matching the
 rounded relaxation value first.  Binaries already fixed via equal bounds are
 honoured, which is how the encoders presolve stably active/inactive ReLUs.
+A node whose relaxation hits the simplex iteration limit ends the search with
+status ``iteration_limit``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ def branch_and_bound(milp: MilpProblem, node_limit: int = DEFAULT_NODE_LIMIT) ->
         res = simplex_solve(_with_bounds(lp, lo, hi))
         if res.status == "infeasible":
             continue
+        if res.status == "iteration_limit":
+            # An unsolved relaxation bounds nothing: give up on the search.
+            return SolveResult(status="iteration_limit", nodes=nodes)
         if res.status == "unbounded":
             # Binaries are bounded, so the unbounded ray is continuous and
             # survives any integral completion.

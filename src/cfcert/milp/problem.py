@@ -81,7 +81,7 @@ class MilpProblem:
 
 @dataclass
 class SolveResult:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "node_limit"
+    status: str  # "optimal" | "infeasible" | "unbounded" | "node_limit" | "iteration_limit"
     objective: float | None = None
     x: np.ndarray | None = None
     nodes: int = 0

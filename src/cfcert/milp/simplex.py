@@ -3,7 +3,8 @@
 The pivot loop lives in ``cfcert._kernels`` (vectorised numpy).  This
 driver converts a :class:`LinearProgram` to standard equality form, runs
 phase 1 with artificial variables to find a basic feasible solution, then
-phase 2 on the real objective.  Tolerances: 1e-9 inside the pivoting,
+phase 2 on the real objective.  A phase that runs out of pivots ends the
+solve with status ``iteration_limit``.  Tolerances: 1e-9 inside the pivoting,
 1e-7 for reported feasibility.
 """
 
@@ -165,7 +166,7 @@ def simplex_solve(lp: LinearProgram) -> SolveResult:
     basis = np.arange(n_real, n_real + m, dtype=np.int64)
     tab, status = _run_phase(A1, b, c1, basis, max_iter)
     if status == STATUS_ITER_LIMIT:
-        raise RuntimeError("simplex iteration limit hit in phase 1")
+        return SolveResult(status="iteration_limit")
     if -tab[-1, -1] > 1e-7:
         return SolveResult(status="infeasible")
     tab, basis = _drive_out_artificials(tab, basis, n_real)
@@ -174,7 +175,7 @@ def simplex_solve(lp: LinearProgram) -> SolveResult:
     m2 = tab.shape[0] - 1
     tab, status = _run_phase(tab[:m2, :n_real], tab[:m2, -1], c, basis, max_iter)
     if status == STATUS_ITER_LIMIT:
-        raise RuntimeError("simplex iteration limit hit in phase 2")
+        return SolveResult(status="iteration_limit")
     if status == STATUS_UNBOUNDED:
         return SolveResult(status="unbounded")
     assert status == STATUS_OPTIMAL

@@ -4,10 +4,16 @@ A counterfactual is robust for its target class when the interval abstraction
 assigns it that class: for single-logit models the certified logit lower
 bound must be >= 0 (upper bound < 0 for class 0), for multi-logit models the
 target's certified lower bound must dominate every other class's certified
-upper bound.  Networks are certified through the MILP encoding; logistic
-models have a closed form.  An undefined interval verdict counts as not
-robust, and a solver node-limit is reported as not robust with a distinct
-``unresolved`` flag.
+upper bound (strictly for lower classes: ties go to the lowest index).
+Networks are certified through the MILP encoding; logistic models have a
+closed form.  An undefined interval verdict counts as not robust.  A solver
+node or iteration limit, and a certified endpoint outside the range its
+interval enclosure and the point model allow, are reported as not robust
+with a distinct ``unresolved`` flag.
+
+Callers that need only the yes/no answer use :func:`robust_flags`, which
+settles a row by the point model's class or by interval arithmetic when it
+can and solves the MILP only for the rest.
 """
 
 from __future__ import annotations
@@ -17,9 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import ShiftSet, abstract, interval_forward
+from .intervals import ShiftSet, abstract, dominates, interval_classify, interval_forward
 from .milp import DEFAULT_NODE_LIMIT, branch_and_bound, encode_output_bound
-from .models import LogisticModel, ParametricModel, as_feature_vector, classify
+from .milp.branch_bound import INTEGRALITY_TOL
+from .milp.simplex import FEASIBILITY_TOL
+from .models import (
+    LogisticModel,
+    ParametricModel,
+    as_feature_vector,
+    classify,
+    classify_batch,
+    forward,
+)
 
 __all__ = [
     "RobustnessVerdict",
@@ -28,6 +43,7 @@ __all__ = [
     "is_delta_robust_binary",
     "is_delta_robust_multi",
     "is_sound",
+    "robust_flags",
     "delta_validity",
 ]
 
@@ -81,17 +97,48 @@ def logit_bound(
     direction: str,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> tuple[float | None, int, bool]:
-    """One certified endpoint of an output logit: (value, nodes, unresolved)."""
+    """One certified endpoint of an output logit: (value, nodes, unresolved).
+
+    A search cut short by the node or the simplex iteration limit is
+    unresolved and has no value."""
     if isinstance(model, LogisticModel):
         lo, hi = _logistic_bounds(model, shift.delta, x)
         return (lo if direction == "min" else hi), 0, False
     enc = encode_output_bound(model, x, shift.delta, output_index, direction)
     res = branch_and_bound(enc.problem, node_limit=node_limit)
-    if res.status == "node_limit":
+    if res.status in ("node_limit", "iteration_limit"):
         return None, res.nodes, True
     if not res.optimal:
         raise RuntimeError(f"bound problem ended with status {res.status}")
     return res.objective, res.nodes, False
+
+
+def _enclosed(
+    value: float, direction: str, ia_lo: float, ia_hi: float, point: float
+) -> float | None:
+    """A certified endpoint checked against the range it must lie in and
+    moved into it; None when it lies outside by more than the solver's slack.
+
+    The unshifted model is in the shift set, so a minimum cannot exceed the
+    point logit nor a maximum fall below it; interval arithmetic encloses
+    every shifted model, so neither can pass its IA endpoint.  The solver
+    meets that range only to its own tolerances: a binary accepted within
+    ``INTEGRALITY_TOL`` of integral lets a ReLU move by that fraction of its
+    big-M range, which the IA width of the logit bounds, and rows hold to
+    ``FEASIBILITY_TOL`` at the scale of the logit.  Within that slack the
+    endpoint is clamped into the range, so a verdict never contradicts the
+    point class or the interval classification.  Where rounding leaves the
+    range empty (the IA endpoint past the point logit by an ulp, at delta 0)
+    the IA endpoint wins.
+    """
+    tol = INTEGRALITY_TOL * (ia_hi - ia_lo) + FEASIBILITY_TOL * max(1.0, abs(ia_lo), abs(ia_hi))
+    if direction == "min":
+        if not ia_lo - tol <= value <= point + tol:
+            return None
+        return max(min(value, point), ia_lo)
+    if not point - tol <= value <= ia_hi + tol:
+        return None
+    return min(max(value, point), ia_hi)
 
 
 def _certify(
@@ -103,9 +150,11 @@ def _certify(
     first, then each competitor's maximum; a single-logit model has the one
     side its target demands.  Each side's certified endpoint replaces its
     interval-arithmetic one in ``bounds``; an unresolved side keeps the
-    enclosure and makes the verdict not robust.  Binary: the logit minimum
-    is >= 0 for class 1, the maximum < 0 for class 0.  Multi-class: the
-    target's minimum is >= every competitor's maximum.
+    enclosure and makes the verdict not robust.  A side is unresolved when
+    its solver hit a limit or its endpoint fails :func:`_enclosed`.
+    Binary: the logit minimum is >= 0 for class 1, the maximum < 0 for
+    class 0.  Multi-class: the target's minimum is >= every competitor's
+    maximum, and > that of a lower class (:func:`dominates`).
     """
     if model.num_outputs == 1:
         sides = [(0, "min" if target == 1 else "max", 1)]
@@ -114,25 +163,29 @@ def _certify(
         sides = [(t0, "min", target)]
         sides += [(j, "max", j + 1) for j in range(model.num_outputs) if j != t0]
     ia_lo, ia_hi = interval_forward(abstract(model, shift), x)
+    point = forward(model, x)
     bounds: dict[int, tuple[float, float]] = {}
-    values = []
     nodes = 0
     unresolved = False
     for index, direction, label in sides:
         value, n, u = logit_bound(model, shift, x, index, direction, node_limit)
         nodes += n
-        unresolved |= u
         lo, hi = float(ia_lo[index]), float(ia_hi[index])
+        if not u:
+            value = _enclosed(value, direction, lo, hi, float(point[index]))
+            u = value is None
+        unresolved |= u
         if not u:
             lo, hi = (value, hi) if direction == "min" else (lo, value)
         bounds[label] = (lo, hi)
-        values.append(value)
     if unresolved:
         robust = False
     elif model.num_outputs == 1:
-        robust = values[0] >= 0.0 if target == 1 else values[0] < 0.0
+        lo, hi = bounds[1]
+        robust = bool(lo >= 0.0 if target == 1 else hi < 0.0)
     else:
-        robust = not any(values[0] < hi_j for hi_j in values[1:])
+        lo, hi = (np.array(side) for side in zip(*(bounds[k] for k in sorted(bounds))))
+        robust = dominates(lo, hi, target)
     return RobustnessVerdict(
         robust=robust,
         target_class=target,
@@ -153,6 +206,24 @@ def _checked_verdict(model, shift, x_prime, target, check_soundness_of, node_lim
     return verdict
 
 
+def _default_target(model: ParametricModel, target: int | None) -> int:
+    """The class a robustness test certifies: class 1 unless given, and
+    required for multi-logit models."""
+    if target is not None:
+        return target
+    if model.num_outputs != 1:
+        raise ValueError("multi-class robustness test needs an explicit target class")
+    return 1
+
+
+def _check_target(model: ParametricModel, target: int) -> None:
+    n_out = model.num_outputs
+    if n_out == 1 and target not in (0, 1):
+        raise ValueError("binary target must be 0 or 1")
+    if n_out > 1 and not 1 <= target <= n_out:
+        raise ValueError(f"target class {target} out of range 1..{n_out}")
+
+
 def is_delta_robust_binary(
     model: ParametricModel,
     shift: ShiftSet,
@@ -164,8 +235,7 @@ def is_delta_robust_binary(
     """Certify a counterfactual for a single-logit model."""
     if model.num_outputs != 1:
         raise ValueError("binary robustness test needs a single-logit model")
-    if target not in (0, 1):
-        raise ValueError("binary target must be 0 or 1")
+    _check_target(model, target)
     return _checked_verdict(model, shift, x_prime, target, check_soundness_of, node_limit)
 
 
@@ -179,11 +249,9 @@ def is_delta_robust_multi(
 ) -> RobustnessVerdict:
     """Certify a counterfactual for a multi-logit model: one minimisation for
     the target plus one maximisation per competing class."""
-    n_out = model.num_outputs
-    if n_out < 2:
+    if model.num_outputs < 2:
         raise ValueError("multi-class robustness test needs >= 2 logits")
-    if not 1 <= target <= n_out:
-        raise ValueError(f"target class {target} out of range 1..{n_out}")
+    _check_target(model, target)
     return _checked_verdict(model, shift, x_prime, target, check_soundness_of, node_limit)
 
 
@@ -196,12 +264,9 @@ def is_delta_robust(
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> RobustnessVerdict:
     """Dispatch on model arity; binary target defaults to class 1."""
+    target = _default_target(model, target)
     if model.num_outputs == 1:
-        return is_delta_robust_binary(
-            model, shift, x_prime, 1 if target is None else target, check_soundness_of, node_limit
-        )
-    if target is None:
-        raise ValueError("multi-class robustness test needs an explicit target class")
+        return is_delta_robust_binary(model, shift, x_prime, target, check_soundness_of, node_limit)
     return is_delta_robust_multi(model, shift, x_prime, target, check_soundness_of, node_limit)
 
 
@@ -213,6 +278,38 @@ def is_sound(
 ) -> bool:
     """True iff the abstraction still assigns x its point-model class."""
     return _certify(model, shift, x, classify(model, x), node_limit).robust
+
+
+def robust_flags(
+    model: ParametricModel,
+    shift: ShiftSet,
+    X,
+    target: int | None = None,
+    node_limit: int = DEFAULT_NODE_LIMIT,
+) -> list[bool]:
+    """``is_delta_robust(model, shift, x, target=target).robust`` for each row
+    x of X, with a MILP only for the rows two cheap tests leave open.
+
+    A row the point model assigns to another class is not robust: the
+    unshifted model lies in the shift set.  A row the interval abstraction
+    assigns the target is robust: interval arithmetic encloses the logit
+    range the MILP computes.  Every other row goes to ``is_delta_robust``.
+    The answers agree with ``is_delta_robust`` except where it gives up (an
+    unresolved verdict is not robust, while a cheap test may settle the
+    row) and where two logits, or a logit and 0, are equal up to rounding
+    that the batched forward pass, the single-point one and interval
+    arithmetic settle differently.
+    """
+    target = _default_target(model, target)
+    _check_target(model, target)
+    X = np.asarray(X, dtype=np.float64).reshape(-1, model.input_dim)
+    im = abstract(model, shift)
+    flags = classify_batch(model, X) == target
+    for i in np.flatnonzero(flags):
+        if interval_classify(im, X[i]).label != target:
+            verdict = is_delta_robust(model, shift, X[i], target=target, node_limit=node_limit)
+            flags[i] = verdict.robust
+    return flags.tolist()
 
 
 def delta_validity(
@@ -228,8 +325,5 @@ def delta_validity(
         raise ValueError("counterfactual batch is empty")
     if targets is None:
         targets = [None] * len(ces)
-    flags = [
-        is_delta_robust(model, shift, ce, target=t, node_limit=node_limit).robust
-        for ce, t in zip(ces, targets)
-    ]
+    flags = [robust_flags(model, shift, [ce], t, node_limit)[0] for ce, t in zip(ces, targets)]
     return float(np.mean(flags))

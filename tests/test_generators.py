@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cfcert._kernels import STATUS_ITER_LIMIT
 from cfcert.generators import (
     gce,
     gce_robust,
@@ -46,6 +47,14 @@ class TestMce:
 
     def test_impossible_margin(self, logistic_ref):
         r = mce(logistic_ref, [0.7, 0.5], 1, margin=10.0)
+        assert not r.found and r.x_prime is None
+
+    def test_iteration_limit_means_not_found(self, binary_net, monkeypatch):
+        monkeypatch.setattr(
+            "cfcert.milp.simplex.pivot_loop",
+            lambda tab, basis, max_iter, tol: (STATUS_ITER_LIMIT, max_iter),
+        )
+        r = mce(binary_net, [1.0, 2.0], 1)
         assert not r.found and r.x_prime is None
 
     def test_validity_of_result(self, binary_net, multi_net):
@@ -202,15 +211,11 @@ class TestGetRobustCe:
         x_nn = np.ones(2)
         tree = KDTree(x_nn[None, :])
 
-        def fake_verdict(models, shift, point, target=None, node_limit=0):
-            a = float(np.mean(point))  # interpolant weight along the diagonal
+        def fake_flags(models, shift, points, target=None, node_limit=0):
+            # a = interpolant weight along the diagonal
+            return [float(np.mean(point)) >= 0.6 - 1e-9 for point in points]
 
-            class V:
-                robust = a >= 0.6 - 1e-9
-
-            return V()
-
-        monkeypatch.setattr("cfcert.generators.is_delta_robust", fake_verdict)
+        monkeypatch.setattr("cfcert.generators.robust_flags", fake_flags)
         r = get_robust_ce(
             model, ShiftSet("inf", 0.1), tree, x, 1, optimal=True, candidates_verified=False
         )
@@ -223,19 +228,47 @@ class TestGetRobustCe:
         x = np.zeros(2)
         tree = KDTree(np.ones((1, 2)))
 
-        def fake_verdict(models, shift, point, target=None, node_limit=0):
-            a = float(np.mean(point))
+        def fake_flags(models, shift, points, target=None, node_limit=0):
+            weights = [float(np.mean(point)) for point in points]
+            return [a >= 0.7 - 1e-9 or abs(a - 0.4) < 1e-9 for a in weights]
 
-            class V:
-                robust = a >= 0.7 - 1e-9 or abs(a - 0.4) < 1e-9
-
-            return V()
-
-        monkeypatch.setattr("cfcert.generators.is_delta_robust", fake_verdict)
+        monkeypatch.setattr("cfcert.generators.robust_flags", fake_flags)
         r = get_robust_ce(
             model, ShiftSet("inf", 0.1), tree, x, 1, optimal=True, candidates_verified=False
         )
         assert np.allclose(r.x_prime, [0.4, 0.4], atol=1e-9)
+
+    def test_cheap_tests_keep_the_records_of_the_plain_predicate(self, blob_problem, monkeypatch):
+        # rnce with the point-class / IA / MILP cascade returns bit for bit
+        # what it returns when every test is a full is_delta_robust call,
+        # and the cascade never hands a point of another class to the MILP.
+        model, X = blob_problem
+        shift = ShiftSet("inf", 0.05)
+        rng = np.random.default_rng(4)
+        queries = [X[0]] + [q for q in rng.uniform(0, 1, (40, 2)) if classify(model, q) == 0][:7]
+        solved = []
+
+        def spy(model_, shift_, point, target=None, node_limit=0):
+            solved.append((np.array(point), target))
+            return is_delta_robust(model_, shift_, point, target=target, node_limit=node_limit)
+
+        monkeypatch.setattr("cfcert.verifier.is_delta_robust", spy)
+        cascade = [rnce(model, X, q, shift, robust_init=True, optimal=True) for q in queries]
+        assert solved
+        assert all(classify(model, point) == target for point, target in solved)
+
+        def plain(model_, shift_, points, target, node_limit):
+            return [
+                is_delta_robust(model_, shift_, p, target=target, node_limit=node_limit).robust
+                for p in points
+            ]
+
+        monkeypatch.setattr("cfcert.generators.robust_flags", plain)
+        for q, got in zip(queries, cascade):
+            want = rnce(model, X, q, shift, robust_init=True, optimal=True)
+            assert got.found and want.found
+            assert np.array_equal(got.x_prime, want.x_prime)
+            assert (got.iterations, got.robust) == (want.iterations, want.robust)
 
     def test_exhausted_tree_not_found(self, blob_problem):
         model, X = blob_problem

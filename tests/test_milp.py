@@ -14,6 +14,8 @@ from cfcert.milp import (
     simplex_solve,
 )
 
+from cfcert._kernels import STATUS_ITER_LIMIT
+
 from conftest import enumerate_pattern_bound, enumerate_vertices, random_network
 
 
@@ -82,6 +84,24 @@ class TestSimplex:
         res = simplex_solve(lp)
         assert res.objective == pytest.approx(2.6)
         assert np.allclose(res.x, [0.4, 0.6])
+
+    def test_iteration_limit_is_a_status(self, monkeypatch):
+        from cfcert.milp import simplex
+
+        lp = _lp([1.0, 1.0], [[1, 2], [3, 1]], [LE, LE], [4, 6], [0, 0], [np.inf] * 2, "max")
+        real = simplex.pivot_loop
+        for phase in (1, 2):
+            calls = []
+
+            def loop(tab, basis, max_iter, tol):
+                calls.append(max_iter)
+                if len(calls) == phase:
+                    return STATUS_ITER_LIMIT, max_iter
+                return real(tab, basis, max_iter, tol)
+
+            monkeypatch.setattr(simplex, "pivot_loop", loop)
+            assert simplex_solve(lp).status == "iteration_limit"
+            assert len(calls) == phase
 
     def test_zero_level_artificials_after_phase_1(self, monkeypatch):
         from cfcert.milp import simplex
@@ -187,6 +207,15 @@ class TestBranchAndBound:
         if free:  # only meaningful when presolve left work to do
             res = branch_and_bound(enc.problem, node_limit=1)
             assert res.status in ("node_limit", "optimal")
+
+    def test_iteration_limit_stops_the_search(self, binary_net, monkeypatch):
+        enc = encode_output_bound(binary_net, [1.0, 2.0], 0.6, 0, "min")
+        monkeypatch.setattr(
+            "cfcert.milp.simplex.pivot_loop",
+            lambda tab, basis, max_iter, tol: (STATUS_ITER_LIMIT, max_iter),
+        )
+        res = branch_and_bound(enc.problem)
+        assert res.status == "iteration_limit" and res.nodes == 1 and not res.optimal
 
     def test_infeasible_milp(self):
         lp = _lp([1.0], [[1.0]], [GE], [2.0], [0.0], [1.0])

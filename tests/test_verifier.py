@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from cfcert.intervals import ShiftSet, abstract, interval_classify
-from cfcert.models import LogisticModel, classify, flatten, unflatten
+import cfcert.verifier
+from cfcert._kernels import STATUS_ITER_LIMIT
+from cfcert.intervals import ShiftSet, abstract, interval_classify, interval_forward
+from cfcert.milp import SolveResult
+from cfcert.models import Layer, LogisticModel, ReluNetwork, classify, flatten, forward, unflatten
 from cfcert.verifier import (
     delta_validity,
     is_delta_robust,
     is_delta_robust_binary,
     is_delta_robust_multi,
     is_sound,
+    robust_flags,
 )
 
 from conftest import corner_logits, random_network, sample_shifted_logits
@@ -202,3 +206,152 @@ def test_p_norm_shift_uses_the_enclosing_inf_box(p):
                 shifted = unflatten(model, theta + _p_sphere(rng, theta.size, p, delta))
                 assert classify(shifted, x) == target
     assert robust_seen >= 5
+
+
+def test_iteration_limit_reports_unresolved(binary_net, monkeypatch):
+    monkeypatch.setattr(
+        "cfcert.milp.simplex.pivot_loop",
+        lambda tab, basis, max_iter, tol: (STATUS_ITER_LIMIT, max_iter),
+    )
+    verdict = is_delta_robust(binary_net, ShiftSet("inf", 0.05), [2.0, 0.5], target=1)
+    assert not verdict.robust and verdict.unresolved
+
+
+def test_certificate_outside_its_enclosure_is_unresolved(binary_net, monkeypatch):
+    shift = ShiftSet("inf", 0.05)
+    x = [2.0, 0.5]
+    honest = is_delta_robust(binary_net, shift, x, target=1)
+    assert honest.robust and not honest.unresolved
+    ia_lo, ia_hi = interval_forward(abstract(binary_net, shift), x)
+    point = forward(binary_net, x)[0]
+
+    def solver_returning(value):
+        return lambda problem, node_limit: SolveResult(status="optimal", objective=value, nodes=1)
+
+    # Below the IA lower bound, then above the point logit: each breaks an
+    # inequality every certified minimum must satisfy.
+    for value in (ia_lo[0] - 1.0, point + 1.0):
+        monkeypatch.setattr("cfcert.verifier.branch_and_bound", solver_returning(value))
+        verdict = is_delta_robust(binary_net, shift, x, target=1)
+        assert not verdict.robust and verdict.unresolved
+        assert verdict.bounds[1] == (float(ia_lo[0]), float(ia_hi[0]))
+    # Within the solver's slack an endpoint is clamped into its range.
+    for value, clamped in ((ia_lo[0] - 1e-9, ia_lo[0]), (point + 1e-9, point)):
+        monkeypatch.setattr("cfcert.verifier.branch_and_bound", solver_returning(value))
+        verdict = is_delta_robust(binary_net, shift, x, target=1)
+        assert verdict.robust and not verdict.unresolved
+        assert verdict.bounds[1] == (float(clamped), float(ia_hi[0]))
+
+
+@pytest.mark.parametrize("n_out", [1, 3])
+def test_single_hidden_layer_certificates_are_never_unresolved(n_out):
+    # With one hidden layer every parameter box feeds one term, so interval
+    # arithmetic is exact and each certified endpoint equals its IA endpoint:
+    # a runtime check tighter than the solver's tolerances would show here.
+    rng = np.random.default_rng(40 + n_out)
+    sides = 0
+    for width in (4, 8, 16):
+        model = random_network(rng, n_in=2, hidden=[width], n_out=n_out)
+        for delta, scale in ((0.01, 1.0), (0.05, 10.0), (0.2, 100.0)):
+            shift = ShiftSet("inf", delta)
+            im = abstract(model, shift)
+            for x in rng.uniform(-scale, scale, (4, 2)):
+                ia_lo, ia_hi = interval_forward(im, x)
+                for target in (0, 1) if n_out == 1 else (1, 2, 3):
+                    verdict = is_delta_robust(model, shift, x, target=target)
+                    assert not verdict.unresolved, (width, delta, x, target)
+                    for label, (lo, hi) in verdict.bounds.items():
+                        k = 0 if n_out == 1 else label - 1
+                        assert lo == pytest.approx(ia_lo[k], rel=1e-9, abs=1e-9)
+                        assert hi == pytest.approx(ia_hi[k], rel=1e-9, abs=1e-9)
+                        sides += 1
+    assert sides >= 72
+
+
+def _model_with_a_boundary(kind, rng):
+    """A random model of the given kind whose point class is not constant
+    over the box [-0.5, 1.5]^2.  In a "3class-tied" model logits 1 and 2
+    are equal everywhere, so class 2 wins no point."""
+    while True:
+        if kind == "logistic":
+            model = LogisticModel(weights=rng.normal(0, 1, 2), bias=float(rng.normal(0, 0.3)))
+        else:
+            hidden = [8, 8] if kind == "8x8" else [8]
+            n_out = 3 if kind.startswith("3class") else 1
+            model = random_network(rng, n_in=2, hidden=hidden, n_out=n_out)
+        if kind == "3class-tied":
+            out = model.layers[-1]
+            W, b = out.weights.copy(), out.bias.copy()
+            W[1], b[1] = W[0], b[0]
+            model = ReluNetwork(layers=model.layers[:-1] + (Layer(weights=W, bias=b),))
+        if len({classify(model, x) for x in rng.uniform(-0.5, 1.5, (50, 2))}) > 1:
+            return model
+
+
+def _crossings(model, rng, count):
+    """Points where the point class changes along a random segment of the
+    box, found by bisection, with the segment's unit direction."""
+    out = []
+    while len(out) < count:
+        a, b = rng.uniform(-0.5, 1.5, (2, 2))
+        if classify(model, a) == classify(model, b):
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if classify(model, a + mid * (b - a)) == classify(model, a):
+                lo = mid
+            else:
+                hi = mid
+        out.append((a + hi * (b - a), (b - a) / np.linalg.norm(b - a)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["logistic", "8", "8x8", "3class", "3class-tied"])
+def test_robust_flags_match_is_delta_robust(kind, monkeypatch):
+    seeds = {"logistic": 30, "8": 31, "8x8": 32, "3class": 33, "3class-tied": 34}
+    rng = np.random.default_rng(seeds[kind])
+    model = _model_with_a_boundary(kind, rng)
+    points = [
+        x + sign * step * d
+        for x, d in _crossings(model, rng, 3)
+        for step in (1e-9, 0.02, 0.3)
+        for sign in (-1.0, 1.0)
+    ]
+    if kind == "3class-tied":
+        assert all(forward(model, p)[0] == forward(model, p)[1] for p in points)
+    targets = (0, 1) if model.num_outputs == 1 else (1, 2, 3)
+    counts = {"rows": 0, "interval": 0, "milp": 0}
+    original = cfcert.verifier.interval_classify
+
+    def ia_spy(im, x):
+        counts["interval"] += 1
+        return original(im, x)
+
+    def milp_spy(*args, **kwargs):
+        counts["milp"] += 1
+        return is_delta_robust(*args, **kwargs)
+
+    monkeypatch.setattr("cfcert.verifier.interval_classify", ia_spy)
+    monkeypatch.setattr("cfcert.verifier.is_delta_robust", milp_spy)
+    for delta in (0.0, 0.01, 0.05):
+        shift = ShiftSet("inf", delta)
+        for target in targets:
+            want = [is_delta_robust(model, shift, p, target=target).robust for p in points]
+            assert robust_flags(model, shift, points, target) == want, (delta, target)
+            counts["rows"] += len(points)
+    point_class_exits = counts["rows"] - counts["interval"]
+    interval_exits = counts["interval"] - counts["milp"]
+    assert point_class_exits > 0 and interval_exits > 0 and counts["milp"] > 0, counts
+
+
+def test_robust_flags_check_the_target_like_is_delta_robust(logistic_ref, multi_net):
+    shift = ShiftSet("inf", 0.05)
+    assert robust_flags(logistic_ref, shift, [[0.2, 0.9]]) == [True]
+    assert robust_flags(logistic_ref, shift, []) == []
+    for model, target in ((logistic_ref, 2), (multi_net, None), (multi_net, 4)):
+        with pytest.raises(ValueError):
+            is_delta_robust(model, shift, [0.5, 0.5], target=target)
+        with pytest.raises(ValueError):
+            robust_flags(model, shift, [[0.5, 0.5]], target)
+
