@@ -24,9 +24,8 @@ from .models import (
     as_feature_vector,
     classify,
     classify_batch,
-    forward,
 )
-from .verifier import is_delta_robust, robust_flags
+from .verifier import _check_target, is_delta_robust, robust_flags
 
 __all__ = [
     "CounterfactualRecord",
@@ -117,14 +116,18 @@ def mce(
     )
 
 
-def _score_and_grad(model: ParametricModel, x: np.ndarray, target: int):
-    """Validity score (positive iff comfortably in the target class) and its
-    input gradient; multi-class uses the margin to the runner-up logit."""
+def _class_score_and_grad(model: ParametricModel, x: np.ndarray, target: int):
+    """One forward pass: the point class (by the rule of ``classify``), the
+    validity score (positive iff comfortably in the target class; multi-class
+    uses the margin to the runner-up logit) and its input gradient."""
     if isinstance(model, LogisticModel):
-        z = forward(model, x)[0]
+        z = float(model.weights @ x)
+        if model.bias is not None:
+            z += model.bias
+        cls = int(z >= 0.0)
         if target == 1:
-            return z, model.weights.copy()
-        return -z, -model.weights
+            return cls, z, model.weights
+        return cls, -z, -model.weights
     # Forward pass caching ReLU masks.
     masks = []
     v = x
@@ -139,6 +142,7 @@ def _score_and_grad(model: ParametricModel, x: np.ndarray, target: int):
     if last.bias is not None:
         logits = logits + last.bias
 
+    cls = int(logits[0] >= 0.0) if model.num_outputs == 1 else int(np.argmax(logits)) + 1
     if model.num_outputs == 1:
         out_vec = np.array([1.0 if target == 1 else -1.0])
         score = logits[0] if target == 1 else -logits[0]
@@ -156,7 +160,7 @@ def _score_and_grad(model: ParametricModel, x: np.ndarray, target: int):
         g = model.layers[i].weights.T @ g
         if i > 0:
             g = g * masks[i - 1]
-    return score, g
+    return cls, score, g
 
 
 def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
@@ -175,22 +179,30 @@ def gce(
     """Proximal gradient descent on hinge(margin - score) + lam * L1/n,
     projected to the unit box; returns the best valid iterate."""
     x = as_feature_vector(x, model.input_dim)
+    _check_target(model, target)
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     n = x.size
+    tau = lam * step / n
     x_cur = x.copy()
     best = None
     best_dist = np.inf
     for it in range(max_iters + 1):
-        if classify(model, x_cur) == target:
-            d = l1_normalized(x_cur, x)
+        cls, score, grad = _class_score_and_grad(model, x_cur, target)
+        if cls == target:
+            d = float(np.abs(x_cur - x).sum() / n)  # l1_normalized(x_cur, x)
             if d < best_dist:
-                best = x_cur.copy()
+                best = x_cur
                 best_dist = d
         if it == max_iters:
             break
-        score, grad = _score_and_grad(model, x_cur, target)
-        hinge_grad = -grad if score < margin else np.zeros_like(grad)
-        z = x_cur - step * hinge_grad
-        x_cur = np.clip(x + _soft_threshold(z - x, lam * step / n), 0.0, 1.0)
+        # x_cur - step * (-grad), bit for bit.
+        z = x_cur + step * grad if score < margin else x_cur
+        x_cur = (x + _soft_threshold(z - x, tau)).clip(0.0, 1.0)
     if best is None:
         return _not_found("gce", target, iterations=max_iters, trace=[lam])
     return CounterfactualRecord(

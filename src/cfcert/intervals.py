@@ -31,7 +31,6 @@ __all__ = [
     "interval_classify_binary",
     "interval_classify_multi",
     "interval_classify",
-    "softmax_interval",
     "sigmoid",
 ]
 
@@ -227,26 +226,3 @@ def sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def softmax_interval(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Sound per-class probability enclosure of softmax over logit boxes.
-
-    Lower bound of class c pits its own lower endpoint against everyone
-    else's upper endpoints (and vice versa); reporting-level only.
-    """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if lo.size < 2:
-        raise ValueError("softmax needs >= 2 logits")
-    shift = hi.max()  # overflow guard
-    e_lo = np.exp(lo - shift)
-    e_hi = np.exp(hi - shift)
-    p_lo = np.empty_like(lo)
-    p_hi = np.empty_like(hi)
-    for c in range(lo.size):
-        other_hi = e_hi.sum() - e_hi[c]
-        other_lo = e_lo.sum() - e_lo[c]
-        p_lo[c] = e_lo[c] / (e_lo[c] + other_hi)
-        p_hi[c] = e_hi[c] / (e_hi[c] + other_lo)
-    return p_lo, p_hi

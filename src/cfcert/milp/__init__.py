@@ -3,7 +3,7 @@ network-bound encodings used by the robustness tests."""
 
 from .branch_bound import DEFAULT_NODE_LIMIT, branch_and_bound
 from .encode import BigMBounds, EncodedProblem, encode_nearest_ce, encode_output_bound
-from .problem import EQ, GE, LE, LinearProgram, MilpProblem, SolveResult, dump_lp
+from .problem import EQ, GE, LE, LinearProgram, MilpProblem, SolveResult
 from .simplex import simplex_solve
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "LinearProgram",
     "MilpProblem",
     "SolveResult",
-    "dump_lp",
     "simplex_solve",
     "branch_and_bound",
     "DEFAULT_NODE_LIMIT",

@@ -6,13 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["LE", "GE", "EQ", "LinearProgram", "MilpProblem", "SolveResult", "dump_lp"]
+__all__ = ["LE", "GE", "EQ", "LinearProgram", "MilpProblem", "SolveResult"]
 
 LE = 0
 GE = 1
 EQ = 2
-
-_REL_TEXT = {LE: "<=", GE: ">=", EQ: "="}
 
 
 @dataclass
@@ -56,11 +54,6 @@ class LinearProgram:
     def num_vars(self) -> int:
         return self.c.size
 
-    def var_name(self, j: int) -> str:
-        if self.names is not None:
-            return self.names[j]
-        return f"x{j}"
-
 
 @dataclass
 class MilpProblem:
@@ -89,50 +82,3 @@ class SolveResult:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-
-def _coef_terms(row: np.ndarray, lp: LinearProgram) -> str:
-    parts = []
-    for j, a in enumerate(row):
-        if a == 0.0:
-            continue
-        sign = "-" if a < 0 else "+"
-        mag = abs(a)
-        term = f"{sign} {mag:.17g} {lp.var_name(j)}"
-        parts.append(term)
-    if not parts:
-        return "0"
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else text
-
-
-def dump_lp(problem: MilpProblem | LinearProgram) -> str:
-    """Render in CPLEX-LP text format for cross-checks with external solvers."""
-    if isinstance(problem, LinearProgram):
-        lp, binaries = problem, np.empty(0, dtype=np.int64)
-    else:
-        lp, binaries = problem.lp, problem.binary_idx
-    lines = ["Minimize" if lp.sense == "min" else "Maximize"]
-    lines.append(f" obj: {_coef_terms(lp.c, lp)}")
-    lines.append("Subject To")
-    for i in range(lp.A.shape[0]):
-        lines.append(
-            f" c{i}: {_coef_terms(lp.A[i], lp)} {_REL_TEXT[int(lp.rel[i])]} {lp.rhs[i]:.17g}"
-        )
-    lines.append("Bounds")
-    for j in range(lp.num_vars):
-        lo, hi = lp.lo[j], lp.hi[j]
-        name = lp.var_name(j)
-        if lo == -np.inf and hi == np.inf:
-            lines.append(f" {name} free")
-        elif lo == -np.inf:
-            lines.append(f" -inf <= {name} <= {hi:.17g}")
-        elif hi == np.inf:
-            lines.append(f" {name} >= {lo:.17g}")
-        else:
-            lines.append(f" {lo:.17g} <= {name} <= {hi:.17g}")
-    if binaries.size:
-        lines.append("Binaries")
-        lines.append(" " + " ".join(lp.var_name(j) for j in binaries))
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@ parameter-space distance.
 
 Two model families are supported: logistic regression and fully connected
 ReLU networks.  Both expose raw logits as the canonical output; sigmoid /
-softmax squashing only happens at reporting layers, never inside the
+softmax squashing only happens in the training loss, never inside the
 certification machinery.
 
 The bias of a model (per layer) is optional.  When present it is an ordinary

@@ -167,6 +167,23 @@ def test_explain_unknown_method_usage_error(tmp_path, example_model_file):
     assert exc.value.code == 2
 
 
+def test_explain_gce_bad_target_or_knob_is_an_error(tmp_path, example_model_file, capsys):
+    doc = {
+        "model_type": "relu_network",
+        "input_dim": 2,
+        "num_classes": 3,
+        "layers": [{"weights": [[1.0, -1.0], [0.0, 0.5], [-1.0, 1.0]], "bias": None}],
+    }
+    three_class = tmp_path / "three_class.json"
+    three_class.write_text(json.dumps(doc))
+    inputs = _inputs_file(tmp_path, [[0.4, 0.6]])
+    for model, extra in ((three_class, ["--target", "4"]), (example_model_file, ["--lam", "-1"])):
+        rc = main(["explain", "--method", "gce", "--model", str(model), "--inputs", str(inputs), *extra])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 def test_estimate_delta_incremental_cli(tmp_path, capsys):
     rc = main(
         [

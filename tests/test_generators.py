@@ -3,6 +3,7 @@ import pytest
 
 from cfcert._kernels import STATUS_ITER_LIMIT
 from cfcert.generators import (
+    _class_score_and_grad,
     gce,
     gce_robust,
     generate,
@@ -17,8 +18,9 @@ from cfcert.generators import (
 from cfcert.intervals import ShiftSet
 from cfcert.kdtree import KDTree
 from cfcert.metrics import l1_normalized
-from cfcert.models import LogisticModel, classify, classify_batch
+from cfcert.models import Layer, LogisticModel, ReluNetwork, classify, classify_batch, forward
 from cfcert.verifier import is_delta_robust
+from conftest import random_network
 
 
 @pytest.fixture
@@ -106,6 +108,108 @@ class TestGce:
         r = gce(multi_net, [0.4, 0.6], 2, lam=0.01, step=0.2, max_iters=400)
         if r.found:
             assert classify(multi_net, r.x_prime) == 2
+
+    @pytest.mark.parametrize("target", [-1, 2])
+    def test_binary_target_out_of_range(self, logistic_ref, binary_net, target):
+        for model in (logistic_ref, binary_net):
+            with pytest.raises(ValueError, match="binary target"):
+                gce(model, [0.7, 0.5], target)
+
+    @pytest.mark.parametrize("target", [0, 4])
+    def test_multi_class_target_out_of_range(self, multi_net, target):
+        with pytest.raises(ValueError, match="out of range"):
+            gce(multi_net, [0.4, 0.6], target)
+        with pytest.raises(ValueError, match="out of range"):
+            generate("gce-r", multi_net, ShiftSet(np.inf, 0.01), [0.4, 0.6], target)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"lam": -0.1},
+            {"lam": np.nan},
+            {"lam": np.inf},
+            {"step": 0.0},
+            {"step": -0.1},
+            {"step": np.nan},
+            {"step": np.inf},
+            {"max_iters": -1},
+        ],
+    )
+    def test_bad_knobs_are_rejected(self, logistic_ref, knobs):
+        with pytest.raises(ValueError):
+            gce(logistic_ref, [0.7, 0.5], 1, **knobs)
+
+    def test_zero_lam_and_zero_iterations_are_allowed(self, logistic_ref):
+        assert gce(logistic_ref, [0.7, 0.5], 1, lam=0.0, max_iters=100).found
+        r = gce(logistic_ref, [0.7, 0.5], 1, max_iters=0)
+        assert not r.found and r.iterations == 0
+
+
+def _away_from_kinks(model, x, target, gap=1e-3):
+    """True when no hidden pre-activation and no tie among the competing
+    logits lies within ``gap`` of x's values, so the score is linear near x."""
+    v = x
+    for layer in model.layers[:-1]:
+        pre = layer.weights @ v + (0.0 if layer.bias is None else layer.bias)
+        if np.abs(pre).min() < gap:
+            return False
+        v = np.maximum(pre, 0.0)
+    if model.num_outputs == 1:
+        return True
+    others = np.sort(np.delete(forward(model, x), target - 1))
+    return others[-1] - others[-2] >= gap
+
+
+def _central_differences(model, x, target, h=1e-6):
+    fd = np.empty_like(x)
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = h
+        up = _class_score_and_grad(model, x + e, target)[1]
+        down = _class_score_and_grad(model, x - e, target)[1]
+        fd[j] = (up - down) / (2 * h)
+    return fd
+
+
+class TestClassScoreAndGrad:
+    @pytest.mark.parametrize("n_out", [1, 3])
+    def test_gradient_matches_central_differences(self, n_out):
+        rng = np.random.default_rng(11 + n_out)
+        models = [random_network(rng, hidden=[4, 3], n_out=n_out) for _ in range(4)]
+        models += [random_network(rng, hidden=[5], n_out=n_out) for _ in range(4)]
+        if n_out == 1:
+            models += [LogisticModel(weights=rng.normal(0, 1, 3), bias=0.2), LogisticModel(weights=[-1.0, 2.0])]
+        targets = (0, 1) if n_out == 1 else (1, 2, 3)
+        checked = 0
+        for model in models:
+            for _ in range(6):
+                x = rng.uniform(0, 1, model.input_dim)
+                for target in targets:
+                    if isinstance(model, ReluNetwork) and not _away_from_kinks(model, x, target):
+                        continue
+                    cls, score, grad = _class_score_and_grad(model, x, target)
+                    assert cls == classify(model, x)
+                    np.testing.assert_allclose(
+                        _central_differences(model, x, target), grad, rtol=1e-5, atol=1e-9
+                    )
+                    checked += 1
+        assert checked >= 60
+
+    def test_score_is_the_target_margin(self, binary_net, multi_net):
+        x = np.array([0.3, 0.8])
+        z = forward(binary_net, x)[0]
+        assert _class_score_and_grad(binary_net, x, 1)[1] == z
+        assert _class_score_and_grad(binary_net, x, 0)[1] == -z
+        logits = forward(multi_net, x)
+        cls, score, _ = _class_score_and_grad(multi_net, x, 2)
+        assert cls == 3 and score == logits[1] - logits[2]
+
+    def test_class_follows_the_point_tie_rules(self):
+        binary = ReluNetwork(layers=(Layer(weights=[[1.0, -1.0]]),))
+        assert _class_score_and_grad(binary, np.array([0.5, 0.5]), 1)[0] == 1
+        tied = ReluNetwork(layers=(Layer(weights=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),))
+        for target in (1, 2, 3):
+            assert _class_score_and_grad(tied, np.array([0.6, 0.2]), target)[0] == 1
 
 
 class TestNnce:

@@ -9,7 +9,6 @@ from cfcert.intervals import (
     interval_classify_multi,
     interval_forward,
     sigmoid,
-    softmax_interval,
 )
 from cfcert.models import LogisticModel, forward
 
@@ -156,39 +155,3 @@ def test_verdict_trichotomy(multi_net):
         if v.label is not None:
             others = np.delete(v.hi, v.label - 1)
             assert v.lo[v.label - 1] >= others.max()
-
-
-def test_softmax_interval_degenerate_is_softmax():
-    z = np.array([0.2, -0.4, 1.1])
-    lo, hi = softmax_interval(z, z)
-    expect = np.exp(z) / np.exp(z).sum()
-    assert np.allclose(lo, expect) and np.allclose(hi, expect)
-
-
-def test_softmax_interval_worked_value():
-    lo, hi = softmax_interval([-0.6, 0.70, -0.6], [0.6, 1.32, 0.6])
-    assert lo[1] == pytest.approx(np.exp(0.70) / (np.exp(0.70) + 2 * np.exp(0.6)), abs=1e-12)
-    assert round(lo[1], 3) == 0.356
-
-
-def test_softmax_interval_symmetric_two_class():
-    lo, hi = softmax_interval([0.0, 0.0], [0.0, 0.0])
-    assert np.allclose(lo, [0.5, 0.5]) and np.allclose(hi, [0.5, 0.5])
-
-
-def test_softmax_interval_sound():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        z_lo = rng.normal(0, 2, 3)
-        z_hi = z_lo + rng.uniform(0, 1, 3)
-        p_lo, p_hi = softmax_interval(z_lo, z_hi)
-        for _ in range(200):
-            z = rng.uniform(z_lo, z_hi)
-            p = np.exp(z - z.max())
-            p /= p.sum()
-            assert np.all(p >= p_lo - 1e-9) and np.all(p <= p_hi + 1e-9)
-
-
-def test_softmax_interval_overflow_guard():
-    lo, hi = softmax_interval([1000.0, 999.0], [1001.0, 999.5])
-    assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))

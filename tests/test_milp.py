@@ -8,7 +8,6 @@ from cfcert.milp import (
     LinearProgram,
     MilpProblem,
     branch_and_bound,
-    dump_lp,
     encode_nearest_ce,
     encode_output_bound,
     simplex_solve,
@@ -338,17 +337,14 @@ class TestEncodeNearestCe:
         assert branch_and_bound(enc.problem).status == "infeasible"
 
     def test_optimum_beats_grid_search(self, binary_net):
-        from cfcert.models import classify_binary
+        from cfcert.models import classify_batch
 
         enc = encode_nearest_ce(binary_net, [0.3, 0.9], target=1, margin=0.0)
         res = branch_and_bound(enc.problem)
         grid = np.arange(0, 1.0001, 0.001)
-        best = np.inf
-        for a in grid:
-            for b in grid:
-                if classify_binary(binary_net, [a, b]) == 1:
-                    d = (abs(a - 0.3) + abs(b - 0.9)) / 2
-                    best = min(best, d)
+        a, b = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+        valid = classify_batch(binary_net, np.column_stack([a, b])) == 1
+        best = ((np.abs(a - 0.3) + np.abs(b - 0.9)) / 2)[valid].min()
         assert res.objective <= best + 1e-9
 
     def test_class_zero_target_is_strict(self):
@@ -367,17 +363,3 @@ class TestEncodeNearestCe:
         res = branch_and_bound(enc.problem)
         assert res.optimal
         assert classify_multi(multi_net, res.x[enc.var_index["x"]]) == 1
-
-
-class TestLpDump:
-    def test_dump_sections(self, binary_net):
-        enc = encode_output_bound(binary_net, [1.0, 2.0], 0.05, 0, "min")
-        text = dump_lp(enc.problem)
-        for section in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
-            assert section in text
-        assert "out_0" in text
-
-    def test_dump_plain_lp(self):
-        lp = _lp([1.0], [[1.0]], [LE], [2.0], [0.0], [np.inf])
-        text = dump_lp(lp)
-        assert "Binaries" not in text and "x0" in text
