@@ -13,8 +13,6 @@ from .models import (
     LogisticModel,
     ReluNetwork,
     classify,
-    classify_binary,
-    classify_multi,
     flatten,
     forward,
     load_model,
@@ -32,8 +30,6 @@ __all__ = [
     "Layer",
     "forward",
     "classify",
-    "classify_binary",
-    "classify_multi",
     "p_distance",
     "flatten",
     "unflatten",

@@ -20,7 +20,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -109,26 +109,21 @@ class MetricReport:
     def curve_dat(self) -> str | None:
         """Gnuplot-ready certified-validity-vs-delta table (one method per
         column), when the run collected a curve grid."""
-        grids = [d["curve"] for d in self.detail if d.get("curve")]
-        if not grids:
+        curves = [
+            (d["method"] if d["target_delta"] is None else f"{d['method']}@{d['target_delta']}",
+             d["curve"])
+            for d in self.detail
+            if d.get("curve")
+        ]
+        if not curves:
             return None
-        deltas = sorted({float(k) for g in grids for k in g})
-        methods = []
-        for d in self.detail:
-            key = d["method"] if d["target_delta"] is None else f"{d['method']}@{d['target_delta']}"
-            if d.get("curve") and key not in methods:
-                methods.append(key)
+        deltas = sorted({float(k) for _, c in curves for k in c})
+        methods = list(dict.fromkeys(key for key, _ in curves))
         lines = ["# delta " + " ".join(methods)]
         for delta in deltas:
             cells = []
             for m in methods:
-                vals = [
-                    d["curve"][repr(delta)]
-                    for d in self.detail
-                    if d.get("curve")
-                    and (d["method"] if d["target_delta"] is None else f"{d['method']}@{d['target_delta']}") == m
-                    and repr(delta) in d["curve"]
-                ]
+                vals = [c[repr(delta)] for key, c in curves if key == m and repr(delta) in c]
                 cells.append(repr(float(np.mean(vals))) if vals else "nan")
             lines.append(f"{delta!r} " + " ".join(cells))
         return "\n".join(lines) + "\n"
@@ -154,18 +149,22 @@ def _fmt(v):
     return v
 
 
+def _certified_validity(model, config: BenchmarkConfig, delta, ces, tgts) -> float:
+    """Share of the counterfactuals certified robust for their targets at delta."""
+    shift = ShiftSet(config.p, delta)
+    flags = [
+        is_delta_robust(model, shift, ce, target=t, node_limit=config.node_limit).robust
+        for ce, t in zip(ces, tgts)
+    ]
+    return float(np.mean(flags))
+
+
 def _run_seed(args):
     """Full pipeline for one seed; pure function of (dataset, config, seed)."""
     dataset_dict, config, seed = args
     dataset = Dataset(**dataset_dict)
     d1_train, d1_test, d2_train, d2_test = split(dataset, SplitSpec(seed=seed))
-    cfg = TrainConfig(
-        learning_rate=config.train.learning_rate,
-        epochs=config.train.epochs,
-        batch_size=config.train.batch_size,
-        seed=seed,
-        l2=config.train.l2,
-    )
+    cfg = replace(config.train, seed=seed)
     model = train(d1_train.X, d1_train.y, config.architecture, cfg)
 
     fleet = []
@@ -244,22 +243,12 @@ def _run_seed(args):
                 entry["l1"] = float(np.mean([l1_normalized(x, r.x_prime) for x, r in zip(test_inputs, records) if r.found]))
                 entry["lof"] = float(np.mean(lof_scores(np.vstack(ces), d1_train.X, k=min(config.lof_k, d1_train.n - 1))))
                 for lab, d in deltas:
-                    s = ShiftSet(config.p, d)
-                    flags = [
-                        is_delta_robust(model, s, ce, target=t, node_limit=config.node_limit).robust
-                        for ce, t in zip(ces, tgts)
-                    ]
-                    entry[f"v_delta_{lab}"] = float(np.mean(flags))
+                    entry[f"v_delta_{lab}"] = _certified_validity(model, config, d, ces, tgts)
                 if config.curve_grid:
-                    curve = {}
-                    for d in config.curve_grid:
-                        s = ShiftSet(config.p, float(d))
-                        flags = [
-                            is_delta_robust(model, s, ce, target=t, node_limit=config.node_limit).robust
-                            for ce, t in zip(ces, tgts)
-                        ]
-                        curve[repr(float(d))] = float(np.mean(flags))
-                    entry["curve"] = curve
+                    entry["curve"] = {
+                        repr(float(d)): _certified_validity(model, config, d, ces, tgts)
+                        for d in config.curve_grid
+                    }
             else:
                 entry["vr"] = None
                 entry["l1"] = None

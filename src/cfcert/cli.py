@@ -19,12 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import KERNEL_MODE
 from .benchmark import METHODS, BenchmarkConfig, run_benchmark
 from .data import Dataset, SplitSpec, fit_scale, load_csv, split, synth_binary, synth_multiclass
 from .generators import generate
 from .intervals import ShiftSet
-from .models import classify, classify_batch, load_model, save_model
+from .models import classify_batch, counterfactual_target, load_model, save_model
 from .training import (
     TrainConfig,
     RetrainSpec,
@@ -78,6 +77,10 @@ def _load_inputs(path):
         doc = json.load(fh)
     inputs = [np.asarray(row, dtype=np.float64) for row in doc["inputs"]]
     targets = doc.get("targets")
+    if targets is not None and (not isinstance(targets, list) or len(targets) != len(inputs)):
+        raise ValueError(
+            f'{path}: "targets" must list one class for each of the {len(inputs)} inputs'
+        )
     return inputs, targets
 
 
@@ -86,7 +89,6 @@ def _write_manifest(outdir: Path, command: str, args_dict: dict) -> None:
         "command": command,
         "config": {k: v for k, v in sorted(args_dict.items()) if k != "func"},
         "versions": {"cfcert": __version__, "numpy": np.__version__},
-        "kernel_mode": KERNEL_MODE,
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
 
@@ -152,10 +154,7 @@ def cmd_verify(args) -> int:
 
 def _explain_job(job):
     model, method, opts, X_train, shift, x, target = job
-    if target is None:
-        if model.num_outputs > 1:
-            raise ValueError("multi-class explanation needs --target (or per-input targets)")
-        target = 1 - classify(model, x)
+    target = counterfactual_target(model, x, target)
     return generate(method, model, shift, x, target, X_train, **opts)
 
 

@@ -22,10 +22,11 @@ from .models import (
     LogisticModel,
     ParametricModel,
     as_feature_vector,
-    classify,
+    check_target,
     classify_batch,
+    counterfactual_target,
 )
-from .verifier import _check_target, is_delta_robust, robust_flags
+from .verifier import is_delta_robust, robust_flags
 
 __all__ = [
     "CounterfactualRecord",
@@ -179,7 +180,7 @@ def gce(
     """Proximal gradient descent on hinge(margin - score) + lam * L1/n,
     projected to the unit box; returns the best valid iterate."""
     x = as_feature_vector(x, model.input_dim)
-    _check_target(model, target)
+    check_target(model, target)
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if not (np.isfinite(step) and step > 0.0):
@@ -220,6 +221,7 @@ def nnce(model: ParametricModel, X, x, target: int) -> CounterfactualRecord:
     """Nearest training point classified to the target class."""
     X = np.asarray(X, dtype=np.float64)
     x = as_feature_vector(x, model.input_dim)
+    check_target(model, target)
     valid = classify_batch(model, X) == target
     if not valid.any():
         return _not_found("nnce", target)
@@ -350,15 +352,13 @@ def get_candidates(
     robustness test.  (Robustness implies target-class point classification,
     so the point filter is applied first in both modes.)  The test is one
     :func:`robust_flags` call over the target-class rows: interval arithmetic
-    certifies what it can and only the rest is solved as a MILP.
+    certifies what it can and only the rest is solved as a MILP.  The
+    target defaults to the other class of x (:func:`counterfactual_target`).
     """
     X = np.asarray(X, dtype=np.float64)
-    if target is None:
-        if model.num_outputs != 1:
-            raise ValueError("multi-class candidate selection needs a target class")
-        target = 1 - classify(model, x)
+    target = counterfactual_target(model, x, target)
     idx = np.flatnonzero(classify_batch(model, X) == target)
-    if not robust_init or shift.delta == 0.0:
+    if not robust_init:
         return idx
     keep = robust_flags(model, shift, X[idx], target, node_limit)
     return idx[np.asarray(keep, dtype=bool)]
@@ -388,18 +388,13 @@ def get_robust_ce(
     (With delta = 0 the point class alone decides.)
     """
     x = as_feature_vector(x, model.input_dim)
+    check_target(model, target)
     x_prime = None
     queries = 0
     for idx, _dist in tree.neighbors(x):
         queries += 1
         candidate = tree.points[idx]
-        if shift.delta == 0.0:
-            ok = classify(model, candidate) == target
-        elif candidates_verified:
-            ok = True
-        else:
-            ok = robust_flags(model, shift, [candidate], target, node_limit)[0]
-        if ok:
+        if candidates_verified or robust_flags(model, shift, [candidate], target, node_limit)[0]:
             x_prime = candidate.copy()
             break
     if x_prime is None:
@@ -413,10 +408,7 @@ def get_robust_ce(
             line.append(a * anchor + (1.0 - a) * x)
             k += 1
             a = LINE_SEARCH_START - k * line_step
-        if shift.delta == 0.0:
-            flags = [classify(model, x_line) == target for x_line in line]
-        else:
-            flags = robust_flags(model, shift, line, target, node_limit)
+        flags = robust_flags(model, shift, line, target, node_limit)
         for x_line, robust in zip(line, flags):
             if robust:
                 x_prime = x_line
@@ -450,10 +442,7 @@ def rnce(
     """
     X = np.asarray(X, dtype=np.float64)
     x = as_feature_vector(x, model.input_dim)
-    if target is None:
-        if model.num_outputs != 1:
-            raise ValueError("multi-class rnce needs a target class")
-        target = 1 - classify(model, x)
+    target = counterfactual_target(model, x, target)
     idx = get_candidates(
         model, X, x, shift, target=target, robust_init=robust_init, node_limit=node_limit
     )

@@ -28,8 +28,6 @@ __all__ = [
     "abstract",
     "interval_bounds",
     "interval_forward",
-    "interval_classify_binary",
-    "interval_classify_multi",
     "interval_classify",
     "sigmoid",
 ]
@@ -176,29 +174,6 @@ def interval_forward(im: IntervalModel, x) -> tuple[np.ndarray, np.ndarray]:
     return interval_bounds(im, x, x)[-1]
 
 
-def interval_classify_binary(im: IntervalModel, x) -> IntervalVerdict:
-    """Class 1 when the whole logit interval is >= 0, class 0 when < 0."""
-    if im.num_outputs != 1:
-        raise ValueError("binary interval classification needs a single logit")
-    lo, hi = interval_forward(im, x)
-    if lo[0] >= 0.0:
-        label = 1
-    elif hi[0] < 0.0:
-        label = 0
-    else:
-        label = None
-    return IntervalVerdict(label=label, lo=lo, hi=hi)
-
-
-def interval_classify_multi(im: IntervalModel, x) -> IntervalVerdict:
-    """Class c when its logit lower bound dominates every other upper bound."""
-    if im.num_outputs < 2:
-        raise ValueError("multi-class interval classification needs >= 2 logits")
-    lo, hi = interval_forward(im, x)
-    label = dominant_class(lo, hi)
-    return IntervalVerdict(label=label, lo=lo, hi=hi)
-
-
 def dominates(lo: np.ndarray, hi: np.ndarray, c: int) -> bool:
     """Class c (1-based) wins for every logit vector in the box: its lower
     bound reaches every other upper bound, strictly for lower classes, since
@@ -213,9 +188,19 @@ def dominant_class(lo: np.ndarray, hi: np.ndarray) -> int | None:
 
 
 def interval_classify(im: IntervalModel, x) -> IntervalVerdict:
-    if im.num_outputs == 1:
-        return interval_classify_binary(im, x)
-    return interval_classify_multi(im, x)
+    """One logit: class 1 when the whole logit interval is >= 0, class 0
+    when it is < 0.  Several logits: the class whose lower bound dominates
+    every other upper bound (:func:`dominant_class`).  Otherwise undefined."""
+    lo, hi = interval_forward(im, x)
+    if lo.size > 1:
+        label = dominant_class(lo, hi)
+    elif lo[0] >= 0.0:
+        label = 1
+    elif hi[0] < 0.0:
+        label = 0
+    else:
+        label = None
+    return IntervalVerdict(label=label, lo=lo, hi=hi)
 
 
 def sigmoid(z):

@@ -22,10 +22,7 @@ DEFAULT_NODE_LIMIT = 1_000_000
 
 
 def _with_bounds(lp: LinearProgram, lo, hi) -> LinearProgram:
-    out = LinearProgram(
-        c=lp.c, A=lp.A, rel=lp.rel, rhs=lp.rhs, lo=lo, hi=hi, sense=lp.sense, names=lp.names
-    )
-    return out
+    return LinearProgram(c=lp.c, A=lp.A, rel=lp.rel, rhs=lp.rhs, lo=lo, hi=hi, sense=lp.sense)
 
 
 def branch_and_bound(milp: MilpProblem, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveResult:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..intervals import IntervalModel, ShiftSet, abstract, interval_bounds
-from ..models import ParametricModel, as_feature_vector
+from ..models import ParametricModel, as_feature_vector, check_target
 from .problem import EQ, GE, LE, LinearProgram, MilpProblem
 
 __all__ = ["BigMBounds", "EncodedProblem", "encode_output_bound", "encode_nearest_ce"]
@@ -75,13 +75,6 @@ def _layout(im: IntervalModel, head: int):
     blocks = [np.arange(start, start + size) for start, size in zip(starts, sizes)]
     k = len(hidden)
     return blocks[:k], blocks[k], blocks[k + 1 :], int(starts[-1])
-
-
-def _names(node_idx, out_idx, xi_idx) -> list[str]:
-    names = [f"v{layer + 1}_{j}" for layer, idx in enumerate(node_idx) for j in range(idx.size)]
-    names += [f"out_{j}" for j in range(out_idx.size)]
-    names += [f"xi{layer + 1}_{j}" for layer, idx in enumerate(xi_idx) for j in range(idx.size)]
-    return names
 
 
 def _var_bounds(num_vars, out_idx, xi_idx, bigm: BigMBounds):
@@ -146,11 +139,11 @@ def _layer_rows(num_vars, v, prev, up, low, xi=None, m=None):
     return _interleave(_rows(num_vars, LE, m, (v, 1.0), (xi, m)), upper, lower)
 
 
-def _milp(c, blocks, lo, hi, sense, names, binaries_of) -> MilpProblem:
+def _milp(c, blocks, lo, hi, sense, binaries_of) -> MilpProblem:
     A = np.vstack([b[0] for b in blocks])
     rel = np.concatenate([b[1] for b in blocks])
     rhs = np.concatenate([b[2] for b in blocks])
-    lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense=sense, names=names)
+    lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense=sense)
     binaries = np.concatenate(binaries_of) if binaries_of else np.empty(0, dtype=np.int64)
     return MilpProblem(lp=lp, binary_idx=binaries)
 
@@ -192,7 +185,7 @@ def encode_output_bound(
     c = np.zeros(num_vars)
     c[out_idx[output_index]] = 1.0
     return EncodedProblem(
-        problem=_milp(c, blocks, lo, hi, direction, _names(node_idx, out_idx, xi_idx), xi_idx),
+        problem=_milp(c, blocks, lo, hi, direction, xi_idx),
         bigm=bigm,
         var_index={"nodes": node_idx, "out": out_idx, "xi": xi_idx},
     )
@@ -215,12 +208,8 @@ def encode_nearest_ce(
         raise ValueError("margin must be finite and >= 0")
     n = model.input_dim
     x = as_feature_vector(x, n)
+    check_target(model, target)
     out_size = model.num_outputs
-    if out_size == 1:
-        if target not in (0, 1):
-            raise ValueError("binary target must be 0 or 1")
-    elif not 1 <= target <= out_size:
-        raise ValueError(f"target class {target} out of range 1..{out_size}")
 
     if box is None:
         box_lo, box_hi = np.zeros(n), np.ones(n)
@@ -271,10 +260,8 @@ def encode_nearest_ce(
 
     c = np.zeros(num_vars)
     c[t_idx] = 1.0 / n
-    names = [f"x{i}" for i in range(n)] + [f"t{i}" for i in range(n)]
-    names += _names(node_idx, out_idx, xi_idx)
     return EncodedProblem(
-        problem=_milp(c, blocks, lo, hi, "min", names, xi_idx),
+        problem=_milp(c, blocks, lo, hi, "min", xi_idx),
         bigm=bigm,
         var_index={"x": x_idx, "t": t_idx, "nodes": node_idx, "out": out_idx, "xi": xi_idx},
     )

@@ -27,7 +27,6 @@ class LinearProgram:
     lo: np.ndarray
     hi: np.ndarray
     sense: str = "min"
-    names: list[str] | None = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64).reshape(-1)

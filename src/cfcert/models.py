@@ -29,8 +29,8 @@ __all__ = [
     "forward_batch",
     "classify",
     "classify_batch",
-    "classify_binary",
-    "classify_multi",
+    "check_target",
+    "counterfactual_target",
     "p_distance",
     "flatten",
     "unflatten",
@@ -213,25 +213,38 @@ def classify_batch(model: ParametricModel, X: np.ndarray) -> np.ndarray:
     return np.argmax(Z, axis=1).astype(np.int64) + 1
 
 
-def classify_binary(model: ParametricModel, x) -> int:
-    """1 iff the single logit is >= 0 (sigmoid >= 0.5, boundary inclusive)."""
-    if model.num_outputs != 1:
-        raise ValueError("binary classification needs a single-logit model")
-    return 1 if forward(model, x)[0] >= 0.0 else 0
-
-
-def classify_multi(model: ParametricModel, x) -> int:
-    """Argmax class in {1, ..., l}; ties go to the lowest class index."""
-    if model.num_outputs < 2:
-        raise ValueError("multi-class classification needs >= 2 logits")
-    return int(np.argmax(forward(model, x))) + 1
-
-
 def classify(model: ParametricModel, x) -> int:
-    """Dispatch to binary or multi-class semantics based on model arity."""
-    if model.num_outputs == 1:
-        return classify_binary(model, x)
-    return classify_multi(model, x)
+    """Point class.  One logit: 1 iff it is >= 0 (sigmoid >= 0.5, boundary
+    inclusive), else 0.  Several logits: the argmax in {1, ..., l}, ties to
+    the lowest class index."""
+    z = forward(model, x)
+    if z.size == 1:
+        return 1 if z[0] >= 0.0 else 0
+    return int(np.argmax(z)) + 1
+
+
+def check_target(model: ParametricModel, target: int) -> None:
+    """Reject a class label the model cannot output: {0, 1} for a single
+    logit, {1, ..., l} for l logits."""
+    if not isinstance(target, (int, np.integer)):
+        raise ValueError(f"target class {target!r} is not an integer")
+    n_out = model.num_outputs
+    if n_out == 1 and target not in (0, 1):
+        raise ValueError("binary target must be 0 or 1")
+    if n_out > 1 and not 1 <= target <= n_out:
+        raise ValueError(f"target class {target} out of range 1..{n_out}")
+
+
+def counterfactual_target(model: ParametricModel, x, target: int | None) -> int:
+    """The class a counterfactual for x aims at: ``target`` when given,
+    else the other class of a single-logit model's point class at x.  A
+    multi-logit model has no other class, so it needs ``target``."""
+    if target is None:
+        if model.num_outputs != 1:
+            raise ValueError("multi-class counterfactual needs an explicit target class")
+        target = 1 - classify(model, x)
+    check_target(model, target)
+    return target
 
 
 def p_distance(theta: np.ndarray, theta_prime: np.ndarray, p) -> float:

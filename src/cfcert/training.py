@@ -9,7 +9,7 @@ Labels follow the classification conventions of the rest of the package:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -249,13 +249,7 @@ def retrain_fleet(
     fleet = []
     for r in range(spec.replicas):
         rng = np.random.default_rng(seeds[r])
-        cfg = TrainConfig(
-            learning_rate=config.learning_rate,
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            seed=seeds[r],
-            l2=config.l2,
-        )
+        cfg = replace(config, seed=seeds[r])
         if spec.mode == "incremental":
             k = max(1, int(round(spec.fraction * X2.shape[0])))
             pick = rng.choice(X2.shape[0], size=k, replace=False)
@@ -299,14 +293,7 @@ def estimate_delta_incremental(
                 dists.append(0.0)
                 continue
             pick = rng.choice(X2.shape[0], size=k, replace=False)
-            cfg = TrainConfig(
-                learning_rate=config.learning_rate,
-                epochs=config.epochs,
-                batch_size=config.batch_size,
-                seed=seed,
-                l2=config.l2,
-            )
-            tuned = fine_tune(model, X2[pick], y2[pick], iterations, cfg)
+            tuned = fine_tune(model, X2[pick], y2[pick], iterations, replace(config, seed=seed))
             dists.append(p_distance(theta, flatten(tuned), "inf"))
         per_fraction.append({"fraction": float(f), "delta": float(np.mean(dists))})
     named = [row["delta"] for row in per_fraction if abs(row["fraction"] - 0.10) < 1e-9]
@@ -348,6 +335,8 @@ def estimate_delta_validation(
         raise ValueError("need at least one validation input")
     if targets is None:
         targets = [None] * len(val_inputs)
+    elif len(targets) != len(val_inputs):
+        raise ValueError(f"{len(targets)} targets for {len(val_inputs)} validation inputs")
     grid = sorted(float(g) for g in grid)
     if generator is None:
         def generator(x, shift, target):

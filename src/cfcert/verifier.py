@@ -31,6 +31,7 @@ from .models import (
     LogisticModel,
     ParametricModel,
     as_feature_vector,
+    check_target,
     classify,
     classify_batch,
     forward,
@@ -40,8 +41,6 @@ __all__ = [
     "RobustnessVerdict",
     "logit_bound",
     "is_delta_robust",
-    "is_delta_robust_binary",
-    "is_delta_robust_multi",
     "is_sound",
     "robust_flags",
     "delta_validity",
@@ -195,64 +194,15 @@ def _certify(
     )
 
 
-def _checked_verdict(model, shift, x_prime, target, check_soundness_of, node_limit):
-    """``_certify`` timed, plus the optional soundness check of the original input."""
-    start = time.perf_counter()
-    verdict = _certify(model, shift, x_prime, target, node_limit)
-    if check_soundness_of is not None:
-        sound = is_sound(model, shift, check_soundness_of, node_limit=node_limit)
-        verdict.strictly_robust = bool(verdict.robust and sound)
-    verdict.wall_ms = (time.perf_counter() - start) * 1000.0
-    return verdict
-
-
-def _default_target(model: ParametricModel, target: int | None) -> int:
-    """The class a robustness test certifies: class 1 unless given, and
-    required for multi-logit models."""
-    if target is not None:
-        return target
-    if model.num_outputs != 1:
-        raise ValueError("multi-class robustness test needs an explicit target class")
-    return 1
-
-
-def _check_target(model: ParametricModel, target: int) -> None:
-    n_out = model.num_outputs
-    if n_out == 1 and target not in (0, 1):
-        raise ValueError("binary target must be 0 or 1")
-    if n_out > 1 and not 1 <= target <= n_out:
-        raise ValueError(f"target class {target} out of range 1..{n_out}")
-
-
-def is_delta_robust_binary(
-    model: ParametricModel,
-    shift: ShiftSet,
-    x_prime,
-    target: int = 1,
-    check_soundness_of=None,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> RobustnessVerdict:
-    """Certify a counterfactual for a single-logit model."""
-    if model.num_outputs != 1:
-        raise ValueError("binary robustness test needs a single-logit model")
-    _check_target(model, target)
-    return _checked_verdict(model, shift, x_prime, target, check_soundness_of, node_limit)
-
-
-def is_delta_robust_multi(
-    model: ParametricModel,
-    shift: ShiftSet,
-    x_prime,
-    target: int,
-    check_soundness_of=None,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> RobustnessVerdict:
-    """Certify a counterfactual for a multi-logit model: one minimisation for
-    the target plus one maximisation per competing class."""
-    if model.num_outputs < 2:
-        raise ValueError("multi-class robustness test needs >= 2 logits")
-    _check_target(model, target)
-    return _checked_verdict(model, shift, x_prime, target, check_soundness_of, node_limit)
+def _target(model: ParametricModel, target: int | None) -> int:
+    """The class a robustness test certifies, checked: class 1 of a
+    single-logit model unless given; a multi-logit model needs it given."""
+    if target is None:
+        if model.num_outputs != 1:
+            raise ValueError("multi-class robustness test needs an explicit target class")
+        target = 1
+    check_target(model, target)
+    return target
 
 
 def is_delta_robust(
@@ -263,11 +213,19 @@ def is_delta_robust(
     check_soundness_of=None,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> RobustnessVerdict:
-    """Dispatch on model arity; binary target defaults to class 1."""
-    target = _default_target(model, target)
-    if model.num_outputs == 1:
-        return is_delta_robust_binary(model, shift, x_prime, target, check_soundness_of, node_limit)
-    return is_delta_robust_multi(model, shift, x_prime, target, check_soundness_of, node_limit)
+    """Certify a counterfactual for its target class (class 1 by default
+    for a single-logit model), timed.  A multi-logit model takes one
+    minimisation for the target plus one maximisation per competing class.
+    With ``check_soundness_of`` the verdict also says whether that original
+    input keeps its point class under the abstraction."""
+    target = _target(model, target)
+    start = time.perf_counter()
+    verdict = _certify(model, shift, x_prime, target, node_limit)
+    if check_soundness_of is not None:
+        sound = is_sound(model, shift, check_soundness_of, node_limit=node_limit)
+        verdict.strictly_robust = bool(verdict.robust and sound)
+    verdict.wall_ms = (time.perf_counter() - start) * 1000.0
+    return verdict
 
 
 def is_sound(
@@ -298,13 +256,15 @@ def robust_flags(
     unresolved verdict is not robust, while a cheap test may settle the
     row) and where two logits, or a logit and 0, are equal up to rounding
     that the batched forward pass, the single-point one and interval
-    arithmetic settle differently.
+    arithmetic settle differently.  At delta 0 the shift set holds only the
+    point model, so its class decides every row.
     """
-    target = _default_target(model, target)
-    _check_target(model, target)
+    target = _target(model, target)
     X = np.asarray(X, dtype=np.float64).reshape(-1, model.input_dim)
-    im = abstract(model, shift)
     flags = classify_batch(model, X) == target
+    if shift.delta == 0.0:
+        return flags.tolist()
+    im = abstract(model, shift)
     for i in np.flatnonzero(flags):
         if interval_classify(im, X[i]).label != target:
             verdict = is_delta_robust(model, shift, X[i], target=target, node_limit=node_limit)
@@ -325,5 +285,7 @@ def delta_validity(
         raise ValueError("counterfactual batch is empty")
     if targets is None:
         targets = [None] * len(ces)
+    elif len(targets) != len(ces):
+        raise ValueError(f"{len(targets)} targets for {len(ces)} counterfactuals")
     flags = [robust_flags(model, shift, [ce], t, node_limit)[0] for ce, t in zip(ces, targets)]
     return float(np.mean(flags))

@@ -1,7 +1,7 @@
 """Reference oracle for the big-M encoders: the dict-per-row builder.
 
 ``cfcert.milp.encode`` must reproduce these encodings exactly -- the same
-objective, rows, relations, right-hand sides, bounds, names, binaries,
+objective, rows, relations, right-hand sides, bounds, binaries,
 variable index and big-M enclosures, bit for bit (``-0.0`` included).  The
 builder adds one row at a time from a {variable: coefficient} dict.  Biases
 enter the big-M enclosures as ``lo + (b - delta)`` / ``hi + (b + delta)``,
@@ -129,10 +129,6 @@ def _relu_layout(layers, extra_head: int):
     return node_idx, out_idx, xi_idx, pos
 
 
-def _names(prefix, idx):
-    return [f"{prefix}{i}" for i in range(len(idx))]
-
-
 def _fix_stable_binaries(lo, hi, xi_idx, bigm: BigMBounds) -> None:
     for layer, idx in enumerate(xi_idx):
         pre_lo, pre_hi = bigm.pre_lo[layer], bigm.pre_hi[layer]
@@ -221,13 +217,7 @@ def encode_output_bound(
     A, rel, rhs = rb.build()
     c = np.zeros(num_vars)
     c[out_idx[output_index]] = 1.0
-    names = []
-    for layer, idx in enumerate(node_idx):
-        names += [f"v{layer + 1}_{j}" for j in range(len(idx))]
-    names += [f"out_{j}" for j in range(out_size)]
-    for layer, idx in enumerate(xi_idx):
-        names += [f"xi{layer + 1}_{j}" for j in range(len(idx))]
-    lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense=direction, names=names)
+    lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense=direction)
     binaries = np.concatenate(xi_idx) if xi_idx else np.empty(0, dtype=np.int64)
     return EncodedProblem(
         problem=MilpProblem(lp=lp, binary_idx=binaries),
@@ -328,13 +318,7 @@ def encode_nearest_ce(
     A, rel, rhs = rb.build()
     c = np.zeros(num_vars)
     c[t_idx] = 1.0 / n
-    names = [f"x{i}" for i in range(n)] + [f"t{i}" for i in range(n)]
-    for layer, idx in enumerate(node_idx):
-        names += [f"v{layer + 1}_{j}" for j in range(len(idx))]
-    names += [f"out_{j}" for j in range(out_size)]
-    for layer, idx in enumerate(xi_idx):
-        names += [f"xi{layer + 1}_{j}" for j in range(len(idx))]
-    lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense="min", names=names)
+    lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense="min")
     binaries = np.concatenate(xi_idx) if xi_idx else np.empty(0, dtype=np.int64)
     return EncodedProblem(
         problem=MilpProblem(lp=lp, binary_idx=binaries),

@@ -258,3 +258,42 @@ def test_benchmark_smoke_and_outputs(tmp_path, capsys):
     header = (out / "report.csv").read_text().splitlines()[0]
     for col in ("method", "vr_mean", "l1_mean", "lof_mean", "v_delta_0.02_mean"):
         assert col in header
+
+
+def test_manifest_has_no_kernel_mode(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["train", "--synth", "moons:100", "--epochs", "5", "--seed", "0", "--out", str(out)])
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert rc == 0 and "kernel_mode" not in manifest
+
+
+@pytest.mark.parametrize("command", ["verify", "explain"])
+@pytest.mark.parametrize("targets", [[1], [1, 1, 1, 1], 1])
+def test_targets_that_do_not_match_the_inputs_are_an_error(
+    tmp_path, example_model_file, capsys, command, targets
+):
+    # Three robust, valid points: a truncating zip would certify only the first.
+    path = _inputs_file(tmp_path, [[0.1, 0.9], [0.2, 0.9], [0.1, 0.8]], targets=targets)
+    if command == "verify":
+        argv = ["verify", "--model", str(example_model_file), "--delta", "0.01", "--ces", str(path)]
+    else:
+        argv = ["explain", "--method", "mce", "--model", str(example_model_file), "--inputs", str(path)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f'error: {path}: "targets" must list one class for each of the 3 inputs\n'
+
+
+@pytest.mark.parametrize("method", ["mce", "nnce", "rnce"])
+def test_explain_out_of_range_target_is_an_error(tmp_path, example_model_file, capsys, method):
+    inputs = _inputs_file(tmp_path, [[0.7, 0.5]])
+    rc = main(
+        [
+            "explain", "--method", method, "--model", str(example_model_file), "--synth",
+            "moons:100", "--inputs", str(inputs), "--target", "5", "--delta", "0.05",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: binary target must be 0 or 1\n"

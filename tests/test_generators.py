@@ -480,3 +480,50 @@ class TestGenerate:
         for method in ("mce-x", "rnce-xy", "rnce-t"):
             with pytest.raises(ValueError, match="unknown method"):
                 generate(method, model, ShiftSet("inf", 0.05), X[0], 1, X)
+
+
+ALL_METHODS = ("mce", "mce-r", "gce", "gce-r", "nnce", "rnce-ff", "rnce-ft", "rnce-tf", "rnce-tt")
+
+
+class TestTargetChecks:
+    """Every generator rejects a class the model cannot output, and the
+    nearest-neighbour methods default to the other class of the query."""
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("target", [-1, 2])
+    def test_binary_target_out_of_range(self, blob_problem, method, target):
+        model, X = blob_problem
+        with pytest.raises(ValueError, match="binary target must be 0 or 1"):
+            generate(method, model, ShiftSet("inf", 0.05), X[0], target, X)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("target", [0, 4])
+    def test_multi_class_target_out_of_range(self, multi_net, method, target):
+        X = np.random.default_rng(3).uniform(0, 3, (30, 2))
+        with pytest.raises(ValueError, match=f"target class {target} out of range 1..3"):
+            generate(method, multi_net, ShiftSet("inf", 0.05), X[0], target, X)
+
+    def test_candidate_and_walk_helpers_check_the_target(self, blob_problem):
+        model, X = blob_problem
+        shift = ShiftSet("inf", 0.05)
+        with pytest.raises(ValueError, match="binary target"):
+            get_candidates(model, X, X[0], shift, target=2)
+        with pytest.raises(ValueError, match="binary target"):
+            get_robust_ce(model, shift, KDTree(X), X[0], 2, candidates_verified=True)
+
+    def test_default_target_flips_the_query_class(self, blob_problem):
+        model, X = blob_problem
+        shift = ShiftSet("inf", 0.05)
+        for x in (X[0], X[-1]):
+            want = 1 - classify(model, x)
+            assert rnce(model, X, x, shift).target_class == want
+            idx = get_candidates(model, X, x, shift)
+            assert np.array_equal(idx, np.flatnonzero(classify_batch(model, X) == want))
+
+    def test_multi_class_needs_a_target(self, multi_net):
+        X = np.random.default_rng(3).uniform(0, 3, (30, 2))
+        shift = ShiftSet("inf", 0.05)
+        with pytest.raises(ValueError, match="explicit target class"):
+            rnce(multi_net, X, X[0], shift)
+        with pytest.raises(ValueError, match="explicit target class"):
+            get_candidates(multi_net, X, X[0], shift)

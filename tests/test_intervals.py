@@ -5,8 +5,6 @@ from cfcert.intervals import (
     ShiftSet,
     abstract,
     interval_classify,
-    interval_classify_binary,
-    interval_classify_multi,
     interval_forward,
     sigmoid,
 )
@@ -114,9 +112,9 @@ def test_interval_forward_monotone_in_delta(binary_net):
 
 def test_interval_classify_binary_examples(logistic_ref):
     im = abstract(logistic_ref, ShiftSet("inf", 0.1))
-    assert interval_classify_binary(im, [0.7, 0.5]).label == 0
-    assert interval_classify_binary(im, [0.7, 0.7]).label is None
-    assert interval_classify_binary(im, [0.7, 0.86]).label == 1
+    assert interval_classify(im, [0.7, 0.5]).label == 0
+    assert interval_classify(im, [0.7, 0.7]).label is None
+    assert interval_classify(im, [0.7, 0.86]).label == 1
 
 
 def test_interval_classify_degenerate_matches_point(binary_net, logistic_ref):
@@ -132,10 +130,10 @@ def test_interval_classify_degenerate_matches_point(binary_net, logistic_ref):
 
 def test_interval_classify_multi_examples(multi_net):
     im = abstract(multi_net, ShiftSet("inf", 0.05))
-    v = interval_classify_multi(im, [2, 2])
+    v = interval_classify(im, [2, 2])
     assert v.label == 2
     assert np.allclose(v.lo, [-0.6, 0.70, -0.6]) and np.allclose(v.hi, [0.6, 1.32, 0.6])
-    v2 = interval_classify_multi(im, [3, 1])
+    v2 = interval_classify(im, [3, 1])
     assert v2.label == 1
     assert np.allclose(v2.lo, [1.40, 0.20, -2.60]) and np.allclose(v2.hi, [2.60, 0.82, -1.40])
 
@@ -143,7 +141,7 @@ def test_interval_classify_multi_examples(multi_net):
 def test_interval_classify_multi_overlap_undefined(multi_net):
     # Large delta widens every class interval until nothing dominates.
     im = abstract(multi_net, ShiftSet("inf", 1.0))
-    assert interval_classify_multi(im, [2, 2]).label is None
+    assert interval_classify(im, [2, 2]).label is None
 
 
 def test_verdict_trichotomy(multi_net):
@@ -151,7 +149,7 @@ def test_verdict_trichotomy(multi_net):
     for _ in range(40):
         x = rng.uniform(0, 3, 2)
         delta = float(rng.uniform(0, 0.3))
-        v = interval_classify_multi(abstract(multi_net, ShiftSet("inf", delta)), x)
+        v = interval_classify(abstract(multi_net, ShiftSet("inf", delta)), x)
         if v.label is not None:
             others = np.delete(v.hi, v.label - 1)
             assert v.lo[v.label - 1] >= others.max()

@@ -348,18 +348,18 @@ class TestEncodeNearestCe:
         assert res.objective <= best + 1e-9
 
     def test_class_zero_target_is_strict(self):
-        from cfcert.models import LogisticModel, classify_binary
+        from cfcert.models import LogisticModel, classify
 
         m = LogisticModel(weights=[1.0, 1.0], bias=-0.5)
         enc = encode_nearest_ce(m, [0.9, 0.9], target=0, margin=0.0)
         res = branch_and_bound(enc.problem)
         x_prime = res.x[enc.var_index["x"]]
-        assert classify_binary(m, x_prime) == 0
+        assert classify(m, x_prime) == 0
 
     def test_multiclass_target_margins(self, multi_net):
-        from cfcert.models import classify_multi
+        from cfcert.models import classify
 
         enc = encode_nearest_ce(multi_net, [0.2, 0.9], target=1, margin=0.05, box=(0.0, 3.0))
         res = branch_and_bound(enc.problem)
         assert res.optimal
-        assert classify_multi(multi_net, res.x[enc.var_index["x"]]) == 1
+        assert classify(multi_net, res.x[enc.var_index["x"]]) == 1

@@ -7,9 +7,10 @@ from cfcert.models import (
     Layer,
     LogisticModel,
     ReluNetwork,
+    check_target,
+    classify,
     classify_batch,
-    classify_binary,
-    classify_multi,
+    counterfactual_target,
     flatten,
     forward,
     forward_batch,
@@ -24,42 +25,72 @@ from cfcert.models import (
 
 def test_forward_logistic_example(logistic_ref):
     assert forward(logistic_ref, [0.7, 0.5])[0] == pytest.approx(-0.2)
-    assert classify_binary(logistic_ref, [0.7, 0.5]) == 0
+    assert classify(logistic_ref, [0.7, 0.5]) == 0
 
 
 def test_forward_network_example(binary_net):
     assert forward(binary_net, [1, 2])[0] == pytest.approx(-1.0)
-    assert classify_binary(binary_net, [1, 2]) == 0
+    assert classify(binary_net, [1, 2]) == 0
     assert forward(binary_net, [2.1, 2])[0] == pytest.approx(0.1)
-    assert classify_binary(binary_net, [2.1, 2]) == 1
+    assert classify(binary_net, [2.1, 2]) == 1
 
 
 def test_boundary_logit_is_class_one(logistic_ref):
     assert forward(logistic_ref, [0.7, 0.7])[0] == pytest.approx(0.0)
-    assert classify_binary(logistic_ref, [0.7, 0.7]) == 1
+    assert classify(logistic_ref, [0.7, 0.7]) == 1
 
 
 def test_classify_multi_examples(multi_net):
     assert np.allclose(forward(multi_net, [2, 2]), [0.0, 1.0, 0.0])
-    assert classify_multi(multi_net, [2, 2]) == 2
+    assert classify(multi_net, [2, 2]) == 2
     assert np.allclose(forward(multi_net, [3, 1]), [2.0, 0.5, -2.0])
-    assert classify_multi(multi_net, [3, 1]) == 1
+    assert classify(multi_net, [3, 1]) == 1
 
 
 def test_classify_multi_tie_breaks_low(multi_net):
-    assert classify_multi(multi_net, [0, 0]) == 1  # all logits zero
+    assert classify(multi_net, [0, 0]) == 1  # all logits zero
 
 
 def test_classify_multi_matches_argmax(multi_net):
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = rng.uniform(-2, 3, 2)
-        assert classify_multi(multi_net, x) == int(np.argmax(forward(multi_net, x))) + 1
+        assert classify(multi_net, x) == int(np.argmax(forward(multi_net, x))) + 1
 
 
-def test_classify_binary_rejects_multi_output(multi_net):
-    with pytest.raises(ValueError):
-        classify_binary(multi_net, [0, 0])
+@pytest.mark.parametrize("target", [-1, 2])
+def test_check_target_binary(logistic_ref, binary_net, target):
+    for model in (logistic_ref, binary_net):
+        check_target(model, 0)
+        check_target(model, 1)
+        with pytest.raises(ValueError, match="binary target must be 0 or 1"):
+            check_target(model, target)
+
+
+@pytest.mark.parametrize("target", [0, 4, -1])
+def test_check_target_multi(multi_net, target):
+    for ok in (1, 2, 3, np.int64(2)):
+        check_target(multi_net, ok)
+    with pytest.raises(ValueError, match=f"target class {target} out of range 1..3"):
+        check_target(multi_net, target)
+
+
+@pytest.mark.parametrize("target", [1.5, 2.0, None, "2"])
+def test_check_target_rejects_non_integers(logistic_ref, multi_net, target):
+    for model in (logistic_ref, multi_net):
+        with pytest.raises(ValueError, match="is not an integer"):
+            check_target(model, target)
+
+
+def test_counterfactual_target(logistic_ref, multi_net):
+    assert counterfactual_target(logistic_ref, [0.7, 0.5], None) == 1
+    assert counterfactual_target(logistic_ref, [0.7, 0.7], None) == 0  # boundary is class 1
+    assert counterfactual_target(logistic_ref, [0.7, 0.5], 0) == 0
+    assert counterfactual_target(multi_net, [2, 2], 3) == 3
+    with pytest.raises(ValueError, match="explicit target class"):
+        counterfactual_target(multi_net, [2, 2], None)
+    with pytest.raises(ValueError, match="binary target"):
+        counterfactual_target(logistic_ref, [0.7, 0.5], 2)
 
 
 def test_dimension_mismatch_rejected(logistic_ref):
@@ -154,7 +185,7 @@ def test_forward_batch_matches_pointwise(multi_net):
     for i in range(20):
         assert np.allclose(Z[i], forward(multi_net, X[i]))
     assert np.array_equal(
-        classify_batch(multi_net, X), [classify_multi(multi_net, x) for x in X]
+        classify_batch(multi_net, X), [classify(multi_net, x) for x in X]
     )
 
 

@@ -213,6 +213,12 @@ class TestEstimateDeltaValidation:
         with pytest.raises(ValueError, match="at least one validation input"):
             estimate_delta_validation(m, [m], ds.X, ds.X[:0], targets=[], grid=(0.01,))
 
+    @pytest.mark.parametrize("n_targets", [1, 11])
+    def test_targets_must_match_the_inputs(self, n_targets):
+        ds, m, pool = self._setup()
+        with pytest.raises(ValueError, match="targets for 10 validation inputs"):
+            estimate_delta_validation(m, [m], ds.X, pool, targets=[1] * n_targets, grid=(0.01,))
+
     def test_generator_failure_skips_grid_point(self):
         ds, m, pool = self._setup()
 

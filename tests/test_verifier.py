@@ -9,8 +9,6 @@ from cfcert.models import Layer, LogisticModel, ReluNetwork, classify, flatten, 
 from cfcert.verifier import (
     delta_validity,
     is_delta_robust,
-    is_delta_robust_binary,
-    is_delta_robust_multi,
     is_sound,
     robust_flags,
 )
@@ -21,9 +19,9 @@ from conftest import corner_logits, random_network, sample_shifted_logits
 def test_binary_worked_example(logistic_ref):
     shift = ShiftSet("inf", 0.1)
     x = [0.7, 0.5]
-    v_bad = is_delta_robust_binary(logistic_ref, shift, [0.7, 0.7], check_soundness_of=x)
+    v_bad = is_delta_robust(logistic_ref, shift, [0.7, 0.7], check_soundness_of=x)
     assert not v_bad.robust and v_bad.strictly_robust is False
-    v_good = is_delta_robust_binary(logistic_ref, shift, [0.7, 0.86], check_soundness_of=x)
+    v_good = is_delta_robust(logistic_ref, shift, [0.7, 0.86], check_soundness_of=x)
     assert v_good.robust and v_good.strictly_robust is True
     assert v_good.bounds[1][0] >= 0.0
 
@@ -34,24 +32,24 @@ def test_binary_delta_zero_reduces_to_classification(logistic_ref):
     for _ in range(20):
         x = rng.uniform(0, 1, 2)
         want = classify(logistic_ref, x) == 1
-        assert is_delta_robust_binary(logistic_ref, shift, x).robust == want
+        assert is_delta_robust(logistic_ref, shift, x).robust == want
 
 
 def test_binary_target_zero(logistic_ref):
     shift = ShiftSet("inf", 0.05)
-    assert is_delta_robust_binary(logistic_ref, shift, [0.9, 0.2], target=0).robust
-    assert not is_delta_robust_binary(logistic_ref, shift, [0.9, 0.2], target=1).robust
+    assert is_delta_robust(logistic_ref, shift, [0.9, 0.2], target=0).robust
+    assert not is_delta_robust(logistic_ref, shift, [0.9, 0.2], target=1).robust
 
 
 def test_multi_worked_example(multi_net):
     shift = ShiftSet("inf", 0.05)
-    v = is_delta_robust_multi(multi_net, shift, [3, 1], target=1, check_soundness_of=[2, 2])
+    v = is_delta_robust(multi_net, shift, [3, 1], target=1, check_soundness_of=[2, 2])
     assert v.robust and v.strictly_robust is True
     assert v.bounds[1][0] == pytest.approx(1.40, abs=1e-6)
     assert v.bounds[2][1] == pytest.approx(0.82, abs=1e-6)
     assert v.bounds[3][1] == pytest.approx(-1.40, abs=1e-6)
     # Same input cannot be certified for the class the abstraction rejects.
-    assert not is_delta_robust_multi(multi_net, shift, [2, 2], target=1).robust
+    assert not is_delta_robust(multi_net, shift, [2, 2], target=1).robust
 
 
 def test_multi_delta_zero_reduces_to_classification(multi_net):
@@ -59,7 +57,7 @@ def test_multi_delta_zero_reduces_to_classification(multi_net):
     shift = ShiftSet("inf", 0.0)
     for _ in range(20):
         x = rng.uniform(0, 3, 2)
-        got = is_delta_robust_multi(multi_net, shift, x, target=2).robust
+        got = is_delta_robust(multi_net, shift, x, target=2).robust
         assert got == (classify(multi_net, x) == 2)
 
 
@@ -78,7 +76,7 @@ def test_robust_certificate_survives_sampling_attack():
         delta = float(rng.uniform(0.02, 0.1))
         shift = ShiftSet("inf", delta)
         x = rng.uniform(0, 1, net.input_dim)
-        verdict = is_delta_robust_binary(net, shift, x, target=classify(net, x) or 1)
+        verdict = is_delta_robust(net, shift, x, target=classify(net, x) or 1)
         if not verdict.robust:
             continue
         checked += 1
@@ -96,7 +94,7 @@ def test_monotone_fragility(binary_net):
     for _ in range(10):
         x = rng.uniform(0, 2, 2)
         flags = [
-            is_delta_robust_binary(binary_net, ShiftSet("inf", d), x).robust for d in shift_grid
+            is_delta_robust(binary_net, ShiftSet("inf", d), x).robust for d in shift_grid
         ]
         # Once robustness is lost it never comes back at larger deltas.
         assert all(a >= b for a, b in zip(flags, flags[1:]))
@@ -111,7 +109,7 @@ def test_verifier_never_contradicts_interval_verdict():
         shift = ShiftSet("inf", delta)
         ia = interval_classify(abstract(net, shift), x)
         if ia.label == 1:
-            assert is_delta_robust_binary(net, shift, x).robust
+            assert is_delta_robust(net, shift, x).robust
 
 
 def test_logistic_closed_form_matches_corner_oracle():
@@ -121,7 +119,7 @@ def test_logistic_closed_form_matches_corner_oracle():
         m = LogisticModel(weights=rng.normal(0, 1, d), bias=float(rng.normal()))
         x = rng.uniform(0, 1, d)
         delta = float(rng.uniform(0.01, 0.3))
-        verdict = is_delta_robust_binary(m, ShiftSet("inf", delta), x)
+        verdict = is_delta_robust(m, ShiftSet("inf", delta), x)
         lo, hi = corner_logits(m, x, delta)
         assert verdict.bounds[1][0] == pytest.approx(lo, abs=1e-10)
         assert verdict.bounds[1][1] == pytest.approx(hi, abs=1e-10)
@@ -136,11 +134,20 @@ def test_delta_validity_fractions(logistic_ref):
         delta_validity(logistic_ref, shift, [])
 
 
+def test_delta_validity_targets_must_match_the_batch(logistic_ref):
+    shift = ShiftSet("inf", 0.1)
+    batch = [[0.7, 0.86], [0.9, 0.2], [0.7, 0.7]]
+    for targets in ([1], [1, 0, 1, 1]):
+        with pytest.raises(ValueError, match="targets for 3 counterfactuals"):
+            delta_validity(logistic_ref, shift, batch, targets)
+    assert delta_validity(logistic_ref, shift, batch, [1, 0, 0]) == 2 / 3
+
+
 def test_node_limit_reports_unresolved():
     rng = np.random.default_rng(6)
     # Large delta keeps every ReLU unstable so branching is unavoidable.
     net = random_network(rng, n_in=3, hidden=[6, 6], n_out=1)
-    verdict = is_delta_robust_binary(
+    verdict = is_delta_robust(
         net, ShiftSet("inf", 0.5), rng.uniform(0, 1, 3), node_limit=1
     )
     assert not verdict.robust and verdict.unresolved
