@@ -44,6 +44,14 @@ __all__ = ["BenchmarkConfig", "MetricReport", "run_benchmark", "METHODS"]
 METHODS = ("mce", "mce-r", "gce", "gce-r", "nnce", "rnce-ff", "rnce-ft", "rnce-tf", "rnce-tt")
 ROBUST_METHODS = ("mce-r", "gce-r", "rnce-ff", "rnce-ft", "rnce-tf", "rnce-tt")
 
+# Incremental retraining fine-tunes on this share of D2 for this many epochs,
+# both for the fleet and for the delta_inc estimate.
+INCREMENTAL_FRACTION = 0.10
+INCREMENTAL_ITERATIONS = 10
+# The delta_val estimate: validation inputs and the magnitude grid it scans.
+N_VAL = 20
+DELTA_GRID = tuple(np.round(np.arange(0.005, 0.2001, 0.005), 6))
+
 
 @dataclass
 class BenchmarkConfig:
@@ -55,15 +63,8 @@ class BenchmarkConfig:
     architecture: object = "logistic"  # "logistic" or tuple of hidden sizes
     train: TrainConfig = field(default_factory=TrainConfig)
     replicas: int = 5
-    incremental_fraction: float = 0.10
-    incremental_iterations: int = 10
-    margin_step: float = 0.1
-    max_rounds: int = 10
     node_limit: int = 200_000
-    lof_k: int = DEFAULT_LOF_K
     workers: int = 1
-    n_val: int = 20  # validation inputs for the delta_val estimate
-    delta_grid: tuple | None = None
     curve_grid: tuple | None = None  # extra deltas for the validity curve
 
     def __post_init__(self):
@@ -172,8 +173,8 @@ def _run_seed(args):
         spec = RetrainSpec(
             mode=mode,
             replicas=config.replicas,
-            fraction=config.incremental_fraction,
-            iterations=config.incremental_iterations,
+            fraction=INCREMENTAL_FRACTION,
+            iterations=INCREMENTAL_ITERATIONS,
         )
         fleet += retrain_fleet(
             model, d1_train.X, d1_train.y, d2_train.X, d2_train.y, spec, config.architecture, cfg
@@ -190,20 +191,19 @@ def _run_seed(args):
             model,
             d2_train.X,
             d2_train.y,
-            fractions=(config.incremental_fraction,),
+            fractions=(INCREMENTAL_FRACTION,),
             replicas=config.replicas,
-            iterations=config.incremental_iterations,
+            iterations=INCREMENTAL_ITERATIONS,
             config=cfg,
         )
         val_pool = d2_test.X[classify_batch(model, d2_test.X) == source_class]
-        grid = config.delta_grid or tuple(np.round(np.arange(0.005, 0.2001, 0.005), 6))
         val = estimate_delta_validation(
             model,
             fleet,
             d1_train.X,
-            val_pool[: config.n_val],
-            targets=[target] * min(config.n_val, val_pool.shape[0]),
-            grid=grid,
+            val_pool[:N_VAL],
+            targets=[target] * min(N_VAL, val_pool.shape[0]),
+            grid=DELTA_GRID,
             p=config.p,
         )
         deltas = [("val", float(val["delta_val"])), ("inc", float(inc["delta_inc"]))]
@@ -218,11 +218,7 @@ def _run_seed(args):
             shift = ShiftSet(config.p, delta) if delta is not None else ShiftSet(config.p, 0.0)
             started = time.perf_counter()
             records = [
-                generate(
-                    method, model, shift, x, target, d1_train.X,
-                    margin_step=config.margin_step, max_rounds=config.max_rounds,
-                    node_limit=config.node_limit,
-                )
+                generate(method, model, shift, x, target, d1_train.X, node_limit=config.node_limit)
                 for x in test_inputs
             ]
             seconds = time.perf_counter() - started
@@ -241,7 +237,7 @@ def _run_seed(args):
             if found:
                 entry["vr"] = validity_after_retraining(ces, tgts, fleet)
                 entry["l1"] = float(np.mean([l1_normalized(x, r.x_prime) for x, r in zip(test_inputs, records) if r.found]))
-                entry["lof"] = float(np.mean(lof_scores(np.vstack(ces), d1_train.X, k=min(config.lof_k, d1_train.n - 1))))
+                entry["lof"] = float(np.mean(lof_scores(np.vstack(ces), d1_train.X, k=min(DEFAULT_LOF_K, d1_train.n - 1))))
                 for lab, d in deltas:
                     entry[f"v_delta_{lab}"] = _certified_validity(model, config, d, ces, tgts)
                 if config.curve_grid:

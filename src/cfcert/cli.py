@@ -72,9 +72,17 @@ def _parse_arch(text: str):
     return tuple(int(v) for v in text.split(",") if v)
 
 
-def _load_inputs(path):
+def _read_inputs(path):
+    """The document of an inputs file, checked to hold an "inputs" list."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get("inputs"), list):
+        raise ValueError(f'{path}: needs an "inputs" list')
+    return doc
+
+
+def _load_inputs(path):
+    doc = _read_inputs(path)
     inputs = [np.asarray(row, dtype=np.float64) for row in doc["inputs"]]
     targets = doc.get("targets")
     if targets is not None and (not isinstance(targets, list) or len(targets) != len(inputs)):
@@ -135,8 +143,10 @@ def cmd_verify(args) -> int:
     if args.check_soundness:
         if not args.input:
             raise ValueError("--check-soundness needs --input with the original point")
-        with open(args.input) as fh:
-            original = np.asarray(json.load(fh)["inputs"][0], dtype=np.float64)
+        rows = _read_inputs(args.input)["inputs"]
+        if not rows:
+            raise ValueError(f'{args.input}: the "inputs" list is empty')
+        original = np.asarray(rows[0], dtype=np.float64)
     jobs = [
         (model, shift, x_prime, target, original, args.node_limit)
         for x_prime, target in zip(inputs, targets)

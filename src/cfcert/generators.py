@@ -19,10 +19,11 @@ from .kdtree import KDTree
 from .metrics import l1_normalized
 from .milp import DEFAULT_NODE_LIMIT, branch_and_bound, encode_nearest_ce
 from .models import (
-    LogisticModel,
     ParametricModel,
+    affine_layers,
     as_feature_vector,
     check_target,
+    class_of_logits,
     classify_batch,
     counterfactual_target,
 )
@@ -117,51 +118,61 @@ def mce(
     )
 
 
-def _class_score_and_grad(model: ParametricModel, x: np.ndarray, target: int):
-    """One forward pass: the point class (by the rule of ``classify``), the
-    validity score (positive iff comfortably in the target class; multi-class
-    uses the margin to the runner-up logit) and its input gradient."""
-    if isinstance(model, LogisticModel):
-        z = float(model.weights @ x)
-        if model.bias is not None:
-            z += model.bias
-        cls = int(z >= 0.0)
-        if target == 1:
-            return cls, z, model.weights
-        return cls, -z, -model.weights
-    # Forward pass caching ReLU masks.
-    masks = []
-    v = x
-    for layer in model.layers[:-1]:
-        pre = layer.weights @ v
-        if layer.bias is not None:
-            pre = pre + layer.bias
-        masks.append(pre > 0)
-        v = np.maximum(pre, 0.0)
-    last = model.layers[-1]
-    logits = last.weights @ v
-    if last.bias is not None:
-        logits = logits + last.bias
+def _score_step(layers, target: int):
+    """The fused GCE step for a model's affine layers and a target: a
+    function of x giving, from one forward pass, the point class (by
+    :func:`class_of_logits`), the validity score (positive iff comfortably
+    in the target class; multi-class uses the margin to the runner-up logit)
+    and its input gradient.  One affine row, the hot case, is stepped in
+    closed form."""
+    if len(layers) == 1 and layers[0][0].shape[0] == 1:
+        w, b = layers[0][0][0], layers[0][1]
+        bias = None if b is None else float(b[0])
+        grad = w if target == 1 else -w
 
-    cls = int(logits[0] >= 0.0) if model.num_outputs == 1 else int(np.argmax(logits)) + 1
-    if model.num_outputs == 1:
-        out_vec = np.array([1.0 if target == 1 else -1.0])
-        score = logits[0] if target == 1 else -logits[0]
-    else:
-        t0 = target - 1
-        others = np.delete(np.arange(model.num_outputs), t0)
-        runner = others[int(np.argmax(logits[others]))]
-        out_vec = np.zeros(model.num_outputs)
-        out_vec[t0] = 1.0
-        out_vec[runner] = -1.0
-        score = logits[t0] - logits[runner]
+        def affine_step(x):
+            z = float(w @ x)
+            if bias is not None:
+                z += bias
+            return class_of_logits(z), (z if target == 1 else -z), grad
 
-    g = out_vec
-    for i in range(len(model.layers) - 1, -1, -1):
-        g = model.layers[i].weights.T @ g
-        if i > 0:
-            g = g * masks[i - 1]
-    return cls, score, g
+        return affine_step
+
+    def network_step(x):
+        # Forward pass caching ReLU masks.
+        masks = []
+        v = x
+        for w, b in layers[:-1]:
+            pre = w @ v
+            if b is not None:
+                pre = pre + b
+            masks.append(pre > 0)
+            v = np.maximum(pre, 0.0)
+        w, b = layers[-1]
+        logits = w @ v
+        if b is not None:
+            logits = logits + b
+
+        if logits.size == 1:
+            out_vec = np.array([1.0 if target == 1 else -1.0])
+            score = logits[0] if target == 1 else -logits[0]
+        else:
+            t0 = target - 1
+            others = np.delete(np.arange(logits.size), t0)
+            runner = others[int(np.argmax(logits[others]))]
+            out_vec = np.zeros(logits.size)
+            out_vec[t0] = 1.0
+            out_vec[runner] = -1.0
+            score = logits[t0] - logits[runner]
+
+        g = out_vec
+        for i in range(len(layers) - 1, -1, -1):
+            g = layers[i][0].T @ g
+            if i > 0:
+                g = g * masks[i - 1]
+        return class_of_logits(logits), score, g
+
+    return network_step
 
 
 def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
@@ -192,8 +203,9 @@ def gce(
     x_cur = x.copy()
     best = None
     best_dist = np.inf
+    score_step = _score_step(affine_layers(model), target)
     for it in range(max_iters + 1):
-        cls, score, grad = _class_score_and_grad(model, x_cur, target)
+        cls, score, grad = score_step(x_cur)
         if cls == target:
             d = float(np.abs(x_cur - x).sum() / n)  # l1_normalized(x_cur, x)
             if d < best_dist:
@@ -372,7 +384,6 @@ def get_robust_ce(
     target: int,
     optimal: bool = False,
     candidates_verified: bool = False,
-    line_step: float = LINE_SEARCH_STEP,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> CounterfactualRecord:
     """Walk the tree outward until a robust candidate appears; optionally
@@ -403,11 +414,11 @@ def get_robust_ce(
         anchor = x_prime.copy()
         line = []
         k = 1
-        a = LINE_SEARCH_START - line_step
+        a = LINE_SEARCH_START - LINE_SEARCH_STEP
         while a > 1e-12:
             line.append(a * anchor + (1.0 - a) * x)
             k += 1
-            a = LINE_SEARCH_START - k * line_step
+            a = LINE_SEARCH_START - k * LINE_SEARCH_STEP
         flags = robust_flags(model, shift, line, target, node_limit)
         for x_line, robust in zip(line, flags):
             if robust:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import LogisticModel, ParametricModel, as_feature_vector
+from .models import ParametricModel, affine_layers, as_feature_vector
 
 __all__ = [
     "ShiftSet",
@@ -80,7 +80,6 @@ class IntervalLayer:
 class IntervalModel:
     """Same architecture as the source model, interval-valued parameters."""
 
-    source_type: str  # "logistic" | "relu_network"
     layers: tuple[IntervalLayer, ...]
     delta: float
 
@@ -117,24 +116,16 @@ class IntervalVerdict:
 def abstract(model: ParametricModel, shift: ShiftSet) -> IntervalModel:
     """Widen every parameter (weights and biases alike) by +/- delta."""
     d = shift.delta
-    if isinstance(model, LogisticModel):
-        w = model.weights.reshape(1, -1)
-        b_lo = b_hi = None
-        if model.bias is not None:
-            b_lo = np.array([model.bias - d])
-            b_hi = np.array([model.bias + d])
-        layer = IntervalLayer(w_lo=w - d, w_hi=w + d, b_lo=b_lo, b_hi=b_hi)
-        return IntervalModel(source_type="logistic", layers=(layer,), delta=d)
-    layers = []
-    for layer in model.layers:
-        b_lo = b_hi = None
-        if layer.bias is not None:
-            b_lo = layer.bias - d
-            b_hi = layer.bias + d
-        layers.append(
-            IntervalLayer(w_lo=layer.weights - d, w_hi=layer.weights + d, b_lo=b_lo, b_hi=b_hi)
+    layers = tuple(
+        IntervalLayer(
+            w_lo=w - d,
+            w_hi=w + d,
+            b_lo=None if b is None else b - d,
+            b_hi=None if b is None else b + d,
         )
-    return IntervalModel(source_type="relu_network", layers=tuple(layers), delta=d)
+        for w, b in affine_layers(model)
+    )
+    return IntervalModel(layers=layers, delta=d)
 
 
 def _interval_matvec(w_lo, w_hi, v_lo, v_hi):

@@ -6,6 +6,11 @@ ReLU networks.  Both expose raw logits as the canonical output; sigmoid /
 softmax squashing only happens in the training loss, never inside the
 certification machinery.
 
+Every other module reads a model as a stack of affine layers through
+:func:`affine_layers` and rebuilds one through :func:`from_affine_layers`; a
+logistic model is the one-layer, one-row stack.  How each family stores its
+parameters is known only here.
+
 The bias of a model (per layer) is optional.  When present it is an ordinary
 parameter: it takes part in the flattened parameter vector and therefore in
 parameter-shift reasoning.  When ``None`` the model simply has no bias term,
@@ -25,10 +30,13 @@ __all__ = [
     "LogisticModel",
     "ReluNetwork",
     "ParametricModel",
+    "affine_layers",
+    "from_affine_layers",
     "forward",
     "forward_batch",
     "classify",
     "classify_batch",
+    "class_of_logits",
     "check_target",
     "counterfactual_target",
     "p_distance",
@@ -71,6 +79,8 @@ class LogisticModel:
             if not np.isfinite(b):
                 raise ValueError("bias must be finite")
             object.__setattr__(self, "bias", b)
+        bias = None if self.bias is None else _frozen([self.bias])
+        object.__setattr__(self, "_affine", ((w.reshape(1, -1), bias),))
 
     @property
     def input_dim(self) -> int:
@@ -136,6 +146,7 @@ class ReluNetwork:
                     f"layer input size {nxt.in_dim} does not chain with previous output {prev.out_dim}"
                 )
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "_affine", tuple((layer.weights, layer.bias) for layer in layers))
 
     @property
     def input_dim(self) -> int:
@@ -167,20 +178,43 @@ def as_feature_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def affine_layers(model: ParametricModel) -> tuple:
+    """The model as affine layers (W, b or None), ReLU between them and raw
+    logits out.  A logistic model is one layer of one row.  Each model builds
+    this read-only view once, when it is constructed."""
+    return model._affine
+
+
+def _kind(model: ParametricModel) -> str:
+    return "logistic" if isinstance(model, LogisticModel) else "relu_network"
+
+
+def _from_layers(kind: str, layers: tuple[Layer, ...]) -> ParametricModel:
+    if kind == "relu_network":
+        return ReluNetwork(layers=layers)
+    if len(layers) != 1 or layers[0].out_dim != 1:
+        shapes = [layer.weights.shape for layer in layers]
+        raise ValueError(f"a logistic model is one layer of one row, got weight shapes {shapes}")
+    (layer,) = layers
+    return LogisticModel(
+        weights=layer.weights[0], bias=None if layer.bias is None else layer.bias[0]
+    )
+
+
+def from_affine_layers(template: ParametricModel, layers) -> ParametricModel:
+    """Inverse of :func:`affine_layers`: a model of the template's type."""
+    return _from_layers(_kind(template), tuple(Layer(weights=w, bias=b) for w, b in layers))
+
+
 def forward(model: ParametricModel, x) -> np.ndarray:
     """Raw pre-squash logits of the model at x (always a 1-D vector)."""
-    if isinstance(model, LogisticModel):
-        v = as_feature_vector(x, model.input_dim)
-        z = float(model.weights @ v)
-        if model.bias is not None:
-            z += model.bias
-        return np.array([z])
     v = as_feature_vector(x, model.input_dim)
-    for i, layer in enumerate(model.layers):
-        v = layer.weights @ v
-        if layer.bias is not None:
-            v = v + layer.bias
-        if i < len(model.layers) - 1:
+    layers = affine_layers(model)
+    for i, (w, b) in enumerate(layers):
+        v = w @ v
+        if b is not None:
+            v = v + b
+        if i < len(layers) - 1:
             v = np.maximum(v, 0.0)
     return v
 
@@ -190,37 +224,40 @@ def forward_batch(model: ParametricModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {X.shape} does not match input dim {model.input_dim}")
-    if isinstance(model, LogisticModel):
-        z = X @ model.weights
-        if model.bias is not None:
-            z = z + model.bias
-        return z[:, None]
     V = X
-    for i, layer in enumerate(model.layers):
-        V = V @ layer.weights.T
-        if layer.bias is not None:
-            V = V + layer.bias
-        if i < len(model.layers) - 1:
+    layers = affine_layers(model)
+    for i, (w, b) in enumerate(layers):
+        V = V @ w.T
+        if b is not None:
+            V = V + b
+        if i < len(layers) - 1:
             V = np.maximum(V, 0.0)
     return V
 
 
+def class_of_logits(z):
+    """The point-class rule on a logit vector or a lone logit as a number (an
+    int), or on a batch of logit vectors, one row each (an int64 array).  One
+    logit: 1 iff it is >= 0 (sigmoid >= 0.5, boundary inclusive), else 0.
+    Several logits: the argmax in {1, ..., l}, ties to the lowest class
+    index."""
+    if isinstance(z, float):
+        return int(z >= 0.0)
+    if z.ndim == 1:
+        return int(z[0] >= 0.0) if z.size == 1 else int(np.argmax(z)) + 1
+    if z.shape[1] == 1:
+        return (z[:, 0] >= 0.0).astype(np.int64)
+    return np.argmax(z, axis=1).astype(np.int64) + 1
+
+
 def classify_batch(model: ParametricModel, X: np.ndarray) -> np.ndarray:
     """Vectorised point classification over rows of X."""
-    Z = forward_batch(model, X)
-    if model.num_outputs == 1:
-        return (Z[:, 0] >= 0.0).astype(np.int64)
-    return np.argmax(Z, axis=1).astype(np.int64) + 1
+    return class_of_logits(forward_batch(model, X))
 
 
 def classify(model: ParametricModel, x) -> int:
-    """Point class.  One logit: 1 iff it is >= 0 (sigmoid >= 0.5, boundary
-    inclusive), else 0.  Several logits: the argmax in {1, ..., l}, ties to
-    the lowest class index."""
-    z = forward(model, x)
-    if z.size == 1:
-        return 1 if z[0] >= 0.0 else 0
-    return int(np.argmax(z)) + 1
+    """Point class of x by :func:`class_of_logits`."""
+    return class_of_logits(forward(model, x))
 
 
 def check_target(model: ParametricModel, target: int) -> None:
@@ -274,16 +311,11 @@ def flatten(model: ParametricModel) -> np.ndarray:
     Matrices are vectorised column-by-column; absent biases contribute
     nothing.  Logistic models flatten to [w; b].
     """
-    if isinstance(model, LogisticModel):
-        parts = [model.weights]
-        if model.bias is not None:
-            parts.append(np.array([model.bias]))
-        return np.concatenate(parts)
     parts = []
-    for layer in model.layers:
-        parts.append(layer.weights.flatten(order="F"))
-        if layer.bias is not None:
-            parts.append(layer.bias)
+    for w, b in affine_layers(model):
+        parts.append(w.flatten(order="F"))
+        if b is not None:
+            parts.append(b)
     return np.concatenate(parts)
 
 
@@ -293,22 +325,17 @@ def unflatten(template: ParametricModel, theta) -> ParametricModel:
     expected = num_params(template)
     if theta.size != expected:
         raise ValueError(f"parameter vector has length {theta.size}, expected {expected}")
-    if isinstance(template, LogisticModel):
-        n = template.input_dim
-        bias = float(theta[n]) if template.bias is not None else None
-        return LogisticModel(weights=theta[:n], bias=bias)
     layers = []
     pos = 0
-    for layer in template.layers:
-        size = layer.weights.size
-        w = theta[pos : pos + size].reshape(layer.weights.shape, order="F")
-        pos += size
-        b = None
-        if layer.bias is not None:
-            b = theta[pos : pos + layer.out_dim]
-            pos += layer.out_dim
-        layers.append(Layer(weights=w, bias=b))
-    return ReluNetwork(layers=tuple(layers))
+    for w, b in affine_layers(template):
+        w_new = theta[pos : pos + w.size].reshape(w.shape, order="F")
+        pos += w.size
+        b_new = None
+        if b is not None:
+            b_new = theta[pos : pos + b.size]
+            pos += b.size
+        layers.append((w_new, b_new))
+    return from_affine_layers(template, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -317,58 +344,34 @@ def unflatten(template: ParametricModel, theta) -> ParametricModel:
 
 
 def model_to_dict(model: ParametricModel) -> dict:
-    if isinstance(model, LogisticModel):
-        layers = [
-            {
-                "weights": [model.weights.tolist()],
-                "bias": None if model.bias is None else [model.bias],
-            }
-        ]
-        return {
-            "model_type": "logistic",
-            "input_dim": model.input_dim,
-            "num_classes": 2,
-            "layers": layers,
-        }
     return {
-        "model_type": "relu_network",
+        "model_type": _kind(model),
         "input_dim": model.input_dim,
         "num_classes": model.num_classes,
         "layers": [
-            {
-                "weights": layer.weights.tolist(),
-                "bias": None if layer.bias is None else layer.bias.tolist(),
-            }
-            for layer in model.layers
+            {"weights": w.tolist(), "bias": None if b is None else b.tolist()}
+            for w, b in affine_layers(model)
         ],
     }
 
 
 def model_from_dict(doc: dict) -> ParametricModel:
+    """Build the layers a document lists, then the model of its
+    ``model_type``; a ``"logistic"`` document holds one layer of one row."""
     kind = doc.get("model_type")
-    layers = doc.get("layers")
-    if not layers:
-        raise ValueError("model document has no layers")
-    if kind == "logistic":
-        spec = layers[0]
-        w = np.asarray(spec["weights"], dtype=np.float64).reshape(-1)
-        bias = spec.get("bias")
-        model: ParametricModel = LogisticModel(
-            weights=w, bias=None if bias is None else float(np.asarray(bias).reshape(-1)[0])
-        )
-    elif kind == "relu_network":
-        built = []
-        for spec in layers:
-            bias = spec.get("bias")
-            built.append(
-                Layer(
-                    weights=np.asarray(spec["weights"], dtype=np.float64),
-                    bias=None if bias is None else np.asarray(bias, dtype=np.float64),
-                )
-            )
-        model = ReluNetwork(layers=tuple(built))
-    else:
+    if kind not in ("logistic", "relu_network"):
         raise ValueError(f"unknown model_type {kind!r}")
+    specs = doc.get("layers")
+    if not specs:
+        raise ValueError("model document has no layers")
+    layers = tuple(
+        Layer(
+            weights=np.asarray(spec["weights"], dtype=np.float64),
+            bias=None if spec.get("bias") is None else np.asarray(spec["bias"], dtype=np.float64),
+        )
+        for spec in specs
+    )
+    model = _from_layers(kind, layers)
     declared = doc.get("input_dim")
     if declared is not None and int(declared) != model.input_dim:
         raise ValueError(

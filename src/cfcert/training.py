@@ -19,11 +19,11 @@ from .models import (
     LogisticModel,
     ParametricModel,
     ReluNetwork,
+    affine_layers,
     classify_batch,
     flatten,
-    forward_batch,
+    from_affine_layers,
     p_distance,
-    unflatten,
 )
 
 __all__ = [
@@ -101,19 +101,8 @@ def init_model(architecture, input_dim: int, num_classes: int, seed: int) -> Par
 
 
 def _as_layer_params(model: ParametricModel):
-    if isinstance(model, LogisticModel):
-        return [(model.weights.reshape(1, -1).copy(), np.array([model.bias or 0.0]))]
-    return [
-        (layer.weights.copy(), layer.bias.copy() if layer.bias is not None else None)
-        for layer in model.layers
-    ]
-
-
-def _rebuild(model: ParametricModel, params) -> ParametricModel:
-    if isinstance(model, LogisticModel):
-        w, b = params[0]
-        return LogisticModel(weights=w.reshape(-1), bias=float(b[0]))
-    return ReluNetwork(layers=tuple(Layer(weights=w, bias=b) for w, b in params))
+    """Writable copies of the model's affine layers, for SGD to update."""
+    return [(w.copy(), None if b is None else b.copy()) for w, b in affine_layers(model)]
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
@@ -171,10 +160,7 @@ def loss_and_grad(model: ParametricModel, X, y, l2: float = 0.0):
         parts.append(gw.flatten(order="F"))
         if gb is not None:
             parts.append(gb)
-    flat = np.concatenate(parts)
-    if isinstance(model, LogisticModel) and model.bias is None:
-        flat = flat[:-1]  # the probe model carries no bias parameter
-    return loss, flat
+    return loss, np.concatenate(parts)
 
 
 def _sgd(params, X, y, num_outputs, config: TrainConfig, epochs: int):
@@ -205,7 +191,7 @@ def train(X, y, architecture, config: TrainConfig, init: ParametricModel | None 
         init = init_model(architecture, X.shape[1], num_classes, config.seed)
     params = _as_layer_params(init)
     params = _sgd(params, X, y, init.num_outputs, config, config.epochs)
-    return _rebuild(init, params)
+    return from_affine_layers(init, params)
 
 
 def _is_multi(y) -> bool:
@@ -224,7 +210,7 @@ def fine_tune(model: ParametricModel, X, y, iterations: int, config: TrainConfig
         return model
     params = _as_layer_params(model)
     params = _sgd(params, X, np.asarray(y), model.num_outputs, config, iterations)
-    return _rebuild(model, params)
+    return from_affine_layers(model, params)
 
 
 def retrain_fleet(

@@ -5,11 +5,12 @@ assigns it that class: for single-logit models the certified logit lower
 bound must be >= 0 (upper bound < 0 for class 0), for multi-logit models the
 target's certified lower bound must dominate every other class's certified
 upper bound (strictly for lower classes: ties go to the lowest index).
-Networks are certified through the MILP encoding; logistic models have a
-closed form.  An undefined interval verdict counts as not robust.  A solver
-node or iteration limit, and a certified endpoint outside the range its
-interval enclosure and the point model allow, are reported as not robust
-with a distinct ``unresolved`` flag.
+Each side is certified through the MILP encoding, except in a model without
+hidden layers, whose interval enclosure is exact: every parameter occurs
+once in its logit and no two logits share one.  An undefined interval
+verdict counts as not robust.  A solver node or iteration limit, and a
+certified endpoint outside the range its interval enclosure and the point
+model allow, are reported as not robust with a distinct ``unresolved`` flag.
 
 Callers that need only the yes/no answer use :func:`robust_flags`, which
 settles a row by the point model's class or by interval arithmetic when it
@@ -28,9 +29,8 @@ from .milp import DEFAULT_NODE_LIMIT, branch_and_bound, encode_output_bound
 from .milp.branch_bound import INTEGRALITY_TOL
 from .milp.simplex import FEASIBILITY_TOL
 from .models import (
-    LogisticModel,
     ParametricModel,
-    as_feature_vector,
+    affine_layers,
     check_target,
     classify,
     classify_batch,
@@ -52,9 +52,10 @@ class RobustnessVerdict:
     """Outcome of a robustness test plus the bounds that decided it.
 
     ``bounds`` maps class label to a [lo, hi] pair; the side the decision
-    rests on is certified (MILP / closed form), the complementary side is the
-    interval-arithmetic enclosure.  ``strictly_robust`` is populated only
-    when soundness of the original input was checked.
+    rests on is certified (MILP, or the exact enclosure of a model without
+    hidden layers), the complementary side is the interval-arithmetic
+    enclosure.  ``strictly_robust`` is populated only when soundness of the
+    original input was checked.
     """
 
     robust: bool
@@ -77,17 +78,6 @@ class RobustnessVerdict:
         }
 
 
-def _logistic_bounds(model: LogisticModel, delta: float, x) -> tuple[float, float]:
-    """Exact logit range over the parameter box; each parameter occurs once."""
-    v = as_feature_vector(x, model.input_dim)
-    z = float(model.weights @ v)
-    width = delta * float(np.abs(v).sum())
-    if model.bias is not None:
-        z += model.bias
-        width += delta
-    return z - width, z + width
-
-
 def logit_bound(
     model: ParametricModel,
     shift: ShiftSet,
@@ -100,9 +90,6 @@ def logit_bound(
 
     A search cut short by the node or the simplex iteration limit is
     unresolved and has no value."""
-    if isinstance(model, LogisticModel):
-        lo, hi = _logistic_bounds(model, shift.delta, x)
-        return (lo if direction == "min" else hi), 0, False
     enc = encode_output_bound(model, x, shift.delta, output_index, direction)
     res = branch_and_bound(enc.problem, node_limit=node_limit)
     if res.status in ("node_limit", "iteration_limit"):
@@ -150,7 +137,9 @@ def _certify(
     side its target demands.  Each side's certified endpoint replaces its
     interval-arithmetic one in ``bounds``; an unresolved side keeps the
     enclosure and makes the verdict not robust.  A side is unresolved when
-    its solver hit a limit or its endpoint fails :func:`_enclosed`.
+    its solver hit a limit or its endpoint fails :func:`_enclosed`.  A model
+    without hidden layers needs no solver: its enclosure is exact, so it is
+    the certified endpoint of every side.
     Binary: the logit minimum is >= 0 for class 1, the maximum < 0 for
     class 0.  Multi-class: the target's minimum is >= every competitor's
     maximum, and > that of a lower class (:func:`dominates`).
@@ -162,20 +151,23 @@ def _certify(
         sides = [(t0, "min", target)]
         sides += [(j, "max", j + 1) for j in range(model.num_outputs) if j != t0]
     ia_lo, ia_hi = interval_forward(abstract(model, shift), x)
-    point = forward(model, x)
+    exact = len(affine_layers(model)) == 1
+    point = None if exact else forward(model, x)
     bounds: dict[int, tuple[float, float]] = {}
     nodes = 0
     unresolved = False
     for index, direction, label in sides:
-        value, n, u = logit_bound(model, shift, x, index, direction, node_limit)
-        nodes += n
         lo, hi = float(ia_lo[index]), float(ia_hi[index])
-        if not u:
-            value = _enclosed(value, direction, lo, hi, float(point[index]))
-            u = value is None
-        unresolved |= u
-        if not u:
-            lo, hi = (value, hi) if direction == "min" else (lo, value)
+        if not exact:
+            value, n, u = logit_bound(model, shift, x, index, direction, node_limit)
+            nodes += n
+            value = None if u else _enclosed(value, direction, lo, hi, float(point[index]))
+            if value is None:
+                unresolved = True
+            elif direction == "min":
+                lo = value
+            else:
+                hi = value
         bounds[label] = (lo, hi)
     if unresolved:
         robust = False

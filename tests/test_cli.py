@@ -297,3 +297,48 @@ def test_explain_out_of_range_target_is_an_error(tmp_path, example_model_file, c
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == "error: binary target must be 0 or 1\n"
+
+
+def test_verify_malformed_logistic_model_is_an_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({"model_type": "logistic", "layers": [{"weights": [[1, 2], [3, 4]], "bias": None}]})
+    )
+    inputs = _inputs_file(tmp_path, [[0.1, 0.9]])
+    rc = main(["verify", "--model", str(bad), "--delta", "0.01", "--ces", str(inputs)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: a logistic model is one layer of one row")
+
+
+@pytest.mark.parametrize("command", ["verify", "verify-soundness", "explain"])
+def test_inputs_file_without_an_inputs_list_is_an_error(
+    tmp_path, example_model_file, capsys, command
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"input": [[0.4, 0.6]]}))
+    good = _inputs_file(tmp_path, [[0.1, 0.9]])
+    model = str(example_model_file)
+    if command == "verify":
+        argv = ["verify", "--model", model, "--delta", "0.01", "--ces", str(bad)]
+    elif command == "verify-soundness":
+        argv = ["verify", "--model", model, "--delta", "0.01", "--ces", str(good),
+                "--check-soundness", "--input", str(bad)]
+    else:
+        argv = ["explain", "--method", "mce", "--model", model, "--inputs", str(bad)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f'error: {bad}: needs an "inputs" list\n'
+
+
+def test_verify_soundness_input_without_a_point_is_an_error(tmp_path, example_model_file, capsys):
+    empty = _inputs_file(tmp_path, [], name="empty.json")
+    good = _inputs_file(tmp_path, [[0.1, 0.9]])
+    rc = main(
+        ["verify", "--model", str(example_model_file), "--delta", "0.01", "--ces", str(good),
+         "--check-soundness", "--input", str(empty)]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f'error: {empty}: the "inputs" list is empty\n'

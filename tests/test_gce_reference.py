@@ -5,7 +5,8 @@ Agreement is exact -- the found flag, the bytes of the returned iterate
 (``-0.0`` included), the distance, the iteration count and the trace --
 over logistic models with and without bias, binary ReLU networks with one
 and two hidden layers, and 3-class networks, one of them with two logits
-that are always tied.
+that are always tied, and networks without a hidden layer (one logit, which
+takes the generator's closed-form step, and three).
 """
 
 import numpy as np
@@ -41,6 +42,8 @@ def _models():
     b[1] = b[0]
     hidden = Layer(weights=rng.normal(0, 1, (4, 2)), bias=rng.normal(0, 0.3, 4))
     models.append(ReluNetwork(layers=(hidden, Layer(weights=w, bias=b))))
+    for n_out, with_bias in ((1, True), (1, False), (3, True)):
+        models.append(random_network(rng, hidden=[], n_out=n_out, with_bias=with_bias))
     return models
 
 

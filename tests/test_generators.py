@@ -3,7 +3,7 @@ import pytest
 
 from cfcert._kernels import STATUS_ITER_LIMIT
 from cfcert.generators import (
-    _class_score_and_grad,
+    _score_step,
     gce,
     gce_robust,
     generate,
@@ -18,7 +18,15 @@ from cfcert.generators import (
 from cfcert.intervals import ShiftSet
 from cfcert.kdtree import KDTree
 from cfcert.metrics import l1_normalized
-from cfcert.models import Layer, LogisticModel, ReluNetwork, classify, classify_batch, forward
+from cfcert.models import (
+    Layer,
+    LogisticModel,
+    ReluNetwork,
+    affine_layers,
+    classify,
+    classify_batch,
+    forward,
+)
 from cfcert.verifier import is_delta_robust
 from conftest import random_network
 
@@ -158,6 +166,10 @@ def _away_from_kinks(model, x, target, gap=1e-3):
         return True
     others = np.sort(np.delete(forward(model, x), target - 1))
     return others[-1] - others[-2] >= gap
+
+
+def _class_score_and_grad(model, x, target):
+    return _score_step(affine_layers(model), target)(x)
 
 
 def _central_differences(model, x, target, h=1e-6):

@@ -7,12 +7,15 @@ from cfcert.models import (
     Layer,
     LogisticModel,
     ReluNetwork,
+    affine_layers,
     check_target,
+    class_of_logits,
     classify,
     classify_batch,
     counterfactual_target,
     flatten,
     forward,
+    from_affine_layers,
     forward_batch,
     load_model,
     model_from_dict,
@@ -214,3 +217,79 @@ def test_model_dict_rejects_bad_type():
     doc["input_dim"] = 7
     with pytest.raises(ValueError, match="input_dim"):
         model_from_dict(doc)
+
+
+def _logistic_doc(layers):
+    return {"model_type": "logistic", "input_dim": 2, "num_classes": 2, "layers": layers}
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        # A second layer: it used to be ignored.
+        [{"weights": [[1.0, 2.0]], "bias": [0.5]}, {"weights": [[3.0]], "bias": None}],
+        # Two rows: they used to load as one 4-input model.
+        [{"weights": [[1.0, 2.0], [3.0, 4.0]], "bias": None}],
+        # Two biases: the second used to be dropped.
+        [{"weights": [[1.0, 2.0]], "bias": [0.5, 9.0]}],
+    ],
+    ids=["two-layers", "two-rows", "two-biases"],
+)
+def test_malformed_logistic_document_is_rejected(layers):
+    doc = _logistic_doc(layers)
+    doc.pop("input_dim")
+    with pytest.raises(ValueError):
+        model_from_dict(doc)
+
+
+def test_logistic_document_of_one_row_loads():
+    m = model_from_dict(_logistic_doc([{"weights": [[1.0, 2.0]], "bias": [0.5]}]))
+    assert isinstance(m, LogisticModel) and m.weights.tolist() == [1.0, 2.0] and m.bias == 0.5
+    m = model_from_dict(_logistic_doc([{"weights": [1.0, 2.0], "bias": None}]))
+    assert m.weights.tolist() == [1.0, 2.0] and m.bias is None
+
+
+def _json_doc(bias_text):
+    return (
+        '{\n  "input_dim": 2,\n  "layers": [\n    {\n      "bias": ' + bias_text + ',\n'
+        '      "weights": [\n        [\n          0.5,\n          -1.25\n        ]\n      ]\n'
+        '    }\n  ],\n  "model_type": "logistic",\n  "num_classes": 2\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "bias, text",
+    [(0.75, _json_doc("[\n        0.75\n      ]")), (None, _json_doc("null"))],
+    ids=["bias", "no-bias"],
+)
+def test_save_model_logistic_text_is_pinned(tmp_path, bias, text):
+    path = tmp_path / "m.json"
+    save_model(LogisticModel(weights=[0.5, -1.25], bias=bias), path)
+    assert path.read_text() == text
+    back = load_model(path)
+    assert back.bias == bias and back.weights.tolist() == [0.5, -1.25]
+
+
+def test_affine_layers_round_trip(logistic_ref, binary_net, multi_net):
+    biased = LogisticModel(weights=[0.5, -1.25], bias=0.75)
+    (w, b), = affine_layers(biased)
+    assert w.tolist() == [[0.5, -1.25]] and b.tolist() == [0.75]
+    (w, b), = affine_layers(logistic_ref)
+    assert w.shape == (1, 2) and b is None
+    for model in (biased, logistic_ref, binary_net, multi_net):
+        again = from_affine_layers(model, affine_layers(model))
+        assert type(again) is type(model)
+        assert np.array_equal(flatten(again), flatten(model))
+        assert model_to_dict(again) == model_to_dict(model)
+
+
+def test_class_of_logits_vector_and_batch():
+    assert class_of_logits(np.array([0.0])) == 1
+    assert class_of_logits(np.array([-1e-300])) == 0
+    assert class_of_logits(np.array([0.2, 0.7, 0.7])) == 2  # ties to the lowest index
+    assert type(class_of_logits(np.array([0.2, 0.1]))) is int
+    Z = np.array([[0.0], [-0.5], [3.0]])
+    assert class_of_logits(Z).tolist() == [1, 0, 1]
+    Z = np.array([[0.1, 0.1, 0.0], [0.0, 0.2, 0.3]])
+    labels = class_of_logits(Z)
+    assert labels.dtype == np.int64 and labels.tolist() == [1, 3]

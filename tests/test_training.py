@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfcert.data import synth_binary, synth_multiclass
-from cfcert.models import classify_batch, flatten, p_distance, unflatten
+from cfcert.models import LogisticModel, classify_batch, flatten, p_distance, unflatten
 from cfcert.training import (
     RetrainSpec,
     TrainConfig,
@@ -120,6 +120,18 @@ def test_estimate_delta_incremental_shape():
     assert rep["per_point"][0]["delta"] == 0.0  # no data, no movement
     assert 0 < rep["delta_inc"] < 0.5
     assert rep["strategy"] == "incremental"
+
+
+def test_bias_free_logistic_model_stays_bias_free():
+    ds = synth_binary(120, seed=12)
+    m = LogisticModel(weights=[0.8, -0.6])
+    tuned = fine_tune(m, ds.X, ds.y, 3, TrainConfig(seed=12))
+    assert isinstance(tuned, LogisticModel) and tuned.bias is None
+    assert not np.array_equal(tuned.weights, m.weights)
+    rep = estimate_delta_incremental(m, ds.X, ds.y, fractions=(0.1,), replicas=2, iterations=3)
+    assert rep["delta_inc"] > 0.0
+    _, grad = loss_and_grad(m, ds.X, ds.y)
+    assert grad.size == flatten(m).size == 2
 
 
 def test_retrain_fleet_modes():

@@ -4,7 +4,7 @@ import pytest
 import cfcert.verifier
 from cfcert._kernels import STATUS_ITER_LIMIT
 from cfcert.intervals import ShiftSet, abstract, interval_classify, interval_forward
-from cfcert.milp import SolveResult
+from cfcert.milp import SolveResult, branch_and_bound, encode_output_bound
 from cfcert.models import Layer, LogisticModel, ReluNetwork, classify, flatten, forward, unflatten
 from cfcert.verifier import (
     delta_validity,
@@ -273,6 +273,40 @@ def test_single_hidden_layer_certificates_are_never_unresolved(n_out):
                         assert hi == pytest.approx(ia_hi[k], rel=1e-9, abs=1e-9)
                         sides += 1
     assert sides >= 72
+
+
+@pytest.mark.parametrize("kind", ["logistic", "one-layer-3-logit"])
+def test_models_without_hidden_layers_are_certified_by_their_exact_enclosure(kind, monkeypatch):
+    # Every parameter occurs once in its logit, so the enclosure is the LP
+    # optimum of each side: no node is explored and no solver is called.
+    rng = np.random.default_rng(61)
+    monkeypatch.setattr("cfcert.verifier.branch_and_bound", None)
+    sides = 0
+    for _ in range(6):
+        if kind == "logistic":
+            model = LogisticModel(weights=rng.normal(0, 1, 3), bias=float(rng.normal()))
+            targets = (0, 1)
+        else:
+            model = random_network(rng, n_in=3, hidden=[], n_out=3)
+            targets = (1, 2, 3)
+        for delta in (0.0, 0.02, 0.2):
+            shift = ShiftSet("inf", delta)
+            x = rng.uniform(-1, 2, 3)
+            for target in targets:
+                verdict = is_delta_robust(model, shift, x, target=target)
+                assert verdict.nodes_explored == 0 and not verdict.unresolved
+                if model.num_outputs == 1:
+                    decisive = [(0, "min" if target == 1 else "max", 1)]
+                else:
+                    decisive = [(target - 1, "min", target)]
+                    decisive += [(j, "max", j + 1) for j in range(3) if j != target - 1]
+                for index, direction, label in decisive:
+                    enc = encode_output_bound(model, x, delta, index, direction)
+                    optimum = branch_and_bound(enc.problem).objective
+                    mine = verdict.bounds[label][0 if direction == "min" else 1]
+                    assert mine == pytest.approx(optimum, rel=1e-9, abs=1e-9)
+                    sides += 1
+    assert sides >= 36
 
 
 def _model_with_a_boundary(kind, rng):
