@@ -2,10 +2,23 @@
 
 The pivot loop lives in ``cfcert._kernels`` (vectorised numpy).  This
 driver converts a :class:`LinearProgram` to standard equality form, runs
-phase 1 with artificial variables to find a basic feasible solution, then
-phase 2 on the real objective.  A phase that runs out of pivots ends the
-solve with status ``iteration_limit``.  Tolerances: 1e-9 inside the pivoting,
-1e-7 for reported feasibility.
+phase 1 to find a basic feasible solution, then phase 2 on the real
+objective.  A phase that runs out of pivots ends the solve with status
+``iteration_limit``.  Tolerances: 1e-9 inside the pivoting, 1e-7 for
+reported feasibility.
+
+Two things keep the standard form small:
+
+* **Fixed variables are substituted out.**  A variable with finite
+  ``lo == hi`` (a stable ReLU binary, a branch-and-bound fixing) gets no
+  column and no bound row; its value moves into the right-hand side and is
+  returned as given, bit for bit.
+* **Phase 1 starts from a slack crash basis** (Bixby, ORSA J. Computing
+  1992).  A row whose own slack is a unit column with nonnegative rhs (an
+  ``LE`` row with ``b >= 0``, or a ``GE`` row with ``b < 0`` once flipped)
+  starts the basis with that slack; only the other rows (``EQ`` rows,
+  ``GE`` rows with ``b >= 0``, ``LE`` rows with ``b < 0``) get an artificial
+  variable, and phase 1 minimises the sum of those.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ FEASIBILITY_TOL = 1e-7
 _SHIFT_LO = 0  # x = lo + y
 _SHIFT_HI = 1  # x = hi - y
 _FREE = 2  # x = y_pos - y_neg
+_FIXED = 3  # x = lo = hi, no column
 
 
 def _standardise(lp: LinearProgram):
@@ -38,7 +52,11 @@ def _standardise(lp: LinearProgram):
         lo, hi = lp.lo[j], lp.hi[j]
         if lo > hi:
             return None  # trivially infeasible box
-        if np.isfinite(lo):
+        if lo == hi and np.isfinite(lo):
+            kinds[j] = _FIXED
+            consts[j] = lo
+            cols.append(-1)
+        elif np.isfinite(lo):
             kinds[j] = _SHIFT_LO
             consts[j] = lo
             cols.append(ny)
@@ -71,7 +89,7 @@ def _standardise(lp: LinearProgram):
         elif kinds[j] == _SHIFT_HI:
             A[: lp.A.shape[0], col] = -lp.A[:, j]
             c[col] = -sign * lp.c[j]
-        else:
+        elif kinds[j] == _FREE:
             A[: lp.A.shape[0], col] = lp.A[:, j]
             A[: lp.A.shape[0], col + 1] = -lp.A[:, j]
             c[col] = sign * lp.c[j]
@@ -88,24 +106,34 @@ def _standardise(lp: LinearProgram):
 
 
 def _to_equalities(A, b, rel):
-    """Append slack/surplus columns so every row is an equality with b >= 0."""
+    """Append slack/surplus columns so every row is an equality with b >= 0.
+
+    Also returns, per row, the slack column that is a unit column after the
+    sign flip and so can start the basis, or -1 where the row needs an
+    artificial variable.
+    """
     m, n = A.shape
     n_slack = int(np.sum(rel != EQ))
     out = np.zeros((m, n + n_slack))
     out[:, :n] = A
+    b = b.copy()
+    neg = b < 0
+    slack = np.full(m, -1, dtype=np.int64)
     col = n
     for i in range(m):
         if rel[i] == LE:
             out[i, col] = 1.0
+            if not neg[i]:
+                slack[i] = col
             col += 1
         elif rel[i] == GE:
             out[i, col] = -1.0
+            if neg[i]:
+                slack[i] = col
             col += 1
-    b = b.copy()
-    neg = b < 0
     out[neg] *= -1.0
     b[neg] = -b[neg]
-    return out, b
+    return out, b, slack
 
 
 def _run_phase(A, b, c, basis, max_iter):
@@ -148,7 +176,7 @@ def simplex_solve(lp: LinearProgram) -> SolveResult:
     if std is None:
         return SolveResult(status="infeasible")
     A, b, rel, c, kinds, consts, cols, _ = std
-    A, b = _to_equalities(A, b, rel)
+    A, b, basis = _to_equalities(A, b, rel)
     m, n_real = A.shape
     c = np.concatenate([c, np.zeros(n_real - c.size)])  # slacks cost nothing
     max_iter = 200 * (m + n_real) + 2000
@@ -160,10 +188,15 @@ def simplex_solve(lp: LinearProgram) -> SolveResult:
             return SolveResult(status="unbounded")
         return _extract(lp, np.zeros(n_real), kinds, consts, cols)
 
-    # Phase 1: artificial identity basis.
-    A1 = np.hstack([A, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n_real), np.ones(m)])
-    basis = np.arange(n_real, n_real + m, dtype=np.int64)
+    # Phase 1: the usable slacks plus one artificial per remaining row.  It
+    # runs even when no row needs an artificial (it then stops at once).
+    rows = np.flatnonzero(basis < 0)
+    A1 = np.zeros((m, n_real + rows.size))
+    A1[:, :n_real] = A
+    artificial = n_real + np.arange(rows.size)
+    A1[rows, artificial] = 1.0
+    basis[rows] = artificial
+    c1 = np.concatenate([np.zeros(n_real), np.ones(rows.size)])
     tab, status = _run_phase(A1, b, c1, basis, max_iter)
     if status == STATUS_ITER_LIMIT:
         return SolveResult(status="iteration_limit")
@@ -193,7 +226,9 @@ def _extract(lp: LinearProgram, y, kinds, consts, cols) -> SolveResult:
             x[j] = consts[j] + y[col]
         elif kinds[j] == _SHIFT_HI:
             x[j] = consts[j] - y[col]
-        else:
+        elif kinds[j] == _FREE:
             x[j] = y[col] - y[col + 1]
+        else:
+            x[j] = consts[j]
     obj = float(lp.c @ x)
     return SolveResult(status="optimal", objective=obj, x=x)

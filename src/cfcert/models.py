@@ -364,13 +364,7 @@ def model_from_dict(doc: dict) -> ParametricModel:
     specs = doc.get("layers")
     if not specs:
         raise ValueError("model document has no layers")
-    layers = tuple(
-        Layer(
-            weights=np.asarray(spec["weights"], dtype=np.float64),
-            bias=None if spec.get("bias") is None else np.asarray(spec["bias"], dtype=np.float64),
-        )
-        for spec in specs
-    )
+    layers = tuple(_layer_from_dict(i, spec) for i, spec in enumerate(specs))
     model = _from_layers(kind, layers)
     declared = doc.get("input_dim")
     if declared is not None and int(declared) != model.input_dim:
@@ -378,6 +372,16 @@ def model_from_dict(doc: dict) -> ParametricModel:
             f"declared input_dim {declared} does not match layer shapes ({model.input_dim})"
         )
     return model
+
+
+def _layer_from_dict(i: int, spec) -> Layer:
+    if not isinstance(spec, dict) or "weights" not in spec:
+        raise ValueError(f'model layer {i} must be an object with "weights"')
+    bias = spec.get("bias")
+    return Layer(
+        weights=np.asarray(spec["weights"], dtype=np.float64),
+        bias=None if bias is None else np.asarray(bias, dtype=np.float64),
+    )
 
 
 def save_model(model: ParametricModel, path) -> None:

@@ -311,6 +311,17 @@ def test_verify_malformed_logistic_model_is_an_error(tmp_path, capsys):
     assert captured.err.startswith("error: a logistic model is one layer of one row")
 
 
+@pytest.mark.parametrize("layer", [{"w": [[1, 2]]}, [[1, 2]]], ids=["no-weights", "not-an-object"])
+def test_verify_model_layer_without_weights_is_an_error(tmp_path, capsys, layer):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"model_type": "logistic", "layers": [layer]}))
+    inputs = _inputs_file(tmp_path, [[0.1, 0.9]])
+    rc = main(["verify", "--model", str(bad), "--delta", "0.01", "--ces", str(inputs)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == 'error: model layer 0 must be an object with "weights"\n'
+
+
 @pytest.mark.parametrize("command", ["verify", "verify-soundness", "explain"])
 def test_inputs_file_without_an_inputs_list_is_an_error(
     tmp_path, example_model_file, capsys, command

@@ -166,6 +166,112 @@ class TestSimplex:
             assert np.all(lp.A @ res.x <= lp.rhs + 1e-7)
             assert np.all(res.x >= -1e-7) and np.all(res.x <= 1 + 1e-7)
 
+    def test_random_lps_match_highs(self):
+        pytest.importorskip("scipy")
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(11)
+        statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+        seen = {name: 0 for name in statuses.values()}
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(1, 6))
+            # One bound kind per variable: fixed, free, lower-only, upper-only, boxed.
+            lo, hi = rng.uniform(-2.0, 0.0, n), rng.uniform(0.0, 2.0, n)
+            kind = rng.integers(0, 5, n)
+            hi[kind == 0] = lo[kind == 0]
+            lo[kind == 1], hi[kind == 1] = -np.inf, np.inf
+            hi[kind == 2] = np.inf
+            lo[kind == 3] = -np.inf
+            A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.8)
+            rel = rng.choice([LE, GE, EQ], m, p=[0.4, 0.4, 0.2])
+            lp = _lp(
+                rng.normal(size=n), A, rel, rng.normal(size=m), lo, hi,
+                sense="min" if rng.random() < 0.5 else "max",
+            )
+            sign = 1.0 if lp.sense == "min" else -1.0
+            le, eq = lp.rel != EQ, lp.rel == EQ
+            flip = np.where(lp.rel == GE, -1.0, 1.0)
+            ref = linprog(
+                sign * lp.c,
+                A_ub=(flip[:, None] * lp.A)[le] if le.any() else None,
+                b_ub=(flip * lp.rhs)[le] if le.any() else None,
+                A_eq=lp.A[eq] if eq.any() else None,
+                b_eq=lp.rhs[eq] if eq.any() else None,
+                bounds=list(zip(lp.lo, lp.hi)),
+                method="highs",
+            )
+            assert ref.status in statuses, ref.message
+            res = simplex_solve(lp)
+            assert res.status == statuses[ref.status]
+            seen[res.status] += 1
+            if res.optimal:
+                assert res.objective == pytest.approx(sign * ref.fun, abs=1e-7)
+                x, row = res.x, lp.A @ res.x
+                assert np.all(x >= lp.lo - 1e-7) and np.all(x <= lp.hi + 1e-7)
+                assert np.all(row[lp.rel == LE] <= lp.rhs[lp.rel == LE] + 1e-7)
+                assert np.all(row[lp.rel == GE] >= lp.rhs[lp.rel == GE] - 1e-7)
+                assert np.all(np.abs(row[eq] - lp.rhs[eq]) <= 1e-7)
+        assert min(seen.values()) >= 20, seen  # every status is exercised
+
+    @staticmethod
+    def _first_phase_columns(monkeypatch, lp):
+        """(columns of the standard form, columns of the phase-1 tableau)."""
+        from cfcert.milp import simplex
+
+        shapes = []
+        to_equalities, run_phase = simplex._to_equalities, simplex._run_phase
+
+        def spy_equalities(A, b, rel):
+            out = to_equalities(A, b, rel)
+            shapes.append(out[0].shape[1])
+            return out
+
+        def spy_phase(A, b, c, basis, max_iter):
+            shapes.append(A.shape[1])
+            return run_phase(A, b, c, basis, max_iter)
+
+        monkeypatch.setattr(simplex, "_to_equalities", spy_equalities)
+        monkeypatch.setattr(simplex, "_run_phase", spy_phase)
+        res = simplex_solve(lp)
+        return res, shapes[0], shapes[1]
+
+    def test_rows_with_a_usable_slack_need_no_artificial(self, monkeypatch):
+        # LE rows with rhs >= 0, a GE row with rhs < 0 and the bound rows of
+        # boxed variables: every row's slack starts the basis.
+        lp = _lp(
+            [1.0, -1.0, 2.0],
+            [[1, 1, 0], [0, 1, 1], [1, -1, 1]],
+            [LE, LE, GE],
+            [2.0, 0.0, -1.0],
+            [0, 0, 0],
+            [1, np.inf, 1],
+            "max",
+        )
+        res, n_real, n_phase1 = self._first_phase_columns(monkeypatch, lp)
+        assert n_phase1 == n_real
+        assert res.optimal and res.objective == pytest.approx(enumerate_vertices(lp)[0])
+        # An equality row cannot use a slack: it gets the one artificial.
+        lp = _lp([1.0, 1.0], [[1, 1], [1, -1]], [LE, EQ], [2.0, 0.5], [0, 0], [np.inf] * 2)
+        res, n_real, n_phase1 = self._first_phase_columns(monkeypatch, lp)
+        assert n_phase1 == n_real + 1
+        assert res.optimal and res.objective == pytest.approx(0.5)
+
+    def test_fixed_variables_come_back_exactly(self, monkeypatch):
+        third, tenth = 1.0 / 3.0, 0.1
+        lp = _lp(
+            [1.0, 2.0, -1.0],
+            [[1, 1, 1], [1, -1, 3]],
+            [LE, GE],
+            [2.0, -1.0],
+            [0.0, third, tenth],
+            [np.inf, third, tenth],
+        )
+        res, n_real, _ = self._first_phase_columns(monkeypatch, lp)
+        assert n_real == 1 + 2  # x0 and the two slacks; x1, x2 have no column
+        assert res.optimal and res.x[1] == third and res.x[2] == tenth
+        assert res.objective == pytest.approx(2.0 * third - tenth)
+
 
 class TestBranchAndBound:
     def test_no_binaries_equals_simplex(self):
@@ -325,7 +431,9 @@ class TestEncodeNearestCe:
         enc = encode_nearest_ce(logistic_ref, [0.7, 0.5], target=1, margin=0.0)
         res = branch_and_bound(enc.problem)
         assert res.objective == pytest.approx(0.1, abs=1e-9)
-        assert np.allclose(res.x[enc.var_index["x"]], [0.7, 0.7], atol=1e-7)
+        # Every point x1 = x2 in [0.5, 0.7] is optimal; any one will do.
+        x1, x2 = res.x[enc.var_index["x"]]
+        assert abs(x1 - x2) <= 1e-7 and 0.5 - 1e-7 <= x1 <= 0.7 + 1e-7
 
     def test_already_valid_input_returns_itself(self, logistic_ref):
         enc = encode_nearest_ce(logistic_ref, [0.2, 0.9], target=1, margin=0.0)

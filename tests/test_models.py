@@ -242,6 +242,16 @@ def test_malformed_logistic_document_is_rejected(layers):
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "layers",
+    [[{"w": [[1.0, 2.0]]}], [[[1.0, 2.0]]], [{"weights": [[1.0]]}, "dense"]],
+    ids=["no-weights", "list-layer", "string-layer"],
+)
+def test_layer_that_is_not_an_object_with_weights_is_rejected(layers):
+    with pytest.raises(ValueError, match='must be an object with "weights"'):
+        model_from_dict({"model_type": "relu_network", "layers": layers})
+
+
 def test_logistic_document_of_one_row_loads():
     m = model_from_dict(_logistic_doc([{"weights": [[1.0, 2.0]], "bias": [0.5]}]))
     assert isinstance(m, LogisticModel) and m.weights.tolist() == [1.0, 2.0] and m.bias == 0.5
