@@ -92,6 +92,16 @@ def _load_inputs(path):
     return inputs, targets
 
 
+def _write_jsonl(out, items) -> None:
+    """One sorted-key JSON line per item's ``to_dict()``, to the file at
+    ``out``, or to stdout when it is not given."""
+    lines = "".join(json.dumps(item.to_dict(), sort_keys=True) + "\n" for item in items)
+    if out:
+        Path(out).write_text(lines)
+    else:
+        sys.stdout.write(lines)
+
+
 def _write_manifest(outdir: Path, command: str, args_dict: dict) -> None:
     manifest = {
         "command": command,
@@ -152,13 +162,7 @@ def cmd_verify(args) -> int:
         for x_prime, target in zip(inputs, targets)
     ]
     verdicts = _pmap(_verify_job, jobs, args.workers)
-    out_fh = open(Path(args.out), "w") if args.out else sys.stdout
-    try:
-        for verdict in verdicts:
-            out_fh.write(json.dumps(verdict.to_dict(), sort_keys=True) + "\n")
-    finally:
-        if out_fh is not sys.stdout:
-            out_fh.close()
+    _write_jsonl(args.out, verdicts)
     return 0 if all(v.robust for v in verdicts) else 1
 
 
@@ -190,13 +194,7 @@ def cmd_explain(args) -> int:
         for i, x in enumerate(inputs)
     ]
     records = _pmap(_explain_job, jobs, args.workers)
-    out_fh = open(Path(args.out), "w") if args.out else sys.stdout
-    try:
-        for record in records:
-            out_fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-    finally:
-        if out_fh is not sys.stdout:
-            out_fh.close()
+    _write_jsonl(args.out, records)
     return 0 if all(r.found for r in records) else 1
 
 

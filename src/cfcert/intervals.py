@@ -129,18 +129,19 @@ def abstract(model: ParametricModel, shift: ShiftSet) -> IntervalModel:
 
 
 def _interval_matvec(w_lo, w_hi, v_lo, v_hi):
-    """Sound product of an interval matrix with an interval vector."""
+    """Sound product of an interval matrix with an interval vector, or with
+    each row of a batch of them (the matrix broadcasts over leading axes)."""
     p1 = w_lo * v_lo
     p2 = w_lo * v_hi
     p3 = w_hi * v_lo
     p4 = w_hi * v_hi
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)).sum(axis=1)
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)).sum(axis=1)
+    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)).sum(axis=-1)
+    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)).sum(axis=-1)
     return lo, hi
 
 
 def interval_affine(layer: IntervalLayer, v_lo, v_hi):
-    lo, hi = _interval_matvec(layer.w_lo, layer.w_hi, v_lo[None, :], v_hi[None, :])
+    lo, hi = _interval_matvec(layer.w_lo, layer.w_hi, v_lo[..., None, :], v_hi[..., None, :])
     if layer.b_lo is not None:
         lo = lo + layer.b_lo
         hi = hi + layer.b_hi
@@ -149,7 +150,9 @@ def interval_affine(layer: IntervalLayer, v_lo, v_hi):
 
 def interval_bounds(im: IntervalModel, v_lo, v_hi) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pre-activation (lo, hi) of every layer, the logits last, enclosing
-    every box-shifted model at every input in the box [v_lo, v_hi]."""
+    every box-shifted model at every input in the box [v_lo, v_hi].  A
+    (k, n) pair of input bounds gives (k, width) bounds, row i equal to the
+    bounds of input row i alone."""
     bounds = []
     for layer in im.layers:
         if bounds:
@@ -165,33 +168,26 @@ def interval_forward(im: IntervalModel, x) -> tuple[np.ndarray, np.ndarray]:
     return interval_bounds(im, x, x)[-1]
 
 
-def dominates(lo: np.ndarray, hi: np.ndarray, c: int) -> bool:
-    """Class c (1-based) wins for every logit vector in the box: its lower
-    bound reaches every other upper bound, strictly for lower classes, since
-    ties go to the lowest class index as in point classification."""
-    i = c - 1
-    return bool(lo[i] > hi[:i].max(initial=-np.inf) and lo[i] >= hi[i + 1 :].max(initial=-np.inf))
-
-
 def dominant_class(lo: np.ndarray, hi: np.ndarray) -> int | None:
-    """The class that wins for every logit vector in the box, else None."""
-    return next((c for c in range(1, lo.size + 1) if dominates(lo, hi, c)), None)
+    """The class every logit vector in the box [lo, hi] is assigned, else
+    None.  One logit: class 1 when the whole interval is >= 0, class 0 when
+    it is < 0.  Several logits: the class c (1-based) whose lower bound
+    reaches every other upper bound, strictly for lower classes, since ties
+    go to the lowest class index as in point classification; at most one
+    class can."""
+    if lo.size == 1:
+        return 1 if lo[0] >= 0.0 else 0 if hi[0] < 0.0 else None
+    for i in range(lo.size):
+        if lo[i] > hi[:i].max(initial=-np.inf) and lo[i] >= hi[i + 1 :].max(initial=-np.inf):
+            return i + 1
+    return None
 
 
 def interval_classify(im: IntervalModel, x) -> IntervalVerdict:
-    """One logit: class 1 when the whole logit interval is >= 0, class 0
-    when it is < 0.  Several logits: the class whose lower bound dominates
-    every other upper bound (:func:`dominant_class`).  Otherwise undefined."""
+    """The class :func:`dominant_class` reads off the logit intervals at x,
+    or undefined."""
     lo, hi = interval_forward(im, x)
-    if lo.size > 1:
-        label = dominant_class(lo, hi)
-    elif lo[0] >= 0.0:
-        label = 1
-    elif hi[0] < 0.0:
-        label = 0
-    else:
-        label = None
-    return IntervalVerdict(label=label, lo=lo, hi=hi)
+    return IntervalVerdict(label=dominant_class(lo, hi), lo=lo, hi=hi)
 
 
 def sigmoid(z):

@@ -300,16 +300,14 @@ def estimate_delta_validation(
     targets=None,
     grid=DEFAULT_DELTA_GRID,
     p="inf",
-    generator=None,
 ) -> dict:
     """Smallest grid shift magnitude whose certified counterfactuals are all
     valid under every retrained model.
 
     Counterfactuals come from the robust nearest-neighbour generator with
-    both flags off unless another generator is supplied.  Magnitudes where
-    the generator fails on some validation input are skipped with a warning;
-    if no magnitude reaches full validity the grid maximum is returned
-    flagged ``not_reached``.
+    both flags off.  Magnitudes where it finds none for some validation
+    input are skipped with a warning; if no magnitude reaches full validity
+    the grid maximum is returned flagged ``not_reached``.
     """
     from .generators import rnce  # deferred: generators import the verifier stack
 
@@ -324,17 +322,13 @@ def estimate_delta_validation(
     elif len(targets) != len(val_inputs):
         raise ValueError(f"{len(targets)} targets for {len(val_inputs)} validation inputs")
     grid = sorted(float(g) for g in grid)
-    if generator is None:
-        def generator(x, shift, target):
-            return rnce(model, X_candidates, x, shift, target=target)
-
     per_point = []
     for delta in grid:
         shift = ShiftSet(p, delta)
         ces, tgt = [], []
         failed = False
         for x, t in zip(val_inputs, targets):
-            record = generator(x, shift, t)
+            record = rnce(model, X_candidates, x, shift, target=t)
             if not record.found:
                 warnings.warn(
                     f"generator found no counterfactual at delta={delta}; skipping this magnitude"
@@ -346,13 +340,9 @@ def estimate_delta_validation(
         if failed:
             per_point.append({"delta": delta, "validity": None})
             continue
-        ok = 0
-        for ce, t in zip(ces, tgt):
-            valid_everywhere = all(
-                int(classify_batch(m, ce[None, :])[0]) == t for m in retrained
-            )
-            ok += bool(valid_everywhere)
-        validity = ok / len(ces)
+        ces = np.vstack(ces)
+        valid = np.logical_and.reduce([classify_batch(m, ces) == tgt for m in retrained])
+        validity = int(valid.sum()) / len(ces)
         per_point.append({"delta": delta, "validity": validity})
         if validity == 1.0:
             return {

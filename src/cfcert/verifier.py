@@ -1,10 +1,11 @@
 """Robustness certificates for counterfactuals under bounded parameter shifts.
 
 A counterfactual is robust for its target class when the interval abstraction
-assigns it that class: for single-logit models the certified logit lower
-bound must be >= 0 (upper bound < 0 for class 0), for multi-logit models the
-target's certified lower bound must dominate every other class's certified
-upper bound (strictly for lower classes: ties go to the lowest index).
+assigns it that class.  One rule reads the class off the certified logit box,
+:func:`~cfcert.intervals.dominant_class`: for single-logit models the logit
+lower bound must be >= 0 (upper bound < 0 for class 0), for multi-logit
+models the target's lower bound must dominate every other class's upper
+bound (strictly for lower classes: ties go to the lowest index).
 Each side is certified through the MILP encoding, except in a model without
 hidden layers, whose interval enclosure is exact: every parameter occurs
 once in its logit and no two logits share one.  An undefined interval
@@ -13,8 +14,10 @@ certified endpoint outside the range its interval enclosure and the point
 model allow, are reported as not robust with a distinct ``unresolved`` flag.
 
 Callers that need only the yes/no answer use :func:`robust_flags`, which
-settles a row by the point model's class or by interval arithmetic when it
-can and solves the MILP only for the rest.
+settles a row by the point model's class or by one batched interval
+arithmetic pass when it can and solves the MILP only for the rest.
+:func:`delta_validity`, the share of a batch that :func:`robust_flags` finds
+robust, is the one certified-validity routine; the benchmark uses it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intervals import ShiftSet, abstract, dominates, interval_classify, interval_forward
+from .intervals import ShiftSet, abstract, dominant_class, interval_bounds, interval_forward
 from .milp import DEFAULT_NODE_LIMIT, branch_and_bound, encode_output_bound
 from .milp.branch_bound import INTEGRALITY_TOL
 from .milp.simplex import FEASIBILITY_TOL
@@ -140,9 +143,8 @@ def _certify(
     its solver hit a limit or its endpoint fails :func:`_enclosed`.  A model
     without hidden layers needs no solver: its enclosure is exact, so it is
     the certified endpoint of every side.
-    Binary: the logit minimum is >= 0 for class 1, the maximum < 0 for
-    class 0.  Multi-class: the target's minimum is >= every competitor's
-    maximum, and > that of a lower class (:func:`dominates`).
+    The verdict is robust when every side is resolved and the certified
+    box assigns the target (:func:`dominant_class`).
     """
     if model.num_outputs == 1:
         sides = [(0, "min" if target == 1 else "max", 1)]
@@ -169,14 +171,8 @@ def _certify(
             else:
                 hi = value
         bounds[label] = (lo, hi)
-    if unresolved:
-        robust = False
-    elif model.num_outputs == 1:
-        lo, hi = bounds[1]
-        robust = bool(lo >= 0.0 if target == 1 else hi < 0.0)
-    else:
-        lo, hi = (np.array(side) for side in zip(*(bounds[k] for k in sorted(bounds))))
-        robust = dominates(lo, hi, target)
+    lo, hi = (np.array(side) for side in zip(*(bounds[k] for k in sorted(bounds))))
+    robust = not unresolved and dominant_class(lo, hi) == target
     return RobustnessVerdict(
         robust=robust,
         target_class=target,
@@ -243,7 +239,8 @@ def robust_flags(
     A row the point model assigns to another class is not robust: the
     unshifted model lies in the shift set.  A row the interval abstraction
     assigns the target is robust: interval arithmetic encloses the logit
-    range the MILP computes.  Every other row goes to ``is_delta_robust``.
+    range the MILP computes; one pass over all the rows the point class
+    leaves open tests them.  Every other row goes to ``is_delta_robust``.
     The answers agree with ``is_delta_robust`` except where it gives up (an
     unresolved verdict is not robust, while a cheap test may settle the
     row) and where two logits, or a logit and 0, are equal up to rounding
@@ -256,9 +253,10 @@ def robust_flags(
     flags = classify_batch(model, X) == target
     if shift.delta == 0.0:
         return flags.tolist()
-    im = abstract(model, shift)
-    for i in np.flatnonzero(flags):
-        if interval_classify(im, X[i]).label != target:
+    rows = np.flatnonzero(flags)
+    lo, hi = interval_bounds(abstract(model, shift), X[rows], X[rows])[-1]
+    for i, row_lo, row_hi in zip(rows, lo, hi):
+        if dominant_class(row_lo, row_hi) != target:
             verdict = is_delta_robust(model, shift, X[i], target=target, node_limit=node_limit)
             flags[i] = verdict.robust
     return flags.tolist()
@@ -271,7 +269,9 @@ def delta_validity(
     targets=None,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> float:
-    """Fraction of a counterfactual batch passing the robustness test."""
+    """Certified validity: the share of a counterfactual batch that
+    :func:`robust_flags` finds robust for its target, one call per distinct
+    target."""
     ces = [np.asarray(ce, dtype=np.float64) for ce in ce_batch]
     if not ces:
         raise ValueError("counterfactual batch is empty")
@@ -279,5 +279,8 @@ def delta_validity(
         targets = [None] * len(ces)
     elif len(targets) != len(ces):
         raise ValueError(f"{len(targets)} targets for {len(ces)} counterfactuals")
-    flags = [robust_flags(model, shift, [ce], t, node_limit)[0] for ce, t in zip(ces, targets)]
-    return float(np.mean(flags))
+    robust = 0
+    for t in dict.fromkeys(targets):
+        batch = [ce for ce, ce_target in zip(ces, targets) if ce_target == t]
+        robust += sum(robust_flags(model, shift, batch, t, node_limit))
+    return robust / len(ces)

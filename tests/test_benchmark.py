@@ -58,6 +58,18 @@ def test_robust_methods_beat_plain_on_certified_validity(small_report):
     assert by[("mce", "-")]["v_delta_0.05_mean"] < 1.0
 
 
+def test_rnce_certified_validity_is_its_flagged_share(small_report):
+    # rnce flags its CEs through robust_flags and the benchmark scores them
+    # through delta_validity: at the method's own delta the two must agree.
+    entries = [d for d in small_report.detail if d["method"].startswith("rnce-")]
+    assert entries
+    for entry in entries:
+        found = [r for r in entry["records"] if r["found"]]
+        if found:
+            flagged = sum(r["robust"] for r in found) / len(found)
+            assert entry[f"v_delta_{entry['target_delta']}"] == flagged, entry["target_delta"]
+
+
 def test_cost_robustness_tradeoff(small_report):
     by = {(r["method"], r["target_delta"]): r for r in small_report.rows}
     assert by[("mce", "-")]["l1_mean"] <= by[("mce-r", "0.05")]["l1_mean"] + 1e-12

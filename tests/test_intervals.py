@@ -5,6 +5,7 @@ from cfcert.intervals import (
     ShiftSet,
     abstract,
     interval_classify,
+    interval_bounds,
     interval_forward,
     sigmoid,
 )
@@ -153,3 +154,28 @@ def test_verdict_trichotomy(multi_net):
         if v.label is not None:
             others = np.delete(v.hi, v.label - 1)
             assert v.lo[v.label - 1] >= others.max()
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "8x8", "3class"])
+def test_interval_bounds_of_a_batch_equal_its_rows_bit_for_bit(kind):
+    rng = np.random.default_rng({"logistic": 40, "8x8": 41, "3class": 42}[kind])
+    if kind == "logistic":
+        model = LogisticModel(weights=rng.normal(0, 1, 3), bias=float(rng.normal()))
+    else:
+        hidden = [8, 8] if kind == "8x8" else [8]
+        model = random_network(rng, n_in=3, hidden=hidden, n_out=3 if kind == "3class" else 1)
+    X = rng.uniform(-1.0, 2.0, (6, 3))
+    X[0] = 0.0
+    X[1] = -0.0
+    for delta in (0.0, 0.05):
+        im = abstract(model, ShiftSet("inf", delta))
+        for v_lo, v_hi in ((X, X), (X - 0.1, X + 0.1)):
+            batch = interval_bounds(im, v_lo, v_hi)
+            for i in range(X.shape[0]):
+                rows = interval_bounds(im, v_lo[i], v_hi[i])
+                for (lo, hi), (batch_lo, batch_hi) in zip(rows, batch, strict=True):
+                    assert _same_bits(batch_lo[i], lo) and _same_bits(batch_hi[i], hi)

@@ -232,24 +232,15 @@ class TestEstimateDeltaValidation:
             estimate_delta_validation(m, [m], ds.X, pool, targets=[1] * n_targets, grid=(0.01,))
 
     def test_generator_failure_skips_grid_point(self):
+        # At delta 50 every interval logit straddles 0, so no candidate
+        # certifies and rnce finds nothing; the hostile fleet keeps the
+        # smaller magnitude from ending the scan first.
         ds, m, pool = self._setup()
-
-        def failing_generator(x, shift, target):
-            from cfcert.generators import CounterfactualRecord, rnce
-
-            if shift.delta < 0.02:
-                return CounterfactualRecord(method="stub", target_class=1, found=False)
-            return rnce(m, ds.X, x, shift, target=target)
-
+        hostile = unflatten(m, -flatten(m))
         with pytest.warns(UserWarning, match="skipping"):
             rep = estimate_delta_validation(
-                m,
-                [m],
-                ds.X,
-                pool,
-                targets=[1] * len(pool),
-                grid=(0.01, 0.05),
-                generator=failing_generator,
+                m, [hostile], ds.X, pool, targets=[1] * len(pool), grid=(0.05, 50.0)
             )
-        assert rep["per_point"][0]["validity"] is None
-        assert rep["delta_val"] == 0.05
+        assert rep["per_point"][0]["validity"] is not None
+        assert rep["per_point"][1] == {"delta": 50.0, "validity": None}
+        assert rep["not_reached"] and rep["delta_val"] == 50.0

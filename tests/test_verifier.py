@@ -363,17 +363,17 @@ def test_robust_flags_match_is_delta_robust(kind, monkeypatch):
         assert all(forward(model, p)[0] == forward(model, p)[1] for p in points)
     targets = (0, 1) if model.num_outputs == 1 else (1, 2, 3)
     counts = {"rows": 0, "interval": 0, "milp": 0}
-    original = cfcert.verifier.interval_classify
+    original = cfcert.verifier.interval_bounds
 
-    def ia_spy(im, x):
-        counts["interval"] += 1
-        return original(im, x)
+    def ia_spy(im, v_lo, v_hi):
+        counts["interval"] += len(v_lo)
+        return original(im, v_lo, v_hi)
 
     def milp_spy(*args, **kwargs):
         counts["milp"] += 1
         return is_delta_robust(*args, **kwargs)
 
-    monkeypatch.setattr("cfcert.verifier.interval_classify", ia_spy)
+    monkeypatch.setattr("cfcert.verifier.interval_bounds", ia_spy)
     monkeypatch.setattr("cfcert.verifier.is_delta_robust", milp_spy)
     for delta in (0.0, 0.01, 0.05):
         shift = ShiftSet("inf", delta)
