@@ -6,6 +6,11 @@ rounded relaxation value first.  Binaries already fixed via equal bounds are
 honoured, which is how the encoders presolve stably active/inactive ReLUs.
 A node whose relaxation hits the simplex iteration limit ends the search with
 status ``iteration_limit``.
+
+The root relaxation is solved cold (two-phase simplex).  Every child only
+fixes one more binary, so it is re-solved from its parent's optimal tableau
+by dual simplex (``simplex_solve(..., warm=parent)``): each stack entry
+carries its parent's result.
 """
 
 from __future__ import annotations
@@ -37,14 +42,14 @@ def branch_and_bound(milp: MilpProblem, node_limit: int = DEFAULT_NODE_LIMIT) ->
     nodes = 0
     hit_limit = False
 
-    stack = [(lp.lo.copy(), lp.hi.copy())]
+    stack = [(lp.lo.copy(), lp.hi.copy(), None)]
     while stack:
         if nodes >= node_limit:
             hit_limit = True
             break
-        lo, hi = stack.pop()
+        lo, hi, parent = stack.pop()
         nodes += 1
-        res = simplex_solve(_with_bounds(lp, lo, hi))
+        res = simplex_solve(_with_bounds(lp, lo, hi), warm=parent)
         if res.status == "infeasible":
             continue
         if res.status == "iteration_limit":
@@ -69,11 +74,11 @@ def branch_and_bound(milp: MilpProblem, node_limit: int = DEFAULT_NODE_LIMIT) ->
         lo1, hi1 = lo.copy(), hi.copy()
         lo1[j] = hi1[j] = 1.0
         if value >= 0.5:
-            stack.append((lo0, hi0))
-            stack.append((lo1, hi1))  # explored first
+            stack.append((lo0, hi0, res))
+            stack.append((lo1, hi1, res))  # explored first
         else:
-            stack.append((lo1, hi1))
-            stack.append((lo0, hi0))
+            stack.append((lo1, hi1, res))
+            stack.append((lo0, hi0, res))
 
     if best_x is None:
         if hit_limit:

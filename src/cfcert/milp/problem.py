@@ -77,6 +77,9 @@ class SolveResult:
     objective: float | None = None
     x: np.ndarray | None = None
     nodes: int = 0
+    # The final tableau of an optimal simplex solve, which a child LP with
+    # tighter bounds re-solves from (``simplex_solve(child, warm=result)``).
+    _tableau: object = field(default=None, repr=False, compare=False)
 
     @property
     def optimal(self) -> bool:

@@ -13,7 +13,7 @@ from cfcert.milp import (
     simplex_solve,
 )
 
-from cfcert._kernels import STATUS_ITER_LIMIT
+from cfcert._kernels import STATUS_ITER_LIMIT, STATUS_OPTIMAL
 
 from conftest import enumerate_pattern_bound, enumerate_vertices, random_network
 
@@ -22,8 +22,59 @@ def _lp(c, A, rel, rhs, lo, hi, sense="min"):
     return LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense=sense)
 
 
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def _random_lp(rng):
+    """Small LP with LE/GE/EQ rows, rhs of both signs, and one bound kind per
+    variable: fixed, free, lower-only, upper-only or boxed."""
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, 6))
+    lo, hi = rng.uniform(-2.0, 0.0, n), rng.uniform(0.0, 2.0, n)
+    kind = rng.integers(0, 5, n)
+    hi[kind == 0] = lo[kind == 0]
+    lo[kind == 1], hi[kind == 1] = -np.inf, np.inf
+    hi[kind == 2] = np.inf
+    lo[kind == 3] = -np.inf
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.8)
+    rel = rng.choice([LE, GE, EQ], m, p=[0.4, 0.4, 0.2])
+    return _lp(
+        rng.normal(size=n), A, rel, rng.normal(size=m), lo, hi,
+        sense="min" if rng.random() < 0.5 else "max",
+    )
+
+
+def _linprog(lp):
+    """(status, objective) of an LP according to scipy's HiGHS LP solver."""
+    from scipy.optimize import linprog
+
+    sign = 1.0 if lp.sense == "min" else -1.0
+    le, eq = lp.rel != EQ, lp.rel == EQ
+    flip = np.where(lp.rel == GE, -1.0, 1.0)
+    ref = linprog(
+        sign * lp.c,
+        A_ub=(flip[:, None] * lp.A)[le] if le.any() else None,
+        b_ub=(flip * lp.rhs)[le] if le.any() else None,
+        A_eq=lp.A[eq] if eq.any() else None,
+        b_eq=lp.rhs[eq] if eq.any() else None,
+        bounds=list(zip(lp.lo, lp.hi)),
+        method="highs",
+    )
+    assert ref.status in HIGHS_STATUS, ref.message
+    return HIGHS_STATUS[ref.status], (sign * ref.fun if ref.status == 0 else None)
+
+
+def _assert_feasible(lp, x, tol=1e-7):
+    row = lp.A @ x
+    assert np.all(x >= lp.lo - tol) and np.all(x <= lp.hi + tol)
+    assert np.all(row[lp.rel == LE] <= lp.rhs[lp.rel == LE] + tol)
+    assert np.all(row[lp.rel == GE] >= lp.rhs[lp.rel == GE] - tol)
+    assert np.all(np.abs(row[lp.rel == EQ] - lp.rhs[lp.rel == EQ]) <= tol)
+
+
 def _highs_optimum(problem):
-    """Optimal objective of a MilpProblem according to scipy's HiGHS."""
+    """Optimal objective of a MilpProblem according to scipy's HiGHS, or
+    None when HiGHS finds it infeasible."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     lp = problem.lp
@@ -40,6 +91,8 @@ def _highs_optimum(problem):
         constraints=[rows],
         options={"mip_rel_gap": 0.0},
     )
+    if res.status == 2:
+        return None
     assert res.status == 0, res.message
     return sign * float(res.fun)
 
@@ -168,51 +221,67 @@ class TestSimplex:
 
     def test_random_lps_match_highs(self):
         pytest.importorskip("scipy")
-        from scipy.optimize import linprog
-
         rng = np.random.default_rng(11)
-        statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-        seen = {name: 0 for name in statuses.values()}
+        seen = {name: 0 for name in HIGHS_STATUS.values()}
         for _ in range(300):
-            n = int(rng.integers(2, 7))
-            m = int(rng.integers(1, 6))
-            # One bound kind per variable: fixed, free, lower-only, upper-only, boxed.
-            lo, hi = rng.uniform(-2.0, 0.0, n), rng.uniform(0.0, 2.0, n)
-            kind = rng.integers(0, 5, n)
-            hi[kind == 0] = lo[kind == 0]
-            lo[kind == 1], hi[kind == 1] = -np.inf, np.inf
-            hi[kind == 2] = np.inf
-            lo[kind == 3] = -np.inf
-            A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.8)
-            rel = rng.choice([LE, GE, EQ], m, p=[0.4, 0.4, 0.2])
-            lp = _lp(
-                rng.normal(size=n), A, rel, rng.normal(size=m), lo, hi,
-                sense="min" if rng.random() < 0.5 else "max",
-            )
-            sign = 1.0 if lp.sense == "min" else -1.0
-            le, eq = lp.rel != EQ, lp.rel == EQ
-            flip = np.where(lp.rel == GE, -1.0, 1.0)
-            ref = linprog(
-                sign * lp.c,
-                A_ub=(flip[:, None] * lp.A)[le] if le.any() else None,
-                b_ub=(flip * lp.rhs)[le] if le.any() else None,
-                A_eq=lp.A[eq] if eq.any() else None,
-                b_eq=lp.rhs[eq] if eq.any() else None,
-                bounds=list(zip(lp.lo, lp.hi)),
-                method="highs",
-            )
-            assert ref.status in statuses, ref.message
+            lp = _random_lp(rng)
+            status, objective = _linprog(lp)
             res = simplex_solve(lp)
-            assert res.status == statuses[ref.status]
+            assert res.status == status
             seen[res.status] += 1
             if res.optimal:
-                assert res.objective == pytest.approx(sign * ref.fun, abs=1e-7)
-                x, row = res.x, lp.A @ res.x
-                assert np.all(x >= lp.lo - 1e-7) and np.all(x <= lp.hi + 1e-7)
-                assert np.all(row[lp.rel == LE] <= lp.rhs[lp.rel == LE] + 1e-7)
-                assert np.all(row[lp.rel == GE] >= lp.rhs[lp.rel == GE] - 1e-7)
-                assert np.all(np.abs(row[eq] - lp.rhs[eq]) <= 1e-7)
+                assert res.objective == pytest.approx(objective, abs=1e-7)
+                _assert_feasible(lp, res.x)
         assert min(seen.values()) >= 20, seen  # every status is exercised
+
+    def test_warm_started_children_match_cold_solves_and_highs(self):
+        # Solve a random LP, tighten one or two bounds (raise lo, lower hi,
+        # or fix), re-solve from the parent's tableau, then do the same to
+        # that child: the warm result must match the cold solve and HiGHS.
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(13)
+        seen = {name: 0 for name in HIGHS_STATUS.values()}
+        for _ in range(600):
+            lp = _random_lp(rng)
+            parent = simplex_solve(lp)
+            for _level in range(2):
+                if not parent.optimal:
+                    break
+                lo, hi = lp.lo.copy(), lp.hi.copy()
+                for j in rng.choice(lp.num_vars, int(rng.integers(1, 3)), replace=False):
+                    # A far target often makes the child infeasible.
+                    t = parent.x[j] + rng.normal() * (3.0 if rng.random() < 0.3 else 0.5)
+                    side = int(rng.integers(0, 3))  # 0: lo, 1: hi, 2: both (fix)
+                    if side != 1:
+                        lo[j] = max(lo[j], t)
+                    if side != 0:
+                        hi[j] = min(hi[j], t)
+                child = _lp(lp.c, lp.A, lp.rel, lp.rhs, lo, hi, lp.sense)
+                before = parent._tableau.tab.copy()
+                warm = simplex_solve(child, warm=parent)
+                assert np.array_equal(parent._tableau.tab, before)  # not changed in place
+                cold = simplex_solve(child)
+                status, objective = _linprog(child)
+                assert warm.status == cold.status == status
+                seen[status] += 1
+                if warm.optimal:
+                    assert warm.objective == pytest.approx(objective, abs=1e-7)
+                    assert cold.objective == pytest.approx(objective, abs=1e-7)
+                    _assert_feasible(child, warm.x)
+                    fixed = child.lo == child.hi
+                    assert np.array_equal(warm.x[fixed], child.lo[fixed])
+                lp, parent = child, warm
+        assert seen["optimal"] >= 100 and seen["infeasible"] >= 50, seen
+        assert seen["unbounded"] == 0  # tightening keeps a bounded optimum
+
+    def test_warm_start_rejects_looser_bounds(self):
+        lp = _lp([1.0, 1.0], [[1, 1]], [GE], [1.0], [0, 0], [1, 1])
+        parent = simplex_solve(lp)
+        looser = _lp([1.0, 1.0], [[1, 1]], [GE], [1.0], [0, 0], [2, 1])
+        with pytest.raises(ValueError):
+            simplex_solve(looser, warm=parent)
+        with pytest.raises(ValueError):
+            simplex_solve(lp, warm=simplex_solve(_lp([1.0], [[1.0]], [GE], [2.0], [0.0], [1.0])))
 
     @staticmethod
     def _first_phase_columns(monkeypatch, lp):
@@ -248,6 +317,11 @@ class TestSimplex:
             [1, np.inf, 1],
             "max",
         )
+        res, n_real, n_phase1 = self._first_phase_columns(monkeypatch, lp)
+        assert n_phase1 == n_real
+        assert res.optimal and res.objective == pytest.approx(enumerate_vertices(lp)[0])
+        # A GE row with rhs 0 starts on its negated surplus, at zero.
+        lp = _lp([1.0, 2.0], [[1, -1], [1, 1]], [GE, LE], [0.0, 3.0], [0, 0], [np.inf] * 2, "max")
         res, n_real, n_phase1 = self._first_phase_columns(monkeypatch, lp)
         assert n_phase1 == n_real
         assert res.optimal and res.objective == pytest.approx(enumerate_vertices(lp)[0])
@@ -322,6 +396,21 @@ class TestBranchAndBound:
         res = branch_and_bound(enc.problem)
         assert res.status == "iteration_limit" and res.nodes == 1 and not res.optimal
 
+    def test_child_iteration_limit_stops_the_search(self, monkeypatch):
+        # The root solves; the first child's dual simplex reaches its cap.
+        from cfcert.milp import simplex
+
+        real = simplex.dual_pivot_loop
+        rng = np.random.default_rng(20)
+        net = random_network(rng, n_in=3, hidden=[8])
+        problem = encode_nearest_ce(net, rng.uniform(0, 1, 3), target=1).problem
+        assert branch_and_bound(problem).nodes > 1
+        monkeypatch.setattr(
+            simplex, "dual_pivot_loop", lambda tab, basis, max_iter, tol: real(tab, basis, 1, tol)
+        )
+        res = branch_and_bound(problem)
+        assert res.status == "iteration_limit" and res.nodes > 1 and not res.optimal
+
     def test_infeasible_milp(self):
         lp = _lp([1.0], [[1.0]], [GE], [2.0], [0.0], [1.0])
         res = branch_and_bound(MilpProblem(lp=lp, binary_idx=[0]))
@@ -353,6 +442,65 @@ class TestBranchAndBound:
                 got = branch_and_bound(problem)
                 assert got.optimal
                 assert got.objective == pytest.approx(_highs_optimum(problem), abs=1e-6)
+
+
+    def test_nearest_ce_matches_highs_on_random_networks(self):
+        # Nearest-CE trees branch, so most nodes are warm-started children.
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(14)
+        nodes = problems = 0
+        for hidden in ([8], [8, 8]):
+            for _ in range(6):
+                net = random_network(rng, n_in=3, hidden=hidden)
+                x = rng.uniform(0, 1, 3)
+                for target in (0, 1):
+                    problem = encode_nearest_ce(net, x, target=target, margin=0.05).problem
+                    got = branch_and_bound(problem)
+                    if got.status == "infeasible":
+                        assert _highs_optimum(problem) is None
+                        continue
+                    assert got.optimal
+                    assert got.objective == pytest.approx(_highs_optimum(problem), abs=1e-6)
+                    nodes += got.nodes
+                    problems += 1
+        assert problems >= 15 and nodes >= 5 * problems
+
+    def test_perturbed_dual_children_match_cold_solves(self, monkeypatch):
+        # Dual-degenerate children of 12x12 nearest-CE trees stall the dual
+        # simplex until it perturbs the reduced costs.  A perturbation this
+        # large leaves some restored costs negative, so the primal clean-up
+        # pivots run as well.  Every warm-started node must still match its
+        # cold solve, and the tree HiGHS.
+        pytest.importorskip("scipy")
+        from cfcert import _kernels
+        from cfcert.milp import branch_bound, simplex
+
+        monkeypatch.setattr(_kernels, "_PERTURBATION", 1e-3)
+        real_loop, real_solve = simplex.dual_pivot_loop, simplex.simplex_solve
+        cleanups = []
+
+        def loop(tab, basis, max_iter, tol):
+            out = real_loop(tab, basis, max_iter, tol)
+            cleanups.append(out[0] == STATUS_OPTIMAL and bool(np.any(tab[-1, :-1] < -tol)))
+            return out
+
+        def solve(lp, warm=None):
+            res = real_solve(lp, warm=warm)
+            if warm is not None:
+                cold = real_solve(lp)
+                assert res.status == cold.status
+                if res.optimal:
+                    assert res.objective == pytest.approx(cold.objective, abs=1e-9)
+            return res
+
+        monkeypatch.setattr(simplex, "dual_pivot_loop", loop)
+        monkeypatch.setattr(branch_bound, "simplex_solve", solve)
+        rng = np.random.default_rng(59)
+        net = random_network(rng, n_in=3, hidden=[12, 12])
+        problem = encode_nearest_ce(net, rng.uniform(0, 1, 3), target=0, margin=0.1).problem
+        got = branch_and_bound(problem)
+        assert got.optimal and got.objective == pytest.approx(_highs_optimum(problem), abs=1e-6)
+        assert got.nodes > 100 and sum(cleanups) >= 2
 
 
 class TestEncodeOutputBound:

@@ -224,6 +224,26 @@ def test_iteration_limit_reports_unresolved(binary_net, monkeypatch):
     assert not verdict.robust and verdict.unresolved
 
 
+def test_child_iteration_limit_reports_unresolved(monkeypatch):
+    # A robust point whose bound tree branches: the root solves, then the
+    # first child's dual simplex reaches its cap.
+    from cfcert.milp import simplex
+
+    rng = np.random.default_rng(21)
+    for _ in range(7):
+        net = random_network(rng, n_in=3, hidden=[8])
+        x = rng.uniform(0, 1, 3)
+    shift = ShiftSet("inf", 0.1)
+    honest = is_delta_robust(net, shift, x)
+    assert honest.robust and honest.nodes_explored > 1
+    real = simplex.dual_pivot_loop
+    monkeypatch.setattr(
+        simplex, "dual_pivot_loop", lambda tab, basis, max_iter, tol: real(tab, basis, 1, tol)
+    )
+    verdict = is_delta_robust(net, shift, x)
+    assert not verdict.robust and verdict.unresolved and verdict.nodes_explored > 1
+
+
 def test_certificate_outside_its_enclosure_is_unresolved(binary_net, monkeypatch):
     shift = ShiftSet("inf", 0.05)
     x = [2.0, 0.5]
