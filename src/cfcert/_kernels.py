@@ -4,13 +4,16 @@ The pivot loops are the hot path of the whole package (every robustness
 certificate is a stack of LP solves).  Each pivot prices, runs the ratio
 test and updates the tableau with whole-array numpy operations.
 
-* ``pivot_loop`` is the primal simplex of a cold solve: Dantzig pricing
-  with a switch to Bland's rule, minimum-ratio test with ties to the
-  smallest basic index.
-* ``dual_pivot_loop`` is the dual simplex that re-solves a branch-and-bound
-  child from its parent's optimal tableau: the most negative right-hand
-  side leaves, a Harris two-pass ratio test picks the entering column, and
-  a cost perturbation ends a long degenerate streak.
+Every LP solve (``cfcert.milp.simplex``) runs the two loops in turn, from a
+cold start and from a branch-and-bound parent's tableau alike:
+
+* ``dual_pivot_loop`` is the dual simplex that makes a dual-feasible basis
+  primal feasible: the most negative right-hand side leaves, a Harris
+  two-pass ratio test picks the entering column, and a cost perturbation
+  ends a long degenerate streak.
+* ``pivot_loop`` is the primal simplex that then makes it optimal: Dantzig
+  pricing with a switch to Bland's rule, minimum-ratio test with ties to
+  the smallest basic index.
 
 Both make exactly the choices of the textbook scalar loops and produce the
 same tableau bit for bit; the test suite keeps those loops as its reference

@@ -250,6 +250,15 @@ def _run_seed(args):
     return detail
 
 
+def pmap(fn, items, workers: int) -> list:
+    """Order-preserving map of ``fn`` over ``items`` on up to ``workers``
+    processes; the results are the same at any worker count."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_benchmark(dataset: Dataset, config: BenchmarkConfig) -> MetricReport:
     dataset_dict = {
         "X": dataset.X,
@@ -259,11 +268,7 @@ def run_benchmark(dataset: Dataset, config: BenchmarkConfig) -> MetricReport:
         "scaler": dataset.scaler,
     }
     jobs = [(dataset_dict, config, seed) for seed in config.seeds]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_seed = list(pool.map(_run_seed, jobs))
-    else:
-        per_seed = [_run_seed(job) for job in jobs]
+    per_seed = pmap(_run_seed, jobs, config.workers)
 
     detail = [entry for seed_detail in per_seed for entry in seed_detail]
     # Wall-clock varies run to run; strip it so reports stay byte-identical.

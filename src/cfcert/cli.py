@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import METHODS, BenchmarkConfig, run_benchmark
+from .benchmark import METHODS, BenchmarkConfig, pmap, run_benchmark
 from .data import Dataset, SplitSpec, fit_scale, load_csv, split, synth_binary, synth_multiclass
 from .generators import generate
 from .intervals import ShiftSet
@@ -39,17 +39,6 @@ EXPLAIN_METHODS = ("mce", "mce-r", "gce", "gce-r", "nnce", "rnce")
 
 def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
-
-
-def _pmap(fn, items, workers: int):
-    """Order-preserving parallel map over contiguous chunks; results are
-    identical at any worker count."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_dataset(args) -> Dataset:
@@ -161,7 +150,7 @@ def cmd_verify(args) -> int:
         (model, shift, x_prime, target, original, args.node_limit)
         for x_prime, target in zip(inputs, targets)
     ]
-    verdicts = _pmap(_verify_job, jobs, args.workers)
+    verdicts = pmap(_verify_job, jobs, args.workers)
     _write_jsonl(args.out, verdicts)
     return 0 if all(v.robust for v in verdicts) else 1
 
@@ -193,7 +182,7 @@ def cmd_explain(args) -> int:
         (model, args.method, opts, X_train, shift, x, targets[i] if targets else args.target)
         for i, x in enumerate(inputs)
     ]
-    records = _pmap(_explain_job, jobs, args.workers)
+    records = pmap(_explain_job, jobs, args.workers)
     _write_jsonl(args.out, records)
     return 0 if all(r.found for r in records) else 1
 

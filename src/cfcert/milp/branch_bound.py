@@ -7,27 +7,24 @@ honoured, which is how the encoders presolve stably active/inactive ReLUs.
 A node whose relaxation hits the simplex iteration limit ends the search with
 status ``iteration_limit``.
 
-The root relaxation is solved cold (two-phase simplex).  Every child only
-fixes one more binary, so it is re-solved from its parent's optimal tableau
-by dual simplex (``simplex_solve(..., warm=parent)``): each stack entry
-carries its parent's result.
+The root relaxation is solved cold.  Every child only fixes one more
+binary, so it is re-solved from its parent's optimal tableau
+(``simplex_solve(..., warm=parent)``): each stack entry carries its parent's
+result.  A node's LP is the root's with other bounds
+(``LinearProgram.with_bounds``), so its rows are validated once per tree.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .problem import LinearProgram, MilpProblem, SolveResult
+from .problem import MilpProblem, SolveResult
 from .simplex import simplex_solve
 
 __all__ = ["branch_and_bound", "INTEGRALITY_TOL", "DEFAULT_NODE_LIMIT"]
 
 INTEGRALITY_TOL = 1e-6
 DEFAULT_NODE_LIMIT = 1_000_000
-
-
-def _with_bounds(lp: LinearProgram, lo, hi) -> LinearProgram:
-    return LinearProgram(c=lp.c, A=lp.A, rel=lp.rel, rhs=lp.rhs, lo=lo, hi=hi, sense=lp.sense)
 
 
 def branch_and_bound(milp: MilpProblem, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveResult:
@@ -49,7 +46,7 @@ def branch_and_bound(milp: MilpProblem, node_limit: int = DEFAULT_NODE_LIMIT) ->
             break
         lo, hi, parent = stack.pop()
         nodes += 1
-        res = simplex_solve(_with_bounds(lp, lo, hi), warm=parent)
+        res = simplex_solve(lp.with_bounds(lo, hi), warm=parent)
         if res.status == "infeasible":
             continue
         if res.status == "iteration_limit":

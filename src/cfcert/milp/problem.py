@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +39,7 @@ class LinearProgram:
         self.rhs = np.asarray(self.rhs, dtype=np.float64).reshape(-1)
         if not (self.A.shape[0] == self.rel.size == self.rhs.size):
             raise ValueError("constraint rows, relations and rhs sizes disagree")
-        self.lo = np.asarray(self.lo, dtype=np.float64).reshape(-1)
-        self.hi = np.asarray(self.hi, dtype=np.float64).reshape(-1)
-        if self.lo.size != n or self.hi.size != n:
-            raise ValueError("bounds sizes disagree with variable count")
+        self.lo, self.hi = _bounds(self.lo, self.hi, n)
         if not np.all(np.isfinite(self.A)) or not np.all(np.isfinite(self.c)):
             raise ValueError("LP coefficients must be finite")
         if not np.all(np.isfinite(self.rhs)):
@@ -52,6 +50,21 @@ class LinearProgram:
     @property
     def num_vars(self) -> int:
         return self.c.size
+
+    def with_bounds(self, lo, hi) -> LinearProgram:
+        """The same LP over other variable bounds.  It shares ``c``, ``A``,
+        ``rel`` and ``rhs``, which are not validated again."""
+        lp = copy.copy(self)
+        lp.lo, lp.hi = _bounds(lo, hi, self.num_vars)
+        return lp
+
+
+def _bounds(lo, hi, n: int):
+    lo = np.asarray(lo, dtype=np.float64).reshape(-1)
+    hi = np.asarray(hi, dtype=np.float64).reshape(-1)
+    if lo.size != n or hi.size != n:
+        raise ValueError("bounds sizes disagree with variable count")
+    return lo, hi
 
 
 @dataclass

@@ -1,39 +1,37 @@
-"""Two-phase dense simplex over general bounded-variable LPs, with a dual
-simplex warm start for LPs whose bounds tighten.
+"""Dense simplex over general bounded-variable LPs: a dual simplex to a
+feasible basis, then a primal simplex to an optimal one.
 
-The pivot loops live in ``cfcert._kernels`` (vectorised numpy).  A cold
-solve converts a :class:`LinearProgram` to standard equality form, runs
-phase 1 to find a basic feasible solution, then phase 2 on the real
-objective.  A loop that runs out of pivots ends the solve with status
-``iteration_limit``.  Tolerances: 1e-9 inside the pivoting, 1e-7 for
-reported feasibility.
+The pivot loops live in ``cfcert._kernels`` (vectorised numpy).  Every solve
+ends the same way (``_optimise``): ``dual_pivot_loop`` from a dual-feasible
+tableau until no right-hand side is negative (or a row proves the LP
+infeasible), then ``pivot_loop`` on the true costs until no reduced cost is
+negative (or a column proves it unbounded), then ``_extract``.  A loop that
+runs out of pivots ends the solve with status ``iteration_limit``.
+Tolerances: 1e-9 inside the pivoting, 1e-7 for reported feasibility.  Only
+the starting tableau differs between a cold and a warm solve.
+
+**Cold solve.**  The LP is rewritten over ``y >= 0`` with every row as
+``a.y <= b``: a ``GE`` row is negated, an ``EQ`` row becomes the pair
+``a.y <= b``, ``-a.y <= -b``, and a boxed variable adds the row
+``y <= hi - lo``.  Each row gets one slack, and the slacks start the basis.
+Over the costs clamped at zero, ``max(c, 0)``, that basis is dual feasible
+whatever the signs of ``b`` (the cost-modification dual phase 1 of
+Koberstein, *The dual simplex method*, 2005), so the dual loop finds a
+feasible basis with no artificial variable.  The true costs are then priced
+out on that basis for the primal loop.  A variable with finite ``lo == hi``
+(a stable ReLU binary, a branch-and-bound fixing) is substituted out: it
+gets no column and no row, its value moves into the right-hand side, and it
+is returned as given, bit for bit.
 
 **Warm start.**  An optimal result keeps its final tableau, basis and
 column map (``SolveResult._tableau``).  ``simplex_solve(child, warm=parent)``
 re-solves an LP that differs from the parent's only by tighter bounds, as a
-branch-and-bound child does (Koberstein, *The dual simplex method*, 2005).
-Each tightened bound becomes one row over the parent's columns with its own
-basic slack -- ``y <= 0`` or ``-y <= -1`` for a binary fixed at 0 or 1 --
-reduced against the parent's basis.  The reduced costs are untouched, so the
-tableau stays dual feasible, and ``dual_pivot_loop`` pivots out the
-negative right-hand sides.  No primal phase runs after it, unless it had to
-perturb the costs to leave a degenerate face; then primal pivots from its
-primal-feasible basis restore optimality for the true costs.  The parent's
-tableau is copied, never changed.
-
-Two things keep the cold standard form small:
-
-* **Fixed variables are substituted out.**  A variable with finite
-  ``lo == hi`` (a stable ReLU binary, a branch-and-bound fixing) gets no
-  column and no bound row; its value moves into the right-hand side and is
-  returned as given, bit for bit.
-* **Phase 1 starts from a slack crash basis** (Bixby, ORSA J. Computing
-  1992).  A row whose own slack is a unit column with nonnegative rhs (an
-  ``LE`` row with ``b >= 0``, or a ``GE`` row with ``b < 0`` once flipped)
-  starts the basis with that slack; a ``GE`` row with ``b == 0`` is
-  flipped too and starts on its negated surplus.  Only the other rows
-  (``EQ`` rows, ``GE`` rows with ``b > 0``, ``LE`` rows with ``b < 0``) get
-  an artificial variable, and phase 1 minimises the sum of those.
+branch-and-bound child does.  Each tightened bound becomes one row over the
+parent's columns with its own basic slack -- ``y <= 0`` or ``-y <= -1`` for
+a binary fixed at 0 or 1 -- reduced against the parent's basis.  The
+reduced costs are untouched, so the tableau stays dual feasible.  The primal
+loop has work only if the dual loop had to perturb the costs to leave a
+degenerate face.  The parent's tableau is copied, never changed.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from .._kernels import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     dual_pivot_loop,
-    pivot,
     pivot_loop,
 )
 from .problem import EQ, GE, LE, LinearProgram, SolveResult
@@ -58,6 +55,12 @@ __all__ = ["simplex_solve", "FEASIBILITY_TOL"]
 PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-7
 
+_STATUS = {
+    STATUS_INFEASIBLE: "infeasible",
+    STATUS_ITER_LIMIT: "iteration_limit",
+    STATUS_UNBOUNDED: "unbounded",
+}
+
 # Variable substitutions used to reach y >= 0 standard form.
 _SHIFT_LO = 0  # x = lo + y
 _SHIFT_HI = 1  # x = hi - y
@@ -66,14 +69,14 @@ _FIXED = 3  # x = lo = hi, no column
 
 
 class _Tableau(NamedTuple):
-    """An optimal tableau and the column map that reads x off it."""
+    """A tableau and the column map that reads x off it."""
 
     tab: np.ndarray  # (m+1) x (n+1): [B^-1 A | B^-1 b] over reduced costs
     basis: np.ndarray
     kinds: np.ndarray
     consts: np.ndarray
     cols: np.ndarray
-    lo: np.ndarray  # the bounds the tableau is optimal for
+    lo: np.ndarray  # the bounds the tableau is for
     hi: np.ndarray
 
 
@@ -117,7 +120,6 @@ def _standardise(lp: LinearProgram):
     c = np.zeros(ny)
 
     sign = 1.0 if lp.sense == "min" else -1.0
-    obj_const = 0.0
     for j in range(n):
         col = cols[j]
         if kinds[j] == _SHIFT_LO:
@@ -131,7 +133,6 @@ def _standardise(lp: LinearProgram):
             A[: lp.A.shape[0], col + 1] = -lp.A[:, j]
             c[col] = sign * lp.c[j]
             c[col + 1] = -sign * lp.c[j]
-        obj_const += sign * lp.c[j] * consts[j]
     b[: lp.A.shape[0]] = lp.rhs - lp.A @ consts
     rel[: lp.A.shape[0]] = lp.rel
     for i, (col, ub) in enumerate(extra_rows):
@@ -139,73 +140,29 @@ def _standardise(lp: LinearProgram):
         A[r, col] = 1.0
         b[r] = ub
         rel[r] = LE
-    return A, b, rel, c, kinds, consts, cols, obj_const
+    return A, b, rel, c, kinds, consts, cols
 
 
-def _to_equalities(A, b, rel):
-    """Append slack/surplus columns so every row is an equality with b >= 0.
+def _cold_tableau(A, b, rel, c):
+    """[A | I | b] over max(c, 0) with every row as LE and its slack basic.
 
-    Also returns, per row, the slack column that is a unit column after the
-    sign flip and so can start the basis, or -1 where the row needs an
-    artificial variable.  A ``GE`` row with ``b == 0`` is flipped as well, so
-    its surplus starts the basis at zero.
+    Returns the tableau, its basis and the true cost row to install once
+    the dual loop has made the basis feasible.
     """
+    eq = rel == EQ
+    sign = np.where(rel == GE, -1.0, 1.0)
+    A = np.vstack([sign[:, None] * A, -A[eq]])
+    b = np.concatenate([sign * b, -b[eq]])
     m, n = A.shape
-    n_slack = int(np.sum(rel != EQ))
-    out = np.zeros((m, n + n_slack))
-    out[:, :n] = A
-    b = b.copy()
-    flip = (b < 0) | ((b == 0) & (rel == GE))
-    slack = np.full(m, -1, dtype=np.int64)
-    col = n
-    for i in range(m):
-        if rel[i] == LE:
-            out[i, col] = 1.0
-            if not flip[i]:
-                slack[i] = col
-            col += 1
-        elif rel[i] == GE:
-            out[i, col] = -1.0
-            if flip[i]:
-                slack[i] = col
-            col += 1
-    out[flip] *= -1.0
-    b[flip] = -b[flip]
-    return out, b, slack
-
-
-def _run_phase(A, b, c, basis, max_iter):
-    """Assemble a tableau for the given basis (assumed identity-ready) and pivot."""
-    m, n = A.shape
-    tab = np.zeros((m + 1, n + 1))
+    tab = np.zeros((m + 1, n + m + 1))
     tab[:m, :n] = A
-    tab[:m, n] = b
-    tab[m, :n] = c
-    # Price out the basic columns so reduced costs start consistent.
-    for i in range(m):
-        cb = c[basis[i]]
-        if cb != 0.0:
-            tab[m, :] -= cb * tab[i, :]
-    status, _ = pivot_loop(tab, basis, max_iter, PIVOT_TOL)
-    return tab, status
-
-
-def _drive_out_artificials(tab, basis, n_real):
-    """Pivot zero-valued artificial basics onto real columns; drop dead rows."""
-    m = tab.shape[0] - 1
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] < n_real:
-            continue
-        candidates = np.flatnonzero(np.abs(tab[i, :n_real]) > PIVOT_TOL)
-        if candidates.size == 0:
-            keep[i] = False  # redundant row
-            continue
-        enter = int(candidates[0])
-        pivot(tab, i, enter)
-        basis[i] = enter
-    rows = np.concatenate([np.flatnonzero(keep), [m]])
-    return tab[rows], basis[keep]
+    basis = n + np.arange(m)
+    tab[np.arange(m), basis] = 1.0
+    tab[:m, -1] = b
+    tab[m, :n] = np.maximum(c, 0.0)
+    cost = np.zeros(n + m + 1)
+    cost[:n] = c
+    return tab, basis, cost
 
 
 def simplex_solve(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
@@ -213,54 +170,17 @@ def simplex_solve(lp: LinearProgram, warm: SolveResult | None = None) -> SolveRe
 
     ``warm`` is an optimal result of ``simplex_solve`` for an LP with the
     same objective and rows whose bounds ``lp`` only tightens; ``lp`` is then
-    re-solved from that result's tableau by dual simplex.
+    re-solved from that result's tableau.
     """
     if warm is not None:
         return _resolve(lp, warm)
     std = _standardise(lp)
     if std is None:
         return SolveResult(status="infeasible")
-    A, b, rel, c, kinds, consts, cols, _ = std
+    A, b, rel, c, kinds, consts, cols = std
+    tab, basis, cost = _cold_tableau(A, b, rel, c)
     cols = np.asarray(cols, dtype=np.int64)
-    A, b, basis = _to_equalities(A, b, rel)
-    m, n_real = A.shape
-    c = np.concatenate([c, np.zeros(n_real - c.size)])  # slacks cost nothing
-    max_iter = 200 * (m + n_real) + 2000
-
-    if m == 0:
-        # No constraints at all: every y is only bounded below by zero, so a
-        # negative cost is an unbounded ray; otherwise y = 0 is optimal.
-        if np.any(c < 0.0):
-            return SolveResult(status="unbounded")
-        tab = np.zeros((1, n_real + 1))
-        tab[0, :n_real] = c
-        return _extract(lp, _Tableau(tab, basis, kinds, consts, cols, lp.lo.copy(), lp.hi.copy()))
-
-    # Phase 1: the usable slacks plus one artificial per remaining row.  It
-    # runs even when no row needs an artificial (it then stops at once).
-    rows = np.flatnonzero(basis < 0)
-    A1 = np.zeros((m, n_real + rows.size))
-    A1[:, :n_real] = A
-    artificial = n_real + np.arange(rows.size)
-    A1[rows, artificial] = 1.0
-    basis[rows] = artificial
-    c1 = np.concatenate([np.zeros(n_real), np.ones(rows.size)])
-    tab, status = _run_phase(A1, b, c1, basis, max_iter)
-    if status == STATUS_ITER_LIMIT:
-        return SolveResult(status="iteration_limit")
-    if -tab[-1, -1] > 1e-7:
-        return SolveResult(status="infeasible")
-    tab, basis = _drive_out_artificials(tab, basis, n_real)
-
-    # Phase 2 on the real objective, artificial columns removed.
-    m2 = tab.shape[0] - 1
-    tab, status = _run_phase(tab[:m2, :n_real], tab[:m2, -1], c, basis, max_iter)
-    if status == STATUS_ITER_LIMIT:
-        return SolveResult(status="iteration_limit")
-    if status == STATUS_UNBOUNDED:
-        return SolveResult(status="unbounded")
-    assert status == STATUS_OPTIMAL
-    return _extract(lp, _Tableau(tab, basis, kinds, consts, cols, lp.lo.copy(), lp.hi.copy()))
+    return _optimise(lp, _Tableau(tab, basis, kinds, consts, cols, lp.lo.copy(), lp.hi.copy()), cost)
 
 
 def _bound_terms(kind, col):
@@ -273,7 +193,7 @@ def _bound_terms(kind, col):
 
 
 def _resolve(lp: LinearProgram, warm: SolveResult) -> SolveResult:
-    """Re-solve ``lp`` from the optimal tableau of ``warm`` by dual simplex."""
+    """Re-solve ``lp`` from the optimal tableau of ``warm``."""
     parent = warm._tableau
     if parent is None:
         raise ValueError("a warm start needs an optimal result of simplex_solve")
@@ -314,20 +234,29 @@ def _resolve(lp: LinearProgram, warm: SolveResult) -> SolveResult:
         for col, _ in terms:
             if basic_row[col] >= 0:
                 tab[r] -= tab[r, col] * tab[basic_row[col]]
+    return _optimise(lp, parent._replace(tab=tab, basis=basis, lo=lo.copy(), hi=hi.copy()))
 
-    max_iter = 200 * (m + n + 2 * k) + 2000
-    status, _ = dual_pivot_loop(tab, basis, max_iter, PIVOT_TOL)
-    if status == STATUS_INFEASIBLE:
-        return SolveResult(status="infeasible")
-    if status == STATUS_OPTIMAL and np.any(tab[-1, :-1] < -PIVOT_TOL):
-        # The dual loop perturbed the costs to leave a degenerate face; the
-        # basis is primal feasible, and primal pivots restore optimality.
+
+def _optimise(lp: LinearProgram, start: _Tableau, cost=None) -> SolveResult:
+    """Dual simplex to a feasible basis, then primal simplex to an optimal one.
+
+    ``start`` is dual feasible and is pivoted in place.  ``cost``, the true
+    cost row of a cold solve, replaces the clamped one between the loops,
+    priced out on the basis the dual loop ended on.
+    """
+    tab, basis = start.tab, start.basis
+    max_iter = 200 * sum(tab.shape) + 2000
+    status = STATUS_OPTIMAL
+    if np.any(tab[:-1, -1] < -PIVOT_TOL):  # else the basis is feasible already
+        status, _ = dual_pivot_loop(tab, basis, max_iter, PIVOT_TOL)
+    if status == STATUS_OPTIMAL and cost is not None:
+        tab[-1] = cost - cost[basis] @ tab[:-1]
+    # Only an LP of fixed variables and no rows has no column to price.
+    if status == STATUS_OPTIMAL and tab.shape[1] > 1:
         status, _ = pivot_loop(tab, basis, max_iter, PIVOT_TOL)
-    if status == STATUS_ITER_LIMIT:
-        return SolveResult(status="iteration_limit")
-    if status == STATUS_UNBOUNDED:
-        return SolveResult(status="unbounded")
-    return _extract(lp, parent._replace(tab=tab, basis=basis, lo=lo.copy(), hi=hi.copy()))
+    if status != STATUS_OPTIMAL:
+        return SolveResult(status=_STATUS[status])
+    return _extract(lp, start)
 
 
 def _extract(lp: LinearProgram, final: _Tableau) -> SolveResult:

@@ -121,6 +121,25 @@ def enumerate_pattern_bound(network, x, delta, output_index, direction):
     return best
 
 
+def cap_warm_dual_loops(monkeypatch, max_iter: int) -> None:
+    """Cap the dual simplex of every warm-started (child) LP that branch and
+    bound solves at ``max_iter`` pivots; root LPs run it uncapped."""
+    from cfcert.milp import branch_bound, simplex
+
+    real_loop, real_solve = simplex.dual_pivot_loop, branch_bound.simplex_solve
+    warm_solve = [False]
+
+    def loop(tab, basis, limit, tol):
+        return real_loop(tab, basis, max_iter if warm_solve[0] else limit, tol)
+
+    def solve(lp, warm=None):
+        warm_solve[0] = warm is not None
+        return real_solve(lp, warm=warm)
+
+    monkeypatch.setattr(simplex, "dual_pivot_loop", loop)
+    monkeypatch.setattr(branch_bound, "simplex_solve", solve)
+
+
 def enumerate_vertices(lp: LinearProgram):
     """Vertex-enumeration LP oracle for tiny problems: intersect every
     n-subset of the constraint/bound hyperplanes, keep feasible points."""

@@ -1,3 +1,5 @@
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from cfcert.milp import (
     simplex_solve,
 )
 
-from cfcert._kernels import STATUS_ITER_LIMIT, STATUS_OPTIMAL
+from cfcert._kernels import STATUS_INFEASIBLE, STATUS_ITER_LIMIT, STATUS_OPTIMAL
 
-from conftest import enumerate_pattern_bound, enumerate_vertices, random_network
+from conftest import cap_warm_dual_loops, enumerate_pattern_bound, enumerate_vertices, random_network
 
 
 def _lp(c, A, rel, rhs, lo, hi, sense="min"):
@@ -130,6 +132,10 @@ class TestSimplex:
         res = simplex_solve(lp)
         assert res.optimal and res.objective == pytest.approx(-1.0)
         assert np.allclose(res.x, [2.0, 3.0])
+        # Every variable fixed: no row and no column.
+        lp = _lp([1.0, -1.0], np.zeros((0, 2)), [], [], [2.0, 0.1], [2.0, 0.1])
+        res = simplex_solve(lp)
+        assert res.optimal and list(res.x) == [2.0, 0.1] and res.objective == 2.0 - 0.1
 
     def test_equality_rows(self):
         lp = _lp([2.0, 3.0], [[1, 1]], [EQ], [1.0], [0, 0], [0.4, np.inf])
@@ -138,43 +144,61 @@ class TestSimplex:
         assert np.allclose(res.x, [0.4, 0.6])
 
     def test_iteration_limit_is_a_status(self, monkeypatch):
+        # The GE row starts infeasible, so the dual loop pivots; the max
+        # objective then needs primal pivots.  Capping either loop of this
+        # cold solve at one pivot ends it with the status.
         from cfcert.milp import simplex
 
-        lp = _lp([1.0, 1.0], [[1, 2], [3, 1]], [LE, LE], [4, 6], [0, 0], [np.inf] * 2, "max")
-        real = simplex.pivot_loop
-        for phase in (1, 2):
+        lp = _lp(
+            [1.0, 1.0], [[1, 2], [3, 1], [1, 1]], [LE, LE, GE], [4, 6, 1], [0, 0], [np.inf] * 2, "max"
+        )
+        assert simplex_solve(lp).optimal
+        for name in ("dual_pivot_loop", "pivot_loop"):
+            real = getattr(simplex, name)
             calls = []
 
-            def loop(tab, basis, max_iter, tol):
+            def capped(tab, basis, max_iter, tol, real=real):
                 calls.append(max_iter)
-                if len(calls) == phase:
-                    return STATUS_ITER_LIMIT, max_iter
-                return real(tab, basis, max_iter, tol)
+                return real(tab, basis, 1, tol)
 
-            monkeypatch.setattr(simplex, "pivot_loop", loop)
-            assert simplex_solve(lp).status == "iteration_limit"
-            assert len(calls) == phase
+            with monkeypatch.context() as patch:
+                patch.setattr(simplex, name, capped)
+                assert simplex_solve(lp).status == "iteration_limit"
+            assert len(calls) == 1, name
 
-    def test_zero_level_artificials_after_phase_1(self, monkeypatch):
-        from cfcert.milp import simplex
-
-        drive_out_pivots = []
-        pivot = simplex.pivot
-
-        def counting_pivot(tab, leave, enter):
-            drive_out_pivots.append(enter)
-            pivot(tab, leave, enter)
-
-        monkeypatch.setattr(simplex, "pivot", counting_pivot)
-        # An artificial stays basic at zero and is pivoted onto a real column.
+    def test_degenerate_and_duplicated_equality_rows(self):
+        # A degenerate equality system (x0 = 0 and x0 + x1 + x2 = 0), and a
+        # duplicated equality row.
         lp = _lp([-2.0, 2.0, 1.0], [[1, 0, 0], [-1, -1, -1]], [EQ, EQ], [0, 0], [0] * 3, [2] * 3)
         res = simplex_solve(lp)
-        assert drive_out_pivots
         assert res.optimal and res.objective == pytest.approx(enumerate_vertices(lp)[0])
-        # A duplicated equality row is redundant and dropped.
         lp = _lp([1.0, -1.0], [[1, 1], [2, 2]], [EQ, EQ], [1, 2], [0, 0], [np.inf] * 2)
         res = simplex_solve(lp)
         assert res.optimal and res.objective == pytest.approx(-1.0)
+        assert res.objective == pytest.approx(enumerate_vertices(lp)[0])
+
+    def test_rows_of_every_relation_and_rhs_sign(self):
+        lps = [
+            # LE rows with rhs >= 0, a GE row with rhs < 0 and boxed variables.
+            _lp(
+                [1.0, -1.0, 2.0],
+                [[1, 1, 0], [0, 1, 1], [1, -1, 1]],
+                [LE, LE, GE],
+                [2.0, 0.0, -1.0],
+                [0, 0, 0],
+                [1, np.inf, 1],
+                "max",
+            ),
+            # A GE row with rhs 0.
+            _lp([1.0, 2.0], [[1, -1], [1, 1]], [GE, LE], [0.0, 3.0], [0, 0], [np.inf] * 2, "max"),
+            # An equality row next to an LE row.
+            _lp([1.0, 1.0], [[1, 1], [1, -1]], [LE, EQ], [2.0, 0.5], [0, 0], [np.inf] * 2),
+        ]
+        for lp in lps:
+            res = simplex_solve(lp)
+            assert res.optimal and res.objective == pytest.approx(enumerate_vertices(lp)[0])
+            _assert_feasible(lp, res.x)
+        assert simplex_solve(lps[2]).objective == pytest.approx(0.5)
 
     def test_random_lps_match_vertex_enumeration(self):
         rng = np.random.default_rng(3)
@@ -284,30 +308,26 @@ class TestSimplex:
             simplex_solve(lp, warm=simplex_solve(_lp([1.0], [[1.0]], [GE], [2.0], [0.0], [1.0])))
 
     @staticmethod
-    def _first_phase_columns(monkeypatch, lp):
-        """(columns of the standard form, columns of the phase-1 tableau)."""
+    def _cold_columns(monkeypatch, lp):
+        """(result, rows, columns) of the cold tableau, less the cost row and
+        the right-hand side."""
         from cfcert.milp import simplex
 
         shapes = []
-        to_equalities, run_phase = simplex._to_equalities, simplex._run_phase
+        cold_tableau = simplex._cold_tableau
 
-        def spy_equalities(A, b, rel):
-            out = to_equalities(A, b, rel)
-            shapes.append(out[0].shape[1])
+        def spy(A, b, rel, c):
+            out = cold_tableau(A, b, rel, c)
+            shapes.append(out[0].shape)
             return out
 
-        def spy_phase(A, b, c, basis, max_iter):
-            shapes.append(A.shape[1])
-            return run_phase(A, b, c, basis, max_iter)
-
-        monkeypatch.setattr(simplex, "_to_equalities", spy_equalities)
-        monkeypatch.setattr(simplex, "_run_phase", spy_phase)
+        monkeypatch.setattr(simplex, "_cold_tableau", spy)
         res = simplex_solve(lp)
-        return res, shapes[0], shapes[1]
+        (rows, cols), = shapes
+        return res, rows - 1, cols - 1
 
-    def test_rows_with_a_usable_slack_need_no_artificial(self, monkeypatch):
-        # LE rows with rhs >= 0, a GE row with rhs < 0 and the bound rows of
-        # boxed variables: every row's slack starts the basis.
+    def test_cold_tableau_has_one_slack_per_le_row_and_no_other_column(self, monkeypatch):
+        # Three rows plus the bound rows of the two boxed variables.
         lp = _lp(
             [1.0, -1.0, 2.0],
             [[1, 1, 0], [0, 1, 1], [1, -1, 1]],
@@ -317,19 +337,49 @@ class TestSimplex:
             [1, np.inf, 1],
             "max",
         )
-        res, n_real, n_phase1 = self._first_phase_columns(monkeypatch, lp)
-        assert n_phase1 == n_real
+        res, rows, cols = self._cold_columns(monkeypatch, lp)
+        assert (rows, cols) == (5, 3 + 5)
+        assert res.optimal
+        # An equality row is two LE rows; a free variable is two columns.
+        lp = _lp([1.0, 1.0], [[1, 1], [1, -1]], [LE, EQ], [2.0, 0.5], [0, -np.inf], [np.inf] * 2)
+        res, rows, cols = self._cold_columns(monkeypatch, lp)
+        assert (rows, cols) == (3, 3 + 3)
         assert res.optimal and res.objective == pytest.approx(enumerate_vertices(lp)[0])
-        # A GE row with rhs 0 starts on its negated surplus, at zero.
-        lp = _lp([1.0, 2.0], [[1, -1], [1, 1]], [GE, LE], [0.0, 3.0], [0, 0], [np.inf] * 2, "max")
-        res, n_real, n_phase1 = self._first_phase_columns(monkeypatch, lp)
-        assert n_phase1 == n_real
-        assert res.optimal and res.objective == pytest.approx(enumerate_vertices(lp)[0])
-        # An equality row cannot use a slack: it gets the one artificial.
-        lp = _lp([1.0, 1.0], [[1, 1], [1, -1]], [LE, EQ], [2.0, 0.5], [0, 0], [np.inf] * 2)
-        res, n_real, n_phase1 = self._first_phase_columns(monkeypatch, lp)
-        assert n_phase1 == n_real + 1
-        assert res.optimal and res.objective == pytest.approx(0.5)
+
+    def test_infeasible_lps_end_in_the_dual_phase(self, monkeypatch):
+        from cfcert.milp import simplex
+
+        lps = [
+            # A box that misses a row.
+            _lp([1.0, 1.0], [[1, 1]], [GE], [3.0], [0, 0], [1, 1]),
+            # Contradictory rows.
+            _lp([1.0], [[1.0], [1.0]], [GE, LE], [5.0, 3.0], [-np.inf], [np.inf]),
+            # An equality pair that no point meets.
+            _lp([1.0, -1.0], [[1, 1], [1, 1]], [EQ, EQ], [1.0, 2.0], [0, 0], [np.inf] * 2, "max"),
+            # An equality row outside the box.
+            _lp([1.0, 1.0], [[1, -1]], [EQ], [-2.0], [0, 0], [1, 1]),
+        ]
+        dual, primal = simplex.dual_pivot_loop, simplex.pivot_loop
+        statuses = []
+
+        def dual_spy(tab, basis, max_iter, tol):
+            out = dual(tab, basis, max_iter, tol)
+            statuses.append(out[0])
+            return out
+
+        def primal_spy(tab, basis, max_iter, tol):
+            raise AssertionError("an infeasible LP reached the primal loop")
+
+        monkeypatch.setattr(simplex, "dual_pivot_loop", dual_spy)
+        monkeypatch.setattr(simplex, "pivot_loop", primal_spy)
+        for lp in lps:
+            statuses.clear()
+            assert simplex_solve(lp).status == "infeasible"
+            assert statuses == [STATUS_INFEASIBLE]
+        # An empty variable box needs no pivot at all.
+        assert simplex_solve(_lp([1.0], [[1.0]], [LE], [1.0], [1.0], [0.0])).status == "infeasible"
+        if importlib.util.find_spec("scipy") is not None:
+            assert all(_linprog(lp)[0] == "infeasible" for lp in lps)
 
     def test_fixed_variables_come_back_exactly(self, monkeypatch):
         third, tenth = 1.0 / 3.0, 0.1
@@ -341,8 +391,8 @@ class TestSimplex:
             [0.0, third, tenth],
             [np.inf, third, tenth],
         )
-        res, n_real, _ = self._first_phase_columns(monkeypatch, lp)
-        assert n_real == 1 + 2  # x0 and the two slacks; x1, x2 have no column
+        res, rows, cols = self._cold_columns(monkeypatch, lp)
+        assert cols == 1 + 2  # x0 and the two slacks; x1, x2 have no column
         assert res.optimal and res.x[1] == third and res.x[2] == tenth
         assert res.objective == pytest.approx(2.0 * third - tenth)
 
@@ -398,18 +448,37 @@ class TestBranchAndBound:
 
     def test_child_iteration_limit_stops_the_search(self, monkeypatch):
         # The root solves; the first child's dual simplex reaches its cap.
-        from cfcert.milp import simplex
-
-        real = simplex.dual_pivot_loop
         rng = np.random.default_rng(20)
         net = random_network(rng, n_in=3, hidden=[8])
         problem = encode_nearest_ce(net, rng.uniform(0, 1, 3), target=1).problem
         assert branch_and_bound(problem).nodes > 1
-        monkeypatch.setattr(
-            simplex, "dual_pivot_loop", lambda tab, basis, max_iter, tol: real(tab, basis, 1, tol)
-        )
+        cap_warm_dual_loops(monkeypatch, 1)
         res = branch_and_bound(problem)
         assert res.status == "iteration_limit" and res.nodes > 1 and not res.optimal
+
+    def test_nodes_do_not_validate_the_lp_again(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        net = random_network(rng, n_in=3, hidden=[8])
+        problem = encode_nearest_ce(net, rng.uniform(0, 1, 3), target=1).problem
+        calls = []
+        post_init = LinearProgram.__post_init__
+
+        def spy(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(LinearProgram, "__post_init__", spy)
+        res = branch_and_bound(problem)
+        assert res.optimal and res.nodes > 1
+        assert not calls
+
+    def test_with_bounds_shares_the_rows(self):
+        lp = _lp([1.0, 2.0], [[1, 1]], [LE], [1.0], [0, 0], [1, 1], "max")
+        tight = lp.with_bounds([0, 0], [1, 0.5])
+        assert tight.c is lp.c and tight.A is lp.A and tight.rel is lp.rel and tight.rhs is lp.rhs
+        assert tight.sense == "max" and list(tight.hi) == [1.0, 0.5] and list(lp.hi) == [1.0, 1.0]
+        with pytest.raises(ValueError):
+            lp.with_bounds([0], [1])
 
     def test_infeasible_milp(self):
         lp = _lp([1.0], [[1.0]], [GE], [2.0], [0.0], [1.0])
@@ -477,16 +546,20 @@ class TestBranchAndBound:
 
         monkeypatch.setattr(_kernels, "_PERTURBATION", 1e-3)
         real_loop, real_solve = simplex.dual_pivot_loop, simplex.simplex_solve
+        warm_solve = [False]
         cleanups = []
 
         def loop(tab, basis, max_iter, tol):
             out = real_loop(tab, basis, max_iter, tol)
-            cleanups.append(out[0] == STATUS_OPTIMAL and bool(np.any(tab[-1, :-1] < -tol)))
+            if warm_solve[0]:  # a cold solve replaces the cost row anyway
+                cleanups.append(out[0] == STATUS_OPTIMAL and bool(np.any(tab[-1, :-1] < -tol)))
             return out
 
         def solve(lp, warm=None):
+            warm_solve[0] = warm is not None
             res = real_solve(lp, warm=warm)
             if warm is not None:
+                warm_solve[0] = False
                 cold = real_solve(lp)
                 assert res.status == cold.status
                 if res.optimal:
@@ -495,7 +568,7 @@ class TestBranchAndBound:
 
         monkeypatch.setattr(simplex, "dual_pivot_loop", loop)
         monkeypatch.setattr(branch_bound, "simplex_solve", solve)
-        rng = np.random.default_rng(59)
+        rng = np.random.default_rng(61)
         net = random_network(rng, n_in=3, hidden=[12, 12])
         problem = encode_nearest_ce(net, rng.uniform(0, 1, 3), target=0, margin=0.1).problem
         got = branch_and_bound(problem)

@@ -13,7 +13,7 @@ from cfcert.verifier import (
     robust_flags,
 )
 
-from conftest import corner_logits, random_network, sample_shifted_logits
+from conftest import cap_warm_dual_loops, corner_logits, random_network, sample_shifted_logits
 
 
 def test_binary_worked_example(logistic_ref):
@@ -227,8 +227,6 @@ def test_iteration_limit_reports_unresolved(binary_net, monkeypatch):
 def test_child_iteration_limit_reports_unresolved(monkeypatch):
     # A robust point whose bound tree branches: the root solves, then the
     # first child's dual simplex reaches its cap.
-    from cfcert.milp import simplex
-
     rng = np.random.default_rng(21)
     for _ in range(7):
         net = random_network(rng, n_in=3, hidden=[8])
@@ -236,10 +234,7 @@ def test_child_iteration_limit_reports_unresolved(monkeypatch):
     shift = ShiftSet("inf", 0.1)
     honest = is_delta_robust(net, shift, x)
     assert honest.robust and honest.nodes_explored > 1
-    real = simplex.dual_pivot_loop
-    monkeypatch.setattr(
-        simplex, "dual_pivot_loop", lambda tab, basis, max_iter, tol: real(tab, basis, 1, tol)
-    )
+    cap_warm_dual_loops(monkeypatch, 1)
     verdict = is_delta_robust(net, shift, x)
     assert not verdict.robust and verdict.unresolved and verdict.nodes_explored > 1
 
