@@ -12,8 +12,8 @@ cold start and from a branch-and-bound parent's tableau alike:
   two-pass ratio test picks the entering column, and a cost perturbation
   ends a long degenerate streak.
 * ``pivot_loop`` is the primal simplex that then makes it optimal: Dantzig
-  pricing with a switch to Bland's rule, minimum-ratio test with ties to
-  the smallest basic index.
+  pricing with a switch to Bland's rule, minimum-ratio test with ties
+  (within ``_RATIO_TIE`` of the minimum) to the smallest basic index.
 
 Both make exactly the choices of the textbook scalar loops and produce the
 same tableau bit for bit; the test suite keeps those loops as its reference
@@ -37,7 +37,7 @@ STATUS_INFEASIBLE = 3
 # termination) and the dual loop perturbs its reduced costs.
 _DEGENERATE_STREAK = 40
 
-# Ratios within this distance of the running minimum count as tied.
+# Ratios within this distance of the minimum ratio count as tied.
 _RATIO_TIE = 1e-12
 
 # Base size of the reduced-cost perturbation of a stalled dual simplex.
@@ -59,25 +59,6 @@ def pivot(tab, leave, enter):
     f = col[mask]
     if f.size:
         tab[mask] -= f[:, None] * row
-
-
-def _ratio_scan(rows, ratios, basis):
-    """Sequential minimum-ratio scan over the eligible rows, in row order.
-
-    A ratio more than ``_RATIO_TIE`` below the running minimum replaces it;
-    one within ``_RATIO_TIE`` of it takes the row only if its basic column
-    has a smaller index, which keeps the Bland regime cycle-free.  Returns
-    (leaving row, running minimum).
-    """
-    leave = -1
-    leave_basic = 0
-    best = np.inf
-    for i, r, basic in zip(rows.tolist(), ratios.tolist(), basis[rows].tolist()):
-        if r < best - _RATIO_TIE:
-            best, leave, leave_basic = r, i, basic
-        elif r <= best + _RATIO_TIE and basic < leave_basic:
-            leave, leave_basic = i, basic
-    return leave, best
 
 
 def pivot_loop(tab, basis, max_iter, tol):
@@ -113,19 +94,11 @@ def pivot_loop(tab, basis, max_iter, tol):
         if rows.size == 0:
             return STATUS_UNBOUNDED, it
         ratios = rhs[rows] / column[rows]
-        k = int(ratios.argmin())
-        best_ratio = float(ratios[k])
-        # The sequential scan ends on row k exactly as found here when every
-        # other ratio r has r > min + tie and r - tie > min, so it neither
-        # ties with nor is displaced by k; checking the runner-up suffices
-        # (rounding is monotone).  Otherwise replay the scan.
-        ratios[k] = np.inf
-        runner_up = float(ratios.min())
-        ratios[k] = best_ratio
-        if runner_up > best_ratio + _RATIO_TIE and runner_up - _RATIO_TIE > best_ratio:
-            leave = int(rows[k])
-        else:
-            leave, best_ratio = _ratio_scan(rows, ratios, basis)
+        best_ratio = float(ratios.min())
+        # Of the rows tied at the minimum ratio, the smallest basic index
+        # leaves, which keeps the Bland regime cycle-free.
+        tied = rows[ratios <= best_ratio + _RATIO_TIE]
+        leave = int(tied[basis[tied].argmin()])
         if best_ratio <= tol:
             degenerate += 1
             if degenerate > _DEGENERATE_STREAK:

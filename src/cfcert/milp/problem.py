@@ -82,6 +82,11 @@ class MilpProblem:
                 raise ValueError("binary index out of range")
             if np.unique(self.binary_idx).size != self.binary_idx.size:
                 raise ValueError("binary indices must be distinct")
+            # Branch and bound fixes a binary by moving its bounds to 0 or 1,
+            # which a warm start can do only from 0 or 1.
+            box = np.concatenate([self.lp.lo[self.binary_idx], self.lp.hi[self.binary_idx]])
+            if not np.all((box == 0.0) | (box == 1.0)):
+                raise ValueError("binary bounds must each be 0 or 1")
 
 
 @dataclass
@@ -90,8 +95,9 @@ class SolveResult:
     objective: float | None = None
     x: np.ndarray | None = None
     nodes: int = 0
-    # The final tableau of an optimal simplex solve, which a child LP with
-    # tighter bounds re-solves from (``simplex_solve(child, warm=result)``).
+    # The final tableau of an optimal simplex solve.  A child LP with tighter
+    # bounds re-solves from a copy of it with only its right-hand sides
+    # moved (``simplex_solve(child, warm=result)``).
     _tableau: object = field(default=None, repr=False, compare=False)
 
     @property

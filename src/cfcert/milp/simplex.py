@@ -26,12 +26,17 @@ is returned as given, bit for bit.
 **Warm start.**  An optimal result keeps its final tableau, basis and
 column map (``SolveResult._tableau``).  ``simplex_solve(child, warm=parent)``
 re-solves an LP that differs from the parent's only by tighter bounds, as a
-branch-and-bound child does.  Each tightened bound becomes one row over the
-parent's columns with its own basic slack -- ``y <= 0`` or ``-y <= -1`` for
-a binary fixed at 0 or 1 -- reduced against the parent's basis.  The
-reduced costs are untouched, so the tableau stays dual feasible.  The primal
-loop has work only if the dual loop had to perturb the costs to leave a
-degenerate face.  The parent's tableau is copied, never changed.
+branch-and-bound child does.  A tighter bound is a new right-hand side, not
+a new row (Koberstein, 2005): raising ``lo`` by ``d`` under ``x = lo + y``
+substitutes ``y = d + y'``, which moves the right-hand-side column by ``-d``
+times y's column, and so does lowering ``hi`` under ``x = hi - y``; lowering
+``hi`` of a boxed ``x = lo + y`` moves it by ``-d`` times the slack column of
+x's bound row.  The reduced costs and the basis do not change, so the moved
+tableau keeps the parent's shape and stays dual feasible.  The primal loop
+has work only if the dual loop had to perturb the costs to leave a
+degenerate face.  Only finite bounds can move: a warm start that makes an
+infinite bound finite raises ``ValueError``.  The parent's tableau, basis
+and constants are copied, never changed.
 """
 
 from __future__ import annotations
@@ -66,6 +71,9 @@ _SHIFT_LO = 0  # x = lo + y
 _SHIFT_HI = 1  # x = hi - y
 _FREE = 2  # x = y_pos - y_neg
 _FIXED = 3  # x = lo = hi, no column
+# Per kind: how many y columns x takes, and the coefficient of the first in x.
+_WIDTH = np.array([1, 1, 2, 0])
+_SIGN = np.array([1.0, -1.0, 1.0, 0.0])
 
 
 class _Tableau(NamedTuple):
@@ -76,71 +84,43 @@ class _Tableau(NamedTuple):
     kinds: np.ndarray
     consts: np.ndarray
     cols: np.ndarray
+    slack: np.ndarray  # slack column of x's bound row, -1 if x has none
     lo: np.ndarray  # the bounds the tableau is for
     hi: np.ndarray
 
 
 def _standardise(lp: LinearProgram):
-    """Rewrite the LP as min c.y, A y (rel) b, y >= 0 plus bound rows."""
-    n = lp.num_vars
-    kinds = np.empty(n, dtype=np.int64)
-    consts = np.zeros(n)
-    extra_rows = []  # (y-column, ub) for two-sided bounds
-    cols = []  # column index of y for each x (FREE takes two columns)
-    ny = 0
-    for j in range(n):
-        lo, hi = lp.lo[j], lp.hi[j]
-        if lo > hi:
-            return None  # trivially infeasible box
-        if lo == hi and np.isfinite(lo):
-            kinds[j] = _FIXED
-            consts[j] = lo
-            cols.append(-1)
-        elif np.isfinite(lo):
-            kinds[j] = _SHIFT_LO
-            consts[j] = lo
-            cols.append(ny)
-            if np.isfinite(hi):
-                extra_rows.append((ny, hi - lo))
-            ny += 1
-        elif np.isfinite(hi):
-            kinds[j] = _SHIFT_HI
-            consts[j] = hi
-            cols.append(ny)
-            ny += 1
-        else:
-            kinds[j] = _FREE
-            cols.append(ny)
-            ny += 2
+    """Rewrite the LP as min c.y, A y (rel) b, y >= 0 plus bound rows.
 
-    m = lp.A.shape[0] + len(extra_rows)
-    A = np.zeros((m, ny))
-    b = np.empty(m)
-    rel = np.empty(m, dtype=np.int64)
-    c = np.zeros(ny)
+    ``cols`` maps each x to its y column (FREE takes two, FIXED none);
+    ``boxed`` lists the owners of the bound rows ``y <= hi - lo``, in order.
+    """
+    lo, hi = lp.lo, lp.hi
+    if (lo > hi).any():
+        return None  # trivially infeasible box
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    fixed = has_lo & (lo == hi)
+    kinds = np.where(has_lo, _SHIFT_LO, np.where(has_hi, _SHIFT_HI, _FREE))
+    kinds[fixed] = _FIXED
+    consts = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    width = _WIDTH[kinds]
+    cols = np.cumsum(width) - width
+    cols[fixed] = -1
+    src = np.repeat(np.arange(kinds.size), width)  # the x of each y column
+    sgn = _SIGN[kinds[src]]
+    sgn[cols[kinds == _FREE] + 1] = -1.0  # x = y_pos - y_neg
+    boxed = np.flatnonzero(has_lo & has_hi & ~fixed)
 
-    sign = 1.0 if lp.sense == "min" else -1.0
-    for j in range(n):
-        col = cols[j]
-        if kinds[j] == _SHIFT_LO:
-            A[: lp.A.shape[0], col] = lp.A[:, j]
-            c[col] = sign * lp.c[j]
-        elif kinds[j] == _SHIFT_HI:
-            A[: lp.A.shape[0], col] = -lp.A[:, j]
-            c[col] = -sign * lp.c[j]
-        elif kinds[j] == _FREE:
-            A[: lp.A.shape[0], col] = lp.A[:, j]
-            A[: lp.A.shape[0], col + 1] = -lp.A[:, j]
-            c[col] = sign * lp.c[j]
-            c[col + 1] = -sign * lp.c[j]
-    b[: lp.A.shape[0]] = lp.rhs - lp.A @ consts
-    rel[: lp.A.shape[0]] = lp.rel
-    for i, (col, ub) in enumerate(extra_rows):
-        r = lp.A.shape[0] + i
-        A[r, col] = 1.0
-        b[r] = ub
-        rel[r] = LE
-    return A, b, rel, c, kinds, consts, cols
+    # Multiplying by +-1 is exact, so A and c are the LP's entries, negated
+    # where x = hi - y or y = y_neg.
+    m0, ny = lp.A.shape[0], src.size
+    A = np.zeros((m0 + boxed.size, ny))
+    np.multiply(lp.A[:, src], sgn, out=A[:m0])
+    A[m0 + np.arange(boxed.size), cols[boxed]] = 1.0
+    c = (1.0 if lp.sense == "min" else -1.0) * sgn * lp.c[src]
+    b = np.concatenate([lp.rhs - lp.A @ consts, hi[boxed] - lo[boxed]])
+    rel = np.concatenate([lp.rel, np.full(boxed.size, LE)])
+    return A, b, rel, c, kinds, consts, cols, boxed
 
 
 def _cold_tableau(A, b, rel, c):
@@ -177,19 +157,13 @@ def simplex_solve(lp: LinearProgram, warm: SolveResult | None = None) -> SolveRe
     std = _standardise(lp)
     if std is None:
         return SolveResult(status="infeasible")
-    A, b, rel, c, kinds, consts, cols = std
+    A, b, rel, c, kinds, consts, cols, boxed = std
     tab, basis, cost = _cold_tableau(A, b, rel, c)
-    cols = np.asarray(cols, dtype=np.int64)
-    return _optimise(lp, _Tableau(tab, basis, kinds, consts, cols, lp.lo.copy(), lp.hi.copy()), cost)
-
-
-def _bound_terms(kind, col):
-    """(column, coefficient) pairs with x = const + sum(coefficient * y)."""
-    if kind == _SHIFT_LO:
-        return ((col, 1.0),)
-    if kind == _SHIFT_HI:
-        return ((col, -1.0),)
-    return ((col, 1.0), (col + 1, -1.0))  # _FREE, const 0
+    # Row r's slack is column n + r; EQ rows' negated copies come last.
+    slack = np.full(lp.num_vars, -1, dtype=np.int64)
+    slack[boxed] = A.shape[1] + lp.A.shape[0] + np.arange(boxed.size)
+    start = _Tableau(tab, basis, kinds, consts, cols, slack, lp.lo.copy(), lp.hi.copy())
+    return _optimise(lp, start, cost)
 
 
 def _resolve(lp: LinearProgram, warm: SolveResult) -> SolveResult:
@@ -203,38 +177,30 @@ def _resolve(lp: LinearProgram, warm: SolveResult) -> SolveResult:
     if np.any(lo > hi):
         return SolveResult(status="infeasible")
 
-    # One row  sign * (x_j - const_j) + s = rhs  per tightened bound, over
-    # the parent's columns.  A fixed parent variable cannot tighten without
-    # lo > hi, so every such x_j has a column.
-    rows = []  # (j, sign, rhs)
-    for j in np.flatnonzero((lo > parent.lo) | (hi < parent.hi)).tolist():
-        if lo[j] > parent.lo[j]:  # x_j >= lo_j
-            rows.append((j, -1.0, parent.consts[j] - lo[j]))
-        if hi[j] < parent.hi[j]:  # x_j <= hi_j
-            rows.append((j, 1.0, hi[j] - parent.consts[j]))
+    tab, consts = parent.tab.copy(), parent.consts.copy()
 
-    m, n = parent.tab.shape[0] - 1, parent.tab.shape[1] - 1
-    k = len(rows)
-    tab = np.zeros((m + k + 1, n + k + 1))
-    tab[:m, :n] = parent.tab[:m, :n]
-    tab[:m, -1] = parent.tab[:m, -1]
-    tab[-1, :n] = parent.tab[-1, :n]
-    tab[-1, -1] = parent.tab[-1, -1]
-    basis = np.concatenate([parent.basis, n + np.arange(k, dtype=np.int64)])
-    basic_row = np.full(n, -1, dtype=np.int64)
-    basic_row[parent.basis] = np.arange(m)
-    for i, (j, sign, rhs) in enumerate(rows):
-        r = m + i
-        tab[r, n + i] = 1.0
-        tab[r, -1] = rhs
-        terms = _bound_terms(parent.kinds[j], parent.cols[j])
-        for col, a in terms:
-            tab[r, col] = sign * a
-        # Express the row in the parent's basis: zero its basic columns.
-        for col, _ in terms:
-            if basic_row[col] >= 0:
-                tab[r] -= tab[r, col] * tab[basic_row[col]]
-    return _optimise(lp, parent._replace(tab=tab, basis=basis, lo=lo.copy(), hi=hi.copy()))
+    def move(column, d):  # the right-hand sides once a bound moves by d
+        if not np.isfinite(d):
+            raise ValueError("a warm start may only move finite bounds")
+        tab[:, -1] -= d * tab[:, column]
+
+    # A variable fixed in the parent has no column, but it cannot tighten
+    # without lo > hi.
+    for j in np.flatnonzero((lo > parent.lo) | (hi < parent.hi)).tolist():
+        if lo[j] > parent.lo[j]:  # x = lo + y
+            d = lo[j] - parent.lo[j]
+            move(parent.cols[j], d)
+            consts[j] += d
+        if hi[j] < parent.hi[j]:
+            d = parent.hi[j] - hi[j]
+            if parent.kinds[j] == _SHIFT_HI:  # x = hi - y
+                move(parent.cols[j], d)
+                consts[j] -= d
+            else:  # the bound row y + s = hi - lo of a boxed x = lo + y
+                move(parent.slack[j], d)
+    basis = parent.basis.copy()  # _optimise pivots it in place
+    start = parent._replace(tab=tab, basis=basis, consts=consts, lo=lo.copy(), hi=hi.copy())
+    return _optimise(lp, start)
 
 
 def _optimise(lp: LinearProgram, start: _Tableau, cost=None) -> SolveResult:

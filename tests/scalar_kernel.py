@@ -50,18 +50,19 @@ def scalar_pivot_loop(tab, basis, max_iter, tol):
                     enter = j
         if enter < 0:
             return STATUS_OPTIMAL, it
-        # Ratio test; ties resolved towards the smallest basic index so the
-        # Bland regime is cycle-free.
-        leave = -1
+        # Ratio test in two passes: the minimum ratio, then, of the rows
+        # within 1e-12 of it, the smallest basic index (cycle-free under
+        # Bland's rule).
         best_ratio = np.inf
         for i in range(m):
             a = tab[i, enter]
             if a > tol:
-                r = tab[i, n] / a
-                if r < best_ratio - 1e-12:
-                    best_ratio = r
-                    leave = i
-                elif r <= best_ratio + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
+                best_ratio = min(best_ratio, tab[i, n] / a)
+        leave = -1
+        for i in range(m):
+            a = tab[i, enter]
+            if a > tol and tab[i, n] / a <= best_ratio + 1e-12:
+                if leave < 0 or basis[i] < basis[leave]:
                     leave = i
         if leave < 0:
             return STATUS_UNBOUNDED, it

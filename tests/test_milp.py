@@ -74,6 +74,50 @@ def _assert_feasible(lp, x, tol=1e-7):
     assert np.all(np.abs(row[lp.rel == EQ] - lp.rhs[lp.rel == EQ]) <= tol)
 
 
+def _loop_standardise(lp):
+    """``simplex._standardise`` as a loop over the variables: the reference
+    its array form must match bit for bit."""
+    from cfcert.milp.simplex import _FIXED, _FREE, _SHIFT_HI, _SHIFT_LO
+
+    n, m0 = lp.num_vars, lp.A.shape[0]
+    kinds, consts = np.empty(n, dtype=np.int64), np.zeros(n)
+    cols, boxed, ny = [], [], 0
+    for j in range(n):
+        lo, hi = lp.lo[j], lp.hi[j]
+        if lo > hi:
+            return None
+        if lo == hi and np.isfinite(lo):
+            kinds[j], consts[j] = _FIXED, lo
+            cols.append(-1)
+            continue
+        if np.isfinite(lo):
+            kinds[j], consts[j] = _SHIFT_LO, lo
+            if np.isfinite(hi):
+                boxed.append(j)
+        elif np.isfinite(hi):
+            kinds[j], consts[j] = _SHIFT_HI, hi
+        else:
+            kinds[j] = _FREE
+        cols.append(ny)
+        ny += 2 if kinds[j] == _FREE else 1
+    A, c = np.zeros((m0 + len(boxed), ny)), np.zeros(ny)
+    sign = 1.0 if lp.sense == "min" else -1.0
+    for j in range(n):
+        col = cols[j]
+        if kinds[j] == _SHIFT_HI:
+            A[:m0, col], c[col] = -lp.A[:, j], -sign * lp.c[j]
+        elif kinds[j] != _FIXED:
+            A[:m0, col], c[col] = lp.A[:, j], sign * lp.c[j]
+        if kinds[j] == _FREE:
+            A[:m0, col + 1], c[col + 1] = -lp.A[:, j], -sign * lp.c[j]
+    b = np.concatenate([lp.rhs - lp.A @ consts, np.zeros(len(boxed))])
+    rel = np.concatenate([lp.rel, np.full(len(boxed), LE)])
+    for i, j in enumerate(boxed):
+        A[m0 + i, cols[j]] = 1.0
+        b[m0 + i] = lp.hi[j] - lp.lo[j]
+    return A, b, rel, c, kinds, consts, np.array(cols, dtype=np.int64), np.array(boxed, dtype=np.int64)
+
+
 def _highs_optimum(problem):
     """Optimal objective of a MilpProblem according to scipy's HiGHS, or
     None when HiGHS finds it infeasible."""
@@ -259,9 +303,9 @@ class TestSimplex:
         assert min(seen.values()) >= 20, seen  # every status is exercised
 
     def test_warm_started_children_match_cold_solves_and_highs(self):
-        # Solve a random LP, tighten one or two bounds (raise lo, lower hi,
-        # or fix), re-solve from the parent's tableau, then do the same to
-        # that child: the warm result must match the cold solve and HiGHS.
+        # Solve a random LP, tighten one or two finite bounds (raise lo, lower
+        # hi, or fix), re-solve from the parent's tableau, then do the same
+        # to that child: the warm result must match the cold solve and HiGHS.
         pytest.importorskip("scipy")
         rng = np.random.default_rng(13)
         seen = {name: 0 for name in HIGHS_STATUS.values()}
@@ -276,14 +320,16 @@ class TestSimplex:
                     # A far target often makes the child infeasible.
                     t = parent.x[j] + rng.normal() * (3.0 if rng.random() < 0.3 else 0.5)
                     side = int(rng.integers(0, 3))  # 0: lo, 1: hi, 2: both (fix)
-                    if side != 1:
+                    if side != 1 and np.isfinite(lo[j]):
                         lo[j] = max(lo[j], t)
-                    if side != 0:
+                    if side != 0 and np.isfinite(hi[j]):
                         hi[j] = min(hi[j], t)
                 child = _lp(lp.c, lp.A, lp.rel, lp.rhs, lo, hi, lp.sense)
-                before = parent._tableau.tab.copy()
+                kept = parent._tableau
+                before = kept.tab.copy(), kept.basis.copy(), kept.consts.copy()
                 warm = simplex_solve(child, warm=parent)
-                assert np.array_equal(parent._tableau.tab, before)  # not changed in place
+                after = kept.tab, kept.basis, kept.consts
+                assert all(map(np.array_equal, after, before))  # not changed in place
                 cold = simplex_solve(child)
                 status, objective = _linprog(child)
                 assert warm.status == cold.status == status
@@ -306,6 +352,22 @@ class TestSimplex:
             simplex_solve(looser, warm=parent)
         with pytest.raises(ValueError):
             simplex_solve(lp, warm=simplex_solve(_lp([1.0], [[1.0]], [GE], [2.0], [0.0], [1.0])))
+        # Only finite bounds move: fixing a lower-only variable, tightening a
+        # free one, or raising the lower bound of an upper-only one is refused.
+        inf = np.inf
+        lp = _lp(
+            [1.0, 1.0, -1.0], [[1, 1, 1], [0, 1, 0]], [LE, EQ], [3.0, 0.5],
+            [0, -inf, -inf], [inf, inf, 2],
+        )
+        parent = simplex_solve(lp)
+        assert parent.optimal
+        for lo, hi in (
+            ([0.5, -inf, -inf], [0.5, inf, 2]),
+            ([0, -1, -inf], [inf, inf, 2]),
+            ([0, -inf, 1], [inf, inf, 2]),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                simplex_solve(lp.with_bounds(lo, hi), warm=parent)
 
     @staticmethod
     def _cold_columns(monkeypatch, lp):
@@ -396,6 +458,26 @@ class TestSimplex:
         assert res.optimal and res.x[1] == third and res.x[2] == tenth
         assert res.objective == pytest.approx(2.0 * third - tenth)
 
+    def test_standard_form_matches_the_per_variable_loop(self):
+        from cfcert.milp.simplex import _standardise
+
+        rng = np.random.default_rng(17)
+        lps = [_random_lp(rng) for _ in range(300)]
+        lps.append(_lp([1.0], [[1.0]], [LE], [1.0], [1.0], [0.0]))  # an empty box
+        for hidden in ([8], [8, 8]):
+            net = random_network(rng, n_in=3, hidden=hidden)
+            x = rng.uniform(0, 1, 3)
+            lps.append(encode_nearest_ce(net, x, target=1, margin=0.05).problem.lp)
+            lps.append(encode_output_bound(net, x, 0.05, 0, "max").problem.lp)
+        for lp in lps:
+            want, got = _loop_standardise(lp), _standardise(lp)
+            if want is None:
+                assert got is None
+                continue
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 class TestBranchAndBound:
     def test_no_binaries_equals_simplex(self):
@@ -479,6 +561,39 @@ class TestBranchAndBound:
         assert tight.sense == "max" and list(tight.hi) == [1.0, 0.5] and list(lp.hi) == [1.0, 1.0]
         with pytest.raises(ValueError):
             lp.with_bounds([0], [1])
+
+    def test_binary_bounds_must_each_be_zero_or_one(self):
+        lp = _lp([1.0, 1.0], [[1, 1]], [LE], [1.0], [0, 0], [1, 1])
+        MilpProblem(lp=lp.with_bounds([0, 1], [1, 1]), binary_idx=[0, 1])  # a fixed binary
+        for lo, hi in (
+            ([0, 0], [1, np.inf]), ([-np.inf, 0], [1, 1]), ([0, 0], [2, 1]), ([0, -1], [1, 1]),
+            ([0.3, 0], [1, 1]),  # feasible binaries, but branching would loosen 0.3 to 0
+        ):
+            with pytest.raises(ValueError, match="binary bounds"):
+                MilpProblem(lp=lp.with_bounds(lo, hi), binary_idx=[0, 1])
+        MilpProblem(lp=lp.with_bounds([0, -1], [1, 1]), binary_idx=[0])  # x1 is continuous
+
+    def test_children_keep_the_root_tableau_shape(self, monkeypatch):
+        # A child moves right-hand sides: no row or column is ever added.
+        from cfcert.milp import branch_bound
+
+        real_solve = branch_bound.simplex_solve
+        shapes = []
+
+        def solve(lp, warm=None):
+            res = real_solve(lp, warm=warm)
+            if res.optimal:
+                shapes.append((warm is not None, res._tableau.tab.shape))
+            return res
+
+        monkeypatch.setattr(branch_bound, "simplex_solve", solve)
+        rng = np.random.default_rng(20)
+        net = random_network(rng, n_in=3, hidden=[8])
+        problem = encode_nearest_ce(net, rng.uniform(0, 1, 3), target=1).problem
+        assert branch_and_bound(problem).nodes > 1
+        (root, root_shape), *children = shapes
+        assert not root and len(children) > 1
+        assert all(warm and shape == root_shape for warm, shape in children)
 
     def test_infeasible_milp(self):
         lp = _lp([1.0], [[1.0]], [GE], [2.0], [0.0], [1.0])
