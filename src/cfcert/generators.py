@@ -10,7 +10,7 @@ optionally refines the hit with a line search towards the query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -277,29 +277,15 @@ def iterative_robustify(
         last = record
         verdict = is_delta_robust(model, shift, record.x_prime, target=target, node_limit=node_limit)
         if verdict.robust:
-            return CounterfactualRecord(
-                method=method,
-                target_class=target,
-                found=True,
-                x_prime=record.x_prime,
-                distance=record.distance,
-                robust=True,
-                shift=shift,
-                iterations=k + 1,
-                trace=trace,
+            return replace(
+                record, method=method, target_class=target, robust=True, shift=shift,
+                iterations=k + 1, trace=trace,
             )
     if last is None:
         return _not_found(method, target, shift=shift, iterations=max_rounds, trace=trace)
-    return CounterfactualRecord(
-        method=method,
-        target_class=target,
-        found=True,
-        x_prime=last.x_prime,
-        distance=last.distance,
-        robust=False,
-        shift=shift,
-        iterations=max_rounds,
-        trace=trace,
+    return replace(
+        last, method=method, target_class=target, robust=False, shift=shift,
+        iterations=max_rounds, trace=trace,
     )
 
 

@@ -1,9 +1,14 @@
 """MILP encodings of the two bound problems.
 
 ``encode_output_bound`` builds the output-range problem of the interval
-abstraction at a fixed input: per hidden node the big-M rows with
-coefficients widened by +/- delta (applied independently in every row, as
-the formulation prescribes), per output node the two widened affine rows.
+abstraction at a fixed input, where the first layer is a box: node j's
+pre-activation ``(w_j +/- delta) . x + (b_j +/- delta)`` reads only row j of
+the first layer's parameters, so each node ranges over its own enclosure
+independently of the others, a hidden one over ``[relu(lo_j), relu(hi_j)]``.
+That layer has no row and no binary.  From layer 1 on, every hidden node
+gets the big-M rows with coefficients widened by +/- delta (applied
+independently in every row, as the formulation prescribes), every output
+node the two widened affine rows.
 
 ``encode_nearest_ce`` builds the nearest-counterfactual problem for a fixed
 model: input features are the decision variables inside a box, the
@@ -35,7 +40,8 @@ STRICT_EPS = 1e-6  # tightens constraints that must hold strictly under tie-brea
 
 @dataclass
 class BigMBounds:
-    """Per hidden node pre-activation enclosures backing the big-M constants."""
+    """Per layer pre-activation enclosures backing the big-M constants (and
+    the first layer's box at a fixed input)."""
 
     pre_lo: list[np.ndarray] = field(default_factory=list)
     pre_hi: list[np.ndarray] = field(default_factory=list)
@@ -66,29 +72,26 @@ def _propagate(model: ParametricModel, delta: float, in_lo, in_hi):
     return im, bounds
 
 
-def _layout(im: IntervalModel, head: int):
-    """Variable indices after ``head`` leading ones: every hidden node, the
-    outputs, then one binary per hidden node."""
+def _layout(im: IntervalModel, bigm: BigMBounds, head: int, first: int):
+    """Variables after ``head`` leading ones: every hidden node (>= 0), the
+    outputs (free), then one binary per hidden node of layer ``first`` on,
+    in [0, 1] or fixed when its node is stable.  Returns the node indices of
+    every layer, the outputs last, the binaries per layer, and the bounds."""
     hidden = [layer.w_lo.shape[0] for layer in im.layers[:-1]]
-    sizes = hidden + [im.num_outputs] + hidden
+    sizes = hidden + [im.num_outputs] + hidden[first:]
     starts = head + np.concatenate([[0], np.cumsum(sizes)])
     blocks = [np.arange(start, start + size) for start, size in zip(starts, sizes)]
     k = len(hidden)
-    return blocks[:k], blocks[k], blocks[k + 1 :], int(starts[-1])
-
-
-def _var_bounds(num_vars, out_idx, xi_idx, bigm: BigMBounds):
-    """Nodes >= 0, outputs free, binaries in [0, 1] or fixed when stable."""
-    lo = np.zeros(num_vars)
-    hi = np.full(num_vars, np.inf)
-    lo[out_idx] = -np.inf
-    for layer, idx in enumerate(xi_idx):
+    lo = np.zeros(int(starts[-1]))
+    hi = np.full(lo.size, np.inf)
+    lo[blocks[k]] = -np.inf
+    for layer, idx in enumerate(blocks[k + 1 :], start=first):
         hi[idx] = 1.0
         active = bigm.pre_lo[layer] >= 0.0
         inactive = ~active & (bigm.pre_hi[layer] <= 0.0)
         lo[idx[active]] = hi[idx[active]] = 0.0
         lo[idx[inactive]] = hi[idx[inactive]] = 1.0
-    return lo, hi
+    return blocks[: k + 1], blocks[k + 1 :], lo, hi
 
 
 def _bias(b, size: int) -> np.ndarray:
@@ -123,26 +126,20 @@ def _interleave(*blocks):
 def _layer_rows(num_vars, v, prev, up, low, xi=None, m=None):
     """Rows of one layer: v - W_up prev - M xi <= rhs_up and
     v - W_low prev >= rhs_low per node, preceded on a hidden layer (``xi``
-    given) by v <= M (1 - xi).  ``up``/``low`` are (W, rhs) pairs; ``prev``
-    is None when the layer input is fixed and already sits in the rhs."""
+    given) by v <= M (1 - xi).  ``up``/``low`` are (W, rhs) pairs."""
     (w_up, rhs_up), (w_low, rhs_low) = up, low
-    up_terms, low_terms = [(v, 1.0)], [(v, 1.0)]
+    up_terms = [(v, 1.0), (prev, -w_up)]
     if xi is not None:
         up_terms.append((xi, -m))
-    if prev is not None:
-        up_terms.append((prev, -w_up))
-        low_terms.append((prev, -w_low))
     upper = _rows(num_vars, LE, rhs_up, *up_terms)
-    lower = _rows(num_vars, GE, rhs_low, *low_terms)
+    lower = _rows(num_vars, GE, rhs_low, (v, 1.0), (prev, -w_low))
     if xi is None:
         return _interleave(upper, lower)
     return _interleave(_rows(num_vars, LE, m, (v, 1.0), (xi, m)), upper, lower)
 
 
 def _milp(c, blocks, lo, hi, sense, binaries_of) -> MilpProblem:
-    A = np.vstack([b[0] for b in blocks])
-    rel = np.concatenate([b[1] for b in blocks])
-    rhs = np.concatenate([b[2] for b in blocks])
+    A, rel, rhs = (np.concatenate(part) for part in zip(_rows(c.size, LE, ()), *blocks))
     lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense=sense)
     binaries = np.concatenate(binaries_of) if binaries_of else np.empty(0, dtype=np.int64)
     return MilpProblem(lp=lp, binary_idx=binaries)
@@ -166,28 +163,27 @@ def encode_output_bound(
         raise ValueError(f"output index {output_index} out of range for {out_size} outputs")
 
     im, bigm = _propagate(model, delta, x, x)
-    node_idx, out_idx, xi_idx, num_vars = _layout(im, head=0)
-    lo, hi = _var_bounds(num_vars, out_idx, xi_idx, bigm)
+    layer_vars, xi_idx, lo, hi = _layout(im, bigm, head=0, first=1)
+    box = layer_vars[0]
+    lo[box], hi[box] = bigm.pre_lo[0], bigm.pre_hi[0]
+    if len(layer_vars) > 1:  # a hidden first layer: its ReLU outputs
+        lo[box], hi[box] = np.maximum(lo[box], 0.0), np.maximum(hi[box], 0.0)
 
     blocks = []
-    for layer, (v, il) in enumerate(zip(node_idx + [out_idx], im.layers)):
-        if layer == 0:  # fixed input: the layer's enclosure is its rhs
-            prev = None
-            up, low = (None, bigm.pre_hi[0]), (None, bigm.pre_lo[0])
-        else:
-            prev = node_idx[layer - 1]
-            up = (il.w_hi, _bias(il.b_hi, v.size))
-            low = (il.w_lo, _bias(il.b_lo, v.size))
+    for layer in range(1, len(layer_vars)):
+        il, v = im.layers[layer], layer_vars[layer]
+        up = (il.w_hi, _bias(il.b_hi, v.size))
+        low = (il.w_lo, _bias(il.b_lo, v.size))
         # The output layer has no binaries: the two widened affine rows per class.
-        relu = (xi_idx[layer], bigm.big_m(layer)) if layer < len(node_idx) else ()
-        blocks.append(_layer_rows(num_vars, v, prev, up, low, *relu))
+        relu = (xi_idx[layer - 1], bigm.big_m(layer)) if layer <= len(xi_idx) else ()
+        blocks.append(_layer_rows(lo.size, v, layer_vars[layer - 1], up, low, *relu))
 
-    c = np.zeros(num_vars)
-    c[out_idx[output_index]] = 1.0
+    c = np.zeros(lo.size)
+    c[layer_vars[-1][output_index]] = 1.0
     return EncodedProblem(
         problem=_milp(c, blocks, lo, hi, direction, xi_idx),
         bigm=bigm,
-        var_index={"nodes": node_idx, "out": out_idx, "xi": xi_idx},
+        var_index={"nodes": layer_vars[:-1], "out": layer_vars[-1], "xi": xi_idx},
     )
 
 
@@ -221,8 +217,9 @@ def encode_nearest_ce(
     im, bigm = _propagate(model, 0.0, box_lo, box_hi)
     x_idx = np.arange(0, n)
     t_idx = np.arange(n, 2 * n)
-    node_idx, out_idx, xi_idx, num_vars = _layout(im, head=2 * n)
-    lo, hi = _var_bounds(num_vars, out_idx, xi_idx, bigm)
+    layer_vars, xi_idx, lo, hi = _layout(im, bigm, head=2 * n, first=0)
+    *node_idx, out_idx = layer_vars
+    num_vars = lo.size
     lo[x_idx] = box_lo
     hi[x_idx] = box_hi
 

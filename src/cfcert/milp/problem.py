@@ -18,7 +18,7 @@ EQ = 2
 class LinearProgram:
     """Dense LP: objective, constraint rows with relations, variable bounds.
 
-    Bounds may be +/-inf; coefficients must be finite.
+    Bounds may be +/-inf but not NaN; coefficients must be finite.
     """
 
     c: np.ndarray
@@ -64,6 +64,8 @@ def _bounds(lo, hi, n: int):
     hi = np.asarray(hi, dtype=np.float64).reshape(-1)
     if lo.size != n or hi.size != n:
         raise ValueError("bounds sizes disagree with variable count")
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ValueError("variable bounds must not be NaN")
     return lo, hi
 
 

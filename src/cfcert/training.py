@@ -21,6 +21,7 @@ from .models import (
     ReluNetwork,
     affine_layers,
     classify_batch,
+    counterfactual_target,
     flatten,
     from_affine_layers,
     p_distance,
@@ -305,11 +306,16 @@ def estimate_delta_validation(
     valid under every retrained model.
 
     Counterfactuals come from the robust nearest-neighbour generator with
-    both flags off.  Magnitudes where it finds none for some validation
-    input are skipped with a warning; if no magnitude reaches full validity
-    the grid maximum is returned flagged ``not_reached``.
+    both flags off.  Its candidates, the target-class rows, then depend on
+    neither the magnitude nor the input, so each target's k-d tree is built
+    once and walked at every magnitude.  Magnitudes where it finds none for
+    some validation input are skipped with a warning; if no magnitude
+    reaches full validity the grid maximum is returned flagged
+    ``not_reached``.
     """
-    from .generators import rnce  # deferred: generators import the verifier stack
+    # Deferred, since generators import the verifier stack; taken from
+    # generators so that rebinding a name there (as a tracer does) reaches here.
+    from .generators import KDTree, get_candidates, get_robust_ce
 
     if not retrained:
         raise ValueError("need at least one retrained model")
@@ -322,21 +328,27 @@ def estimate_delta_validation(
     elif len(targets) != len(val_inputs):
         raise ValueError(f"{len(targets)} targets for {len(val_inputs)} validation inputs")
     grid = sorted(float(g) for g in grid)
+    trees = {}  # target -> k-d tree of its candidates, None when there are none
     per_point = []
     for delta in grid:
         shift = ShiftSet(p, delta)
         ces, tgt = [], []
         failed = False
         for x, t in zip(val_inputs, targets):
-            record = rnce(model, X_candidates, x, shift, target=t)
-            if not record.found:
+            target = counterfactual_target(model, x, t)
+            if target not in trees:
+                idx = get_candidates(model, X_candidates, x, shift, target=target)
+                trees[target] = KDTree(X_candidates[idx]) if idx.size else None
+            tree = trees[target]
+            record = None if tree is None else get_robust_ce(model, shift, tree, x, target)
+            if record is None or not record.found:
                 warnings.warn(
                     f"generator found no counterfactual at delta={delta}; skipping this magnitude"
                 )
                 failed = True
                 break
             ces.append(record.x_prime)
-            tgt.append(record.target_class)
+            tgt.append(target)
         if failed:
             per_point.append({"delta": delta, "validity": None})
             continue

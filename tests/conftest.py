@@ -1,6 +1,6 @@
 """Shared fixtures: the small worked-example models and independent oracles
-(activation-pattern enumeration, parameter-box sampling, vertex enumeration)
-used to cross-check the certified machinery."""
+(activation-pattern enumeration, parameter-box sampling, vertex enumeration,
+scipy's HiGHS) used to cross-check the certified machinery."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import itertools
 import numpy as np
 import pytest
 
-from cfcert.milp import encode_output_bound, simplex_solve
-from cfcert.milp.problem import LinearProgram
+import reference_encode
+from cfcert.milp import simplex_solve
+from cfcert.milp.problem import GE, LE, LinearProgram
 from cfcert.models import Layer, LogisticModel, ReluNetwork, flatten, unflatten
 
 
@@ -94,10 +95,14 @@ def corner_logits(model, x, delta):
 
 def enumerate_pattern_bound(network, x, delta, output_index, direction):
     """Exhaustive oracle: best LP optimum over all 2^k fixed activation
-    patterns of the big-M encoding.  Binaries fixed by the encoder's
-    presolve are reset first, so the enumeration is over the full pattern
-    space and independently validates that presolve."""
-    enc = encode_output_bound(network, x, delta, output_index, direction)
+    patterns of the big-M encoding that gives every hidden layer, the first
+    included, rows and binaries (``reference_encode``).  Every binary is
+    fixed, those the encoder's presolve fixed included, so the enumeration
+    is over the full pattern space and independently validates that presolve
+    and the box the encoder under test makes of the first layer."""
+    enc = reference_encode.encode_output_bound_first_layer_rows(
+        network, x, delta, output_index, direction
+    )
     lp = enc.problem.lp
     binaries = list(enc.problem.binary_idx)
     best = None
@@ -186,3 +191,38 @@ def _feasible(lp: LinearProgram, pt: np.ndarray, tol: float = 1e-8) -> bool:
         if r == EQ and abs(lhs[i] - lp.rhs[i]) > tol:
             return False
     return True
+
+
+def highs_optimum(problem, polish=False):
+    """Optimal objective of a MilpProblem according to scipy's HiGHS, or
+    None when HiGHS finds it infeasible.
+
+    A HiGHS MILP solution may violate a row by its MIP feasibility
+    tolerance (1e-6).  With ``polish`` the binaries of that solution are
+    fixed and the LP that remains is solved again, whose optimal vertex
+    meets every row to rounding."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lp = problem.lp
+    sign = 1.0 if lp.sense == "min" else -1.0
+    integrality = np.zeros(lp.num_vars)
+    integrality[problem.binary_idx] = 1
+    lower = np.where(lp.rel == LE, -np.inf, lp.rhs)
+    upper = np.where(lp.rel == GE, np.inf, lp.rhs)
+    rows = [LinearConstraint(lp.A, lower, upper)] if lp.A.shape[0] else []
+    res = milp(
+        sign * lp.c,
+        integrality=integrality,
+        bounds=Bounds(lp.lo, lp.hi),
+        constraints=rows,
+        options={"mip_rel_gap": 0.0},
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    if polish and problem.binary_idx.size:
+        lo, hi = lp.lo.copy(), lp.hi.copy()
+        lo[problem.binary_idx] = hi[problem.binary_idx] = np.round(res.x[problem.binary_idx])
+        res = milp(sign * lp.c, bounds=Bounds(lo, hi), constraints=rows)
+        assert res.status == 0, res.message
+    return sign * float(res.fun)

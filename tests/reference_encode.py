@@ -7,6 +7,13 @@ builder adds one row at a time from a {variable: coefficient} dict.  Biases
 enter the big-M enclosures as ``lo + (b - delta)`` / ``hi + (b + delta)``,
 the form of ``cfcert.intervals``; nothing here imports that module or the
 encoder under test.  It is kept only for the tests.
+
+``encode_output_bound`` makes the first layer a box at the fixed input: a
+first-layer node reads only its own row of parameters, so each ranges over
+its own enclosure with no row and no binary.
+``encode_output_bound_first_layer_rows`` is the earlier formulation, which
+gives the first layer big-M rows and binaries like every other layer; the
+two must reach the same optimum.
 """
 
 from __future__ import annotations
@@ -111,8 +118,9 @@ class _RowBuilder:
         return np.zeros((0, self.n)), np.zeros(0, dtype=np.int64), np.zeros(0)
 
 
-def _relu_layout(layers, extra_head: int):
-    """Index bookkeeping: hidden node vars, output vars, binaries."""
+def _relu_layout(layers, extra_head: int, first_binary_layer: int = 0):
+    """Index bookkeeping: hidden node vars, output vars, binaries of the
+    hidden layers from ``first_binary_layer`` on."""
     hidden_sizes = [w.shape[0] for w, _ in layers[:-1]]
     out_size = layers[-1][0].shape[0]
     node_idx = []
@@ -123,14 +131,14 @@ def _relu_layout(layers, extra_head: int):
     out_idx = np.arange(pos, pos + out_size)
     pos += out_size
     xi_idx = []
-    for h in hidden_sizes:
+    for h in hidden_sizes[first_binary_layer:]:
         xi_idx.append(np.arange(pos, pos + h))
         pos += h
     return node_idx, out_idx, xi_idx, pos
 
 
-def _fix_stable_binaries(lo, hi, xi_idx, bigm: BigMBounds) -> None:
-    for layer, idx in enumerate(xi_idx):
+def _fix_stable_binaries(lo, hi, xi_idx, bigm: BigMBounds, first_binary_layer: int = 0) -> None:
+    for layer, idx in enumerate(xi_idx, start=first_binary_layer):
         pre_lo, pre_hi = bigm.pre_lo[layer], bigm.pre_hi[layer]
         for j, var in enumerate(idx):
             if pre_lo[j] >= 0.0:
@@ -140,6 +148,80 @@ def _fix_stable_binaries(lo, hi, xi_idx, bigm: BigMBounds) -> None:
 
 
 def encode_output_bound(
+    model: ParametricModel,
+    x_fixed,
+    delta: float,
+    output_index: int = 0,
+    direction: str = "min",
+) -> EncodedProblem:
+    """Bound one output logit of the delta-widened model at a fixed input.
+
+    The first layer is a box: a hidden node over [relu(lo), relu(hi)] of its
+    pre-activation enclosure, an output of a model without hidden layers
+    over [lo, hi].  Rows and binaries start at layer 1."""
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
+    if direction not in ("min", "max"):
+        raise ValueError("direction must be 'min' or 'max'")
+    layers = _layers_view(model)
+    x = as_feature_vector(x_fixed, layers[0][0].shape[1])
+    out_size = layers[-1][0].shape[0]
+    if not 0 <= output_index < out_size:
+        raise ValueError(f"output index {output_index} out of range for {out_size} outputs")
+
+    bigm = _propagate(layers, delta, x, x)
+    node_idx, out_idx, xi_idx, num_vars = _relu_layout(layers, extra_head=0, first_binary_layer=1)
+
+    lo = np.zeros(num_vars)
+    hi = np.full(num_vars, np.inf)
+    lo[out_idx] = -np.inf
+    for idx in xi_idx:
+        hi[idx] = 1.0
+    _fix_stable_binaries(lo, hi, xi_idx, bigm, first_binary_layer=1)
+    first = node_idx[0] if node_idx else out_idx
+    for j, var in enumerate(first):
+        pre_lo, pre_hi = bigm.pre_lo[0][j], bigm.pre_hi[0][j]
+        if node_idx:  # a hidden node: its ReLU output
+            pre_lo = pre_lo if pre_lo > 0.0 else 0.0
+            pre_hi = pre_hi if pre_hi > 0.0 else 0.0
+        lo[var], hi[var] = pre_lo, pre_hi
+
+    rb = _RowBuilder(num_vars)
+    for layer in range(1, len(layers)):
+        w, b = layers[layer]
+        b_lo = (b - delta) if b is not None else np.zeros(w.shape[0])
+        b_hi = (b + delta) if b is not None else np.zeros(w.shape[0])
+        prev = node_idx[layer - 1]
+        hidden = layer < len(node_idx)
+        m_consts = bigm.big_m(layer) if hidden else None
+        for j in range(w.shape[0]):
+            v = node_idx[layer][j] if hidden else out_idx[j]
+            up = {v: 1.0}
+            low = {v: 1.0}
+            if hidden:
+                xi = xi_idx[layer - 1][j]
+                m = m_consts[j]
+                rb.add({v: 1.0, xi: m}, LE, m)  # v <= M (1 - xi)
+                up[xi] = -m
+            for l, p in enumerate(prev):
+                up[p] = -(w[j, l] + delta)
+                low[p] = -(w[j, l] - delta)
+            rb.add(up, LE, b_hi[j])
+            rb.add(low, GE, b_lo[j])
+
+    A, rel, rhs = rb.build()
+    c = np.zeros(num_vars)
+    c[out_idx[output_index]] = 1.0
+    lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense=direction)
+    binaries = np.concatenate(xi_idx) if xi_idx else np.empty(0, dtype=np.int64)
+    return EncodedProblem(
+        problem=MilpProblem(lp=lp, binary_idx=binaries),
+        bigm=bigm,
+        var_index={"nodes": node_idx, "out": out_idx, "xi": xi_idx},
+    )
+
+
+def encode_output_bound_first_layer_rows(
     model: ParametricModel,
     x_fixed,
     delta: float,

@@ -2,15 +2,19 @@
 
 Agreement is exact -- every array compared with ``np.array_equal`` and
 ``np.signbit`` -- because branch and bound must take the same path on
-either encoding.
+either encoding.  The output-bound encoding, whose first layer is a box, is
+also checked against the earlier formulation with first-layer big-M rows:
+the two must reach the same optimum.
 """
 
 import numpy as np
 import pytest
 
 import reference_encode
-from cfcert.milp import encode_nearest_ce, encode_output_bound
+from cfcert.milp import branch_and_bound, encode_nearest_ce, encode_output_bound
 from cfcert.models import Layer, LogisticModel, ReluNetwork
+
+from conftest import highs_optimum, random_network
 
 
 def _same(a, b):
@@ -93,3 +97,41 @@ def test_encoders_match_dict_row_oracle(name, hidden, n_out, seed, with_bias):
                 encode_nearest_ce(model, x, target, margin, box),
                 reference_encode.encode_nearest_ce(model, x, target, margin, box),
             )
+
+
+@pytest.mark.parametrize("n_out", [1, 3], ids=["1 logit", "3 logits"])
+@pytest.mark.parametrize("hidden", [[8], [6, 6], [4, 4, 4]], ids=["1 hidden", "2 hidden", "3 hidden"])
+def test_first_layer_box_keeps_the_highs_optimum(hidden, n_out):
+    # The box replaces the first layer's big-M rows and binaries, which
+    # describe exactly the interval [relu(lo), relu(hi)] at a fixed input.
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng([len(hidden), n_out])
+    for _ in range(4):
+        net = random_network(rng, n_in=3, hidden=hidden, n_out=n_out)
+        x = rng.uniform(0, 1, 3)
+        for delta in (0.01, 0.05, 0.2):
+            for index in range(n_out):
+                for direction in ("min", "max"):
+                    new = encode_output_bound(net, x, delta, index, direction)
+                    old = reference_encode.encode_output_bound_first_layer_rows(
+                        net, x, delta, index, direction
+                    )
+                    assert new.problem.lp.A.shape[0] < old.problem.lp.A.shape[0]
+                    want = highs_optimum(old.problem, polish=True)
+                    got = highs_optimum(new.problem, polish=True)
+                    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_one_hidden_layer_bound_is_a_pure_lp():
+    rng = np.random.default_rng(17)
+    for n_out in (1, 3):
+        for _ in range(5):
+            net = random_network(rng, n_in=3, hidden=[8], n_out=n_out)
+            x = rng.uniform(0, 1, 3)
+            for index in range(n_out):
+                for direction in ("min", "max"):
+                    problem = encode_output_bound(net, x, 0.1, index, direction).problem
+                    assert problem.binary_idx.size == 0
+                    assert problem.lp.A.shape[0] == 2 * n_out  # the output rows alone
+                    res = branch_and_bound(problem)
+                    assert res.optimal and res.nodes == 1

@@ -3,6 +3,7 @@ import pytest
 
 from cfcert._kernels import STATUS_ITER_LIMIT
 from cfcert.generators import (
+    CounterfactualRecord,
     _score_step,
     gce,
     gce_robust,
@@ -274,6 +275,29 @@ class TestIterativeRobustify:
         r = mce_robust(logistic_ref, shift, [0.7, 0.5], 1, max_rounds=3)
         assert r.found and r.robust is False and r.iterations == 3
         assert len(r.trace) == 3
+
+    def test_records_take_only_the_base_point(self, logistic_ref):
+        # The base record's x_prime and distance survive; every other field
+        # is the wrapper's, whatever the base set it to.
+        stale = dict(robust=False, shift=ShiftSet("inf", 9.0), iterations=7, trace=["stale"])
+        for margin, robust, rounds in ((1.0, True, 1), (0.0, False, 2)):
+            base_record = mce(logistic_ref, [0.7, 0.5], 1, margin=margin)
+
+            def base(k):
+                return CounterfactualRecord(
+                    method="base", target_class=1, found=True, x_prime=base_record.x_prime,
+                    distance=base_record.distance, **stale,
+                ), margin
+
+            shift = ShiftSet("inf", 0.5 if robust else 3.0)
+            r = iterative_robustify(base, logistic_ref, shift, [0.7, 0.5], 1, max_rounds=2,
+                                    method="wrapped")
+            assert r == CounterfactualRecord(
+                method="wrapped", target_class=1, found=True, x_prime=base_record.x_prime,
+                distance=base_record.distance, robust=robust, shift=shift, iterations=rounds,
+                trace=[margin] * rounds,
+            )
+            assert r.x_prime is base_record.x_prime
 
     def test_total_failure(self, logistic_ref):
         def base(k):

@@ -17,7 +17,13 @@ from cfcert.milp import (
 
 from cfcert._kernels import STATUS_INFEASIBLE, STATUS_ITER_LIMIT, STATUS_OPTIMAL
 
-from conftest import cap_warm_dual_loops, enumerate_pattern_bound, enumerate_vertices, random_network
+from conftest import (
+    cap_warm_dual_loops,
+    enumerate_pattern_bound,
+    enumerate_vertices,
+    highs_optimum,
+    random_network,
+)
 
 
 def _lp(c, A, rel, rhs, lo, hi, sense="min"):
@@ -116,31 +122,6 @@ def _loop_standardise(lp):
         A[m0 + i, cols[j]] = 1.0
         b[m0 + i] = lp.hi[j] - lp.lo[j]
     return A, b, rel, c, kinds, consts, np.array(cols, dtype=np.int64), np.array(boxed, dtype=np.int64)
-
-
-def _highs_optimum(problem):
-    """Optimal objective of a MilpProblem according to scipy's HiGHS, or
-    None when HiGHS finds it infeasible."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    lp = problem.lp
-    sign = 1.0 if lp.sense == "min" else -1.0
-    integrality = np.zeros(lp.num_vars)
-    integrality[problem.binary_idx] = 1
-    rows = LinearConstraint(
-        lp.A, np.where(lp.rel == LE, -np.inf, lp.rhs), np.where(lp.rel == GE, np.inf, lp.rhs)
-    )
-    res = milp(
-        sign * lp.c,
-        integrality=integrality,
-        bounds=Bounds(lp.lo, lp.hi),
-        constraints=[rows],
-        options={"mip_rel_gap": 0.0},
-    )
-    if res.status == 2:
-        return None
-    assert res.status == 0, res.message
-    return sign * float(res.fun)
 
 
 class TestSimplex:
@@ -510,14 +491,17 @@ class TestBranchAndBound:
                 frac = np.abs(res.x - np.round(res.x))
                 assert frac.max() <= 1e-6
 
-    def test_node_limit_status(self, binary_net):
-        enc = encode_output_bound(binary_net, [1.0, 2.0], 0.6, 0, "min")
-        free = [
-            j for j in enc.problem.binary_idx if enc.problem.lp.lo[j] < enc.problem.lp.hi[j]
-        ]
-        if free:  # only meaningful when presolve left work to do
-            res = branch_and_bound(enc.problem, node_limit=1)
-            assert res.status in ("node_limit", "optimal")
+    def test_node_limit_status(self):
+        # The first layer is a box, so a bound problem branches only from a
+        # second hidden layer on.
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            net = random_network(rng, n_in=3, hidden=[8, 8])
+            problem = encode_output_bound(net, rng.uniform(0, 1, 3), 0.1, 0, "min").problem
+            if branch_and_bound(problem).nodes > 1:
+                break
+        res = branch_and_bound(problem, node_limit=1)
+        assert res.status == "node_limit" and res.nodes == 1 and not res.optimal
 
     def test_iteration_limit_stops_the_search(self, binary_net, monkeypatch):
         enc = encode_output_bound(binary_net, [1.0, 2.0], 0.6, 0, "min")
@@ -561,6 +545,16 @@ class TestBranchAndBound:
         assert tight.sense == "max" and list(tight.hi) == [1.0, 0.5] and list(lp.hi) == [1.0, 1.0]
         with pytest.raises(ValueError):
             lp.with_bounds([0], [1])
+
+    def test_nan_bounds_are_rejected(self):
+        # A NaN bound used to read as no bound: min -x, x <= 5 over [0, nan] gave x = 5.
+        for lo, hi in (([0.0], [np.nan]), ([np.nan], [1.0])):
+            with pytest.raises(ValueError, match="NaN"):
+                _lp([-1.0], [[1.0]], [LE], [5.0], lo, hi)
+        lp = _lp([-1.0], [[1.0]], [LE], [5.0], [0.0], [1.0])
+        for lo, hi in (([0.0], [np.nan]), ([np.nan], [1.0])):
+            with pytest.raises(ValueError, match="NaN"):
+                lp.with_bounds(lo, hi)
 
     def test_binary_bounds_must_each_be_zero_or_one(self):
         lp = _lp([1.0, 1.0], [[1, 1]], [LE], [1.0], [0, 0], [1, 1])
@@ -625,7 +619,7 @@ class TestBranchAndBound:
                 problem = encode_output_bound(net, x, delta, 0, direction).problem
                 got = branch_and_bound(problem)
                 assert got.optimal
-                assert got.objective == pytest.approx(_highs_optimum(problem), abs=1e-6)
+                assert got.objective == pytest.approx(highs_optimum(problem), abs=1e-6)
 
 
     def test_nearest_ce_matches_highs_on_random_networks(self):
@@ -641,10 +635,10 @@ class TestBranchAndBound:
                     problem = encode_nearest_ce(net, x, target=target, margin=0.05).problem
                     got = branch_and_bound(problem)
                     if got.status == "infeasible":
-                        assert _highs_optimum(problem) is None
+                        assert highs_optimum(problem) is None
                         continue
                     assert got.optimal
-                    assert got.objective == pytest.approx(_highs_optimum(problem), abs=1e-6)
+                    assert got.objective == pytest.approx(highs_optimum(problem), abs=1e-6)
                     nodes += got.nodes
                     problems += 1
         assert problems >= 15 and nodes >= 5 * problems
@@ -687,7 +681,7 @@ class TestBranchAndBound:
         net = random_network(rng, n_in=3, hidden=[12, 12])
         problem = encode_nearest_ce(net, rng.uniform(0, 1, 3), target=0, margin=0.1).problem
         got = branch_and_bound(problem)
-        assert got.optimal and got.objective == pytest.approx(_highs_optimum(problem), abs=1e-6)
+        assert got.optimal and got.objective == pytest.approx(highs_optimum(problem), abs=1e-6)
         assert got.nodes > 100 and sum(cleanups) >= 2
 
 

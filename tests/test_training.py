@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cfcert.data import synth_binary, synth_multiclass
+from cfcert.intervals import ShiftSet
 from cfcert.models import LogisticModel, classify_batch, flatten, p_distance, unflatten
 from cfcert.training import (
     RetrainSpec,
@@ -230,6 +231,41 @@ class TestEstimateDeltaValidation:
         ds, m, pool = self._setup()
         with pytest.raises(ValueError, match="targets for 10 validation inputs"):
             estimate_delta_validation(m, [m], ds.X, pool, targets=[1] * n_targets, grid=(0.01,))
+
+    def test_one_tree_per_target(self, monkeypatch):
+        # Without robust_init rnce's candidates are the target-class rows,
+        # whatever the input and delta: one k-d tree serves every magnitude.
+        from cfcert import generators
+
+        ds, m, pool = self._setup()
+        hostile = unflatten(m, -flatten(m))  # no magnitude ends the scan
+        grid = (0.01, 0.05, 0.1, 50.0)  # at 50 no candidate certifies
+        want = []  # the report of rnce run afresh at every magnitude
+        for delta in grid:
+            records = []
+            for x in pool:
+                records.append(generators.rnce(m, ds.X, x, ShiftSet("inf", delta), target=1))
+                if not records[-1].found:
+                    break
+            if not records[-1].found:
+                want.append({"delta": delta, "validity": None})
+                continue
+            valid = classify_batch(hostile, np.vstack([r.x_prime for r in records])) == 1
+            want.append({"delta": delta, "validity": int(valid.sum()) / len(records)})
+
+        builds = []
+
+        class CountingTree(generators.KDTree):
+            def __init__(self, points):
+                builds.append(len(points))
+                super().__init__(points)
+
+        monkeypatch.setattr(generators, "KDTree", CountingTree)
+        with pytest.warns(UserWarning, match="delta=50.0; skipping") as caught:
+            rep = estimate_delta_validation(m, [hostile], ds.X, pool, [1] * len(pool), grid=grid)
+        assert len(caught) == 1 and len(builds) == 1
+        assert rep["per_point"] == want and want[0]["validity"] is not None
+        assert rep["not_reached"] and rep["delta_val"] == 50.0
 
     def test_generator_failure_skips_grid_point(self):
         # At delta 50 every interval logit straddles 0, so no candidate

@@ -226,13 +226,16 @@ def test_iteration_limit_reports_unresolved(binary_net, monkeypatch):
 
 def test_child_iteration_limit_reports_unresolved(monkeypatch):
     # A robust point whose bound tree branches: the root solves, then the
-    # first child's dual simplex reaches its cap.
+    # first child's dual simplex reaches its cap.  A one-hidden-layer bound
+    # problem is an LP, so the net has two hidden layers.
     rng = np.random.default_rng(21)
-    for _ in range(7):
-        net = random_network(rng, n_in=3, hidden=[8])
-        x = rng.uniform(0, 1, 3)
     shift = ShiftSet("inf", 0.1)
-    honest = is_delta_robust(net, shift, x)
+    for _ in range(20):
+        net = random_network(rng, n_in=3, hidden=[8, 8])
+        x = rng.uniform(0, 1, 3)
+        honest = is_delta_robust(net, shift, x)
+        if honest.robust and honest.nodes_explored > 1:
+            break
     assert honest.robust and honest.nodes_explored > 1
     cap_warm_dual_loops(monkeypatch, 1)
     verdict = is_delta_robust(net, shift, x)
