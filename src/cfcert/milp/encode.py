@@ -15,16 +15,19 @@ model: input features are the decision variables inside a box, the
 normalised L1 objective uses auxiliary absolute-difference variables, ReLUs
 use exact big-M rows, and validity demands a logit margin for the target.
 
-Big-M constants are per node, taken from interval propagation
-(``cfcert.intervals.interval_bounds``) inflated by 1.5; nodes whose
-pre-activation interval is stably signed get their binary fixed up front.
-Both encoders build their rows one layer at a time as dense blocks, node
-by node: [v <= M (1 - xi)], the upper and the lower affine row.
+Big-M constants are per node: the pre-activation enclosure (lo, hi) from
+interval propagation (``cfcert.intervals.interval_bounds``), which is itself
+a valid pair of constants (Tjeng et al., ICLR 2019).  Binary xi = 1 switches
+a ReLU off: v <= hi (1 - xi) caps it, and the upper affine row gains
++lo xi.  Nodes whose pre-activation interval is stably signed get their
+binary fixed up front.  Both encoders build their rows one layer at a time
+as dense blocks, node by node: [v + hi xi <= hi], the upper and the lower
+affine row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,47 +35,19 @@ from ..intervals import IntervalModel, ShiftSet, abstract, interval_bounds
 from ..models import ParametricModel, as_feature_vector, check_target
 from .problem import EQ, GE, LE, LinearProgram, MilpProblem
 
-__all__ = ["BigMBounds", "EncodedProblem", "encode_output_bound", "encode_nearest_ce"]
+__all__ = ["EncodedProblem", "encode_output_bound", "encode_nearest_ce"]
 
-BIGM_INFLATION = 1.5
 STRICT_EPS = 1e-6  # tightens constraints that must hold strictly under tie-break
-
-
-@dataclass
-class BigMBounds:
-    """Per layer pre-activation enclosures backing the big-M constants (and
-    the first layer's box at a fixed input)."""
-
-    pre_lo: list[np.ndarray] = field(default_factory=list)
-    pre_hi: list[np.ndarray] = field(default_factory=list)
-
-    def validate(self) -> None:
-        for lo, hi in zip(self.pre_lo, self.pre_hi):
-            if np.any(lo > hi + 1e-12):
-                raise ValueError("big-M lower bound exceeds upper bound")
-
-    def big_m(self, layer: int) -> np.ndarray:
-        lo, hi = self.pre_lo[layer], self.pre_hi[layer]
-        return BIGM_INFLATION * np.maximum(np.abs(lo), np.abs(hi))
 
 
 @dataclass
 class EncodedProblem:
     problem: MilpProblem
-    bigm: BigMBounds
+    pre: list  # (lo, hi) pre-activation enclosure of every layer, the logits last
     var_index: dict  # name -> index array, e.g. "x" for CE features, "out"
 
 
-def _propagate(model: ParametricModel, delta: float, in_lo, in_hi):
-    """The delta-widened model and the pre-activation enclosures of its layers."""
-    im = abstract(model, ShiftSet("inf", delta))
-    pre = interval_bounds(im, in_lo, in_hi)
-    bounds = BigMBounds(pre_lo=[lo for lo, _ in pre], pre_hi=[hi for _, hi in pre])
-    bounds.validate()
-    return im, bounds
-
-
-def _layout(im: IntervalModel, bigm: BigMBounds, head: int, first: int):
+def _layout(im: IntervalModel, pre, head: int, first: int):
     """Variables after ``head`` leading ones: every hidden node (>= 0), the
     outputs (free), then one binary per hidden node of layer ``first`` on,
     in [0, 1] or fixed when its node is stable.  Returns the node indices of
@@ -87,8 +62,9 @@ def _layout(im: IntervalModel, bigm: BigMBounds, head: int, first: int):
     lo[blocks[k]] = -np.inf
     for layer, idx in enumerate(blocks[k + 1 :], start=first):
         hi[idx] = 1.0
-        active = bigm.pre_lo[layer] >= 0.0
-        inactive = ~active & (bigm.pre_hi[layer] <= 0.0)
+        pre_lo, pre_hi = pre[layer]
+        active = pre_lo >= 0.0
+        inactive = ~active & (pre_hi <= 0.0)
         lo[idx[active]] = hi[idx[active]] = 0.0
         lo[idx[inactive]] = hi[idx[inactive]] = 1.0
     return blocks[: k + 1], blocks[k + 1 :], lo, hi
@@ -123,19 +99,19 @@ def _interleave(*blocks):
     return A, rel, rhs
 
 
-def _layer_rows(num_vars, v, prev, up, low, xi=None, m=None):
-    """Rows of one layer: v - W_up prev - M xi <= rhs_up and
+def _layer_rows(num_vars, v, prev, up, low, xi=None, pre=None):
+    """Rows of one layer: v - W_up prev + lo xi <= rhs_up and
     v - W_low prev >= rhs_low per node, preceded on a hidden layer (``xi``
-    given) by v <= M (1 - xi).  ``up``/``low`` are (W, rhs) pairs."""
+    given, with its enclosure ``pre``) by v + hi xi <= hi.  ``up``/``low``
+    are (W, rhs) pairs."""
     (w_up, rhs_up), (w_low, rhs_low) = up, low
-    up_terms = [(v, 1.0), (prev, -w_up)]
-    if xi is not None:
-        up_terms.append((xi, -m))
-    upper = _rows(num_vars, LE, rhs_up, *up_terms)
     lower = _rows(num_vars, GE, rhs_low, (v, 1.0), (prev, -w_low))
     if xi is None:
-        return _interleave(upper, lower)
-    return _interleave(_rows(num_vars, LE, m, (v, 1.0), (xi, m)), upper, lower)
+        return _interleave(_rows(num_vars, LE, rhs_up, (v, 1.0), (prev, -w_up)), lower)
+    pre_lo, pre_hi = pre
+    cap = _rows(num_vars, LE, pre_hi, (v, 1.0), (xi, pre_hi))
+    upper = _rows(num_vars, LE, rhs_up, (v, 1.0), (prev, -w_up), (xi, pre_lo))
+    return _interleave(cap, upper, lower)
 
 
 def _milp(c, blocks, lo, hi, sense, binaries_of) -> MilpProblem:
@@ -162,10 +138,11 @@ def encode_output_bound(
     if not 0 <= output_index < out_size:
         raise ValueError(f"output index {output_index} out of range for {out_size} outputs")
 
-    im, bigm = _propagate(model, delta, x, x)
-    layer_vars, xi_idx, lo, hi = _layout(im, bigm, head=0, first=1)
+    im = abstract(model, ShiftSet("inf", delta))
+    pre = interval_bounds(im, x, x)
+    layer_vars, xi_idx, lo, hi = _layout(im, pre, head=0, first=1)
     box = layer_vars[0]
-    lo[box], hi[box] = bigm.pre_lo[0], bigm.pre_hi[0]
+    lo[box], hi[box] = pre[0]
     if len(layer_vars) > 1:  # a hidden first layer: its ReLU outputs
         lo[box], hi[box] = np.maximum(lo[box], 0.0), np.maximum(hi[box], 0.0)
 
@@ -175,14 +152,14 @@ def encode_output_bound(
         up = (il.w_hi, _bias(il.b_hi, v.size))
         low = (il.w_lo, _bias(il.b_lo, v.size))
         # The output layer has no binaries: the two widened affine rows per class.
-        relu = (xi_idx[layer - 1], bigm.big_m(layer)) if layer <= len(xi_idx) else ()
+        relu = (xi_idx[layer - 1], pre[layer]) if layer <= len(xi_idx) else ()
         blocks.append(_layer_rows(lo.size, v, layer_vars[layer - 1], up, low, *relu))
 
     c = np.zeros(lo.size)
     c[layer_vars[-1][output_index]] = 1.0
     return EncodedProblem(
         problem=_milp(c, blocks, lo, hi, direction, xi_idx),
-        bigm=bigm,
+        pre=pre,
         var_index={"nodes": layer_vars[:-1], "out": layer_vars[-1], "xi": xi_idx},
     )
 
@@ -198,7 +175,8 @@ def encode_nearest_ce(
 
     ``target`` uses the classification label conventions: {0, 1} for
     single-logit models, {1, ..., l} for multi-logit ones.  ``box`` is a
-    (lo, hi) pair of per-feature arrays or scalars, default the unit box.
+    (lo, hi) pair of finite per-feature arrays or scalars with lo <= hi,
+    default the unit box.
     """
     if margin < 0 or not np.isfinite(margin):
         raise ValueError("margin must be finite and >= 0")
@@ -212,12 +190,17 @@ def encode_nearest_ce(
     else:
         box_lo = np.broadcast_to(np.asarray(box[0], dtype=np.float64), (n,)).copy()
         box_hi = np.broadcast_to(np.asarray(box[1], dtype=np.float64), (n,)).copy()
+        if not (np.all(np.isfinite(box_lo)) and np.all(np.isfinite(box_hi))):
+            raise ValueError("box bounds must be finite")
+        if np.any(box_lo > box_hi):
+            raise ValueError("box lower bound exceeds its upper bound")
 
     # At delta = 0 the lower endpoints are the model's own parameters, bit for bit.
-    im, bigm = _propagate(model, 0.0, box_lo, box_hi)
+    im = abstract(model, ShiftSet("inf", 0.0))
+    pre = interval_bounds(im, box_lo, box_hi)
     x_idx = np.arange(0, n)
     t_idx = np.arange(n, 2 * n)
-    layer_vars, xi_idx, lo, hi = _layout(im, bigm, head=2 * n, first=0)
+    layer_vars, xi_idx, lo, hi = _layout(im, pre, head=2 * n, first=0)
     *node_idx, out_idx = layer_vars
     num_vars = lo.size
     lo[x_idx] = box_lo
@@ -232,7 +215,7 @@ def encode_nearest_ce(
     prev = x_idx
     for layer, (v, il) in enumerate(zip(node_idx, im.layers)):
         exact = (il.w_lo, _bias(il.b_lo, v.size))
-        relu = (xi_idx[layer], bigm.big_m(layer))
+        relu = (xi_idx[layer], pre[layer])
         blocks.append(_layer_rows(num_vars, v, prev, exact, exact, *relu))
         prev = v
     last = im.layers[-1]
@@ -259,6 +242,6 @@ def encode_nearest_ce(
     c[t_idx] = 1.0 / n
     return EncodedProblem(
         problem=_milp(c, blocks, lo, hi, "min", xi_idx),
-        bigm=bigm,
+        pre=pre,
         var_index={"x": x_idx, "t": t_idx, "nodes": node_idx, "out": out_idx, "xi": xi_idx},
     )

@@ -113,12 +113,12 @@ def _enclosed(
     every shifted model, so neither can pass its IA endpoint.  The solver
     meets that range only to its own tolerances: a binary accepted within
     ``INTEGRALITY_TOL`` of integral lets a ReLU move by that fraction of its
-    big-M range, which the IA width of the logit bounds, and rows hold to
-    ``FEASIBILITY_TOL`` at the scale of the logit.  Within that slack the
-    endpoint is clamped into the range, so a verdict never contradicts the
-    point class or the interval classification.  Where rounding leaves the
-    range empty (the IA endpoint past the point logit by an ulp, at delta 0)
-    the IA endpoint wins.
+    pre-activation enclosure (its big-M constants), which the IA width of the
+    logit bounds, and rows hold to ``FEASIBILITY_TOL`` at the scale of the
+    logit.  Within that slack the endpoint is clamped into the range, so a
+    verdict never contradicts the point class or the interval
+    classification.  Where rounding leaves the range empty (the IA endpoint
+    past the point logit by an ulp, at delta 0) the IA endpoint wins.
     """
     tol = INTEGRALITY_TOL * (ia_hi - ia_lo) + FEASIBILITY_TOL * max(1.0, abs(ia_lo), abs(ia_hi))
     if direction == "min":

@@ -2,55 +2,49 @@
 
 ``cfcert.milp.encode`` must reproduce these encodings exactly -- the same
 objective, rows, relations, right-hand sides, bounds, binaries,
-variable index and big-M enclosures, bit for bit (``-0.0`` included).  The
-builder adds one row at a time from a {variable: coefficient} dict.  Biases
-enter the big-M enclosures as ``lo + (b - delta)`` / ``hi + (b + delta)``,
-the form of ``cfcert.intervals``; nothing here imports that module or the
-encoder under test.  It is kept only for the tests.
+variable index and pre-activation enclosures, bit for bit (``-0.0``
+included).  The builder adds one row at a time from a {variable:
+coefficient} dict.  Biases enter the enclosures as ``lo + (b - delta)`` /
+``hi + (b + delta)``, the form of ``cfcert.intervals``; nothing here imports
+that module or the encoder under test.  It is kept only for the tests.
+
+Both encoders take their big-M constants from a node's enclosure (lo, hi)
+itself: ``v + hi xi <= hi`` caps the ReLU and the upper affine row gains
+``+lo xi``.
 
 ``encode_output_bound`` makes the first layer a box at the fixed input: a
 first-layer node reads only its own row of parameters, so each ranges over
 its own enclosure with no row and no binary.
 ``encode_output_bound_first_layer_rows`` is the earlier formulation, which
-gives the first layer big-M rows and binaries like every other layer; the
-two must reach the same optimum.
+gives the first layer big-M rows and binaries like every other layer, with
+the symmetric constant M = 1.5 max(|lo|, |hi|) of its own: an independent
+encoding for the pattern-enumeration oracle.  The two must reach the same
+optimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from cfcert.models import LogisticModel, ParametricModel, as_feature_vector
 from cfcert.milp.problem import EQ, GE, LE, LinearProgram, MilpProblem
 
-BIGM_INFLATION = 1.5
+BIGM_INFLATION = 1.5  # encode_output_bound_first_layer_rows' symmetric M alone
 STRICT_EPS = 1e-6  # tightens constraints that must hold strictly under tie-break
-
-
-@dataclass
-class BigMBounds:
-    """Per hidden node pre-activation enclosures backing the big-M constants."""
-
-    pre_lo: list[np.ndarray] = field(default_factory=list)
-    pre_hi: list[np.ndarray] = field(default_factory=list)
-
-    def validate(self) -> None:
-        for lo, hi in zip(self.pre_lo, self.pre_hi):
-            if np.any(lo > hi + 1e-12):
-                raise ValueError("big-M lower bound exceeds upper bound")
-
-    def big_m(self, layer: int) -> np.ndarray:
-        lo, hi = self.pre_lo[layer], self.pre_hi[layer]
-        return BIGM_INFLATION * np.maximum(np.abs(lo), np.abs(hi))
 
 
 @dataclass
 class EncodedProblem:
     problem: MilpProblem
-    bigm: BigMBounds
+    pre: list  # (lo, hi) pre-activation enclosure of every layer, the logits last
     var_index: dict  # name -> index array, e.g. "x" for CE features, "out"
+
+
+def _big_m(pre, layer: int) -> np.ndarray:
+    lo, hi = pre[layer]
+    return BIGM_INFLATION * np.maximum(np.abs(lo), np.abs(hi))
 
 
 def _layers_view(model: ParametricModel):
@@ -76,9 +70,9 @@ def _interval_product_range(w_lo, w_hi, v_lo, v_hi):
     return lo, hi
 
 
-def _propagate(layers, delta, in_lo, in_hi) -> BigMBounds:
+def _propagate(layers, delta, in_lo, in_hi) -> list:
     """Pre-activation enclosures of every layer of the delta-widened network."""
-    bounds = BigMBounds()
+    bounds = []
     v_lo, v_hi = in_lo, in_hi
     for i, (w, b) in enumerate(layers):
         if np.array_equal(v_lo, v_hi):
@@ -88,12 +82,10 @@ def _propagate(layers, delta, in_lo, in_hi) -> BigMBounds:
         if b is not None:
             lo = lo + (b - delta)
             hi = hi + (b + delta)
-        bounds.pre_lo.append(lo)
-        bounds.pre_hi.append(hi)
+        bounds.append((lo, hi))
         if i < len(layers) - 1:
             v_lo = np.maximum(lo, 0.0)
             v_hi = np.maximum(hi, 0.0)
-    bounds.validate()
     return bounds
 
 
@@ -137,9 +129,9 @@ def _relu_layout(layers, extra_head: int, first_binary_layer: int = 0):
     return node_idx, out_idx, xi_idx, pos
 
 
-def _fix_stable_binaries(lo, hi, xi_idx, bigm: BigMBounds, first_binary_layer: int = 0) -> None:
+def _fix_stable_binaries(lo, hi, xi_idx, pre, first_binary_layer: int = 0) -> None:
     for layer, idx in enumerate(xi_idx, start=first_binary_layer):
-        pre_lo, pre_hi = bigm.pre_lo[layer], bigm.pre_hi[layer]
+        pre_lo, pre_hi = pre[layer]
         for j, var in enumerate(idx):
             if pre_lo[j] >= 0.0:
                 lo[var] = hi[var] = 0.0  # provably active
@@ -169,7 +161,7 @@ def encode_output_bound(
     if not 0 <= output_index < out_size:
         raise ValueError(f"output index {output_index} out of range for {out_size} outputs")
 
-    bigm = _propagate(layers, delta, x, x)
+    pre = _propagate(layers, delta, x, x)
     node_idx, out_idx, xi_idx, num_vars = _relu_layout(layers, extra_head=0, first_binary_layer=1)
 
     lo = np.zeros(num_vars)
@@ -177,10 +169,10 @@ def encode_output_bound(
     lo[out_idx] = -np.inf
     for idx in xi_idx:
         hi[idx] = 1.0
-    _fix_stable_binaries(lo, hi, xi_idx, bigm, first_binary_layer=1)
+    _fix_stable_binaries(lo, hi, xi_idx, pre, first_binary_layer=1)
     first = node_idx[0] if node_idx else out_idx
     for j, var in enumerate(first):
-        pre_lo, pre_hi = bigm.pre_lo[0][j], bigm.pre_hi[0][j]
+        pre_lo, pre_hi = pre[0][0][j], pre[0][1][j]
         if node_idx:  # a hidden node: its ReLU output
             pre_lo = pre_lo if pre_lo > 0.0 else 0.0
             pre_hi = pre_hi if pre_hi > 0.0 else 0.0
@@ -193,16 +185,15 @@ def encode_output_bound(
         b_hi = (b + delta) if b is not None else np.zeros(w.shape[0])
         prev = node_idx[layer - 1]
         hidden = layer < len(node_idx)
-        m_consts = bigm.big_m(layer) if hidden else None
         for j in range(w.shape[0]):
             v = node_idx[layer][j] if hidden else out_idx[j]
             up = {v: 1.0}
             low = {v: 1.0}
             if hidden:
                 xi = xi_idx[layer - 1][j]
-                m = m_consts[j]
-                rb.add({v: 1.0, xi: m}, LE, m)  # v <= M (1 - xi)
-                up[xi] = -m
+                pre_lo, pre_hi = pre[layer][0][j], pre[layer][1][j]
+                rb.add({v: 1.0, xi: pre_hi}, LE, pre_hi)  # v <= hi (1 - xi)
+                up[xi] = pre_lo
             for l, p in enumerate(prev):
                 up[p] = -(w[j, l] + delta)
                 low[p] = -(w[j, l] - delta)
@@ -216,7 +207,7 @@ def encode_output_bound(
     binaries = np.concatenate(xi_idx) if xi_idx else np.empty(0, dtype=np.int64)
     return EncodedProblem(
         problem=MilpProblem(lp=lp, binary_idx=binaries),
-        bigm=bigm,
+        pre=pre,
         var_index={"nodes": node_idx, "out": out_idx, "xi": xi_idx},
     )
 
@@ -239,7 +230,7 @@ def encode_output_bound_first_layer_rows(
     if not 0 <= output_index < out_size:
         raise ValueError(f"output index {output_index} out of range for {out_size} outputs")
 
-    bigm = _propagate(layers, delta, x, x)
+    pre = _propagate(layers, delta, x, x)
     node_idx, out_idx, xi_idx, num_vars = _relu_layout(layers, extra_head=0)
 
     lo = np.zeros(num_vars)
@@ -247,11 +238,11 @@ def encode_output_bound_first_layer_rows(
     lo[out_idx] = -np.inf
     for idx in xi_idx:
         hi[idx] = 1.0
-    _fix_stable_binaries(lo, hi, xi_idx, bigm)
+    _fix_stable_binaries(lo, hi, xi_idx, pre)
 
     rb = _RowBuilder(num_vars)
     for layer, (w, b) in enumerate(layers[:-1]):
-        m_consts = bigm.big_m(layer)
+        m_consts = _big_m(pre, layer)
         b_lo = (b - delta) if b is not None else np.zeros(w.shape[0])
         b_hi = (b + delta) if b is not None else np.zeros(w.shape[0])
         prev = node_idx[layer - 1] if layer > 0 else None
@@ -303,7 +294,7 @@ def encode_output_bound_first_layer_rows(
     binaries = np.concatenate(xi_idx) if xi_idx else np.empty(0, dtype=np.int64)
     return EncodedProblem(
         problem=MilpProblem(lp=lp, binary_idx=binaries),
-        bigm=bigm,
+        pre=pre,
         var_index={"nodes": node_idx, "out": out_idx, "xi": xi_idx},
     )
 
@@ -339,7 +330,7 @@ def encode_nearest_ce(
         box_lo = np.broadcast_to(np.asarray(box[0], dtype=np.float64), (n,)).copy()
         box_hi = np.broadcast_to(np.asarray(box[1], dtype=np.float64), (n,)).copy()
 
-    bigm = _propagate(layers, 0.0, box_lo, box_hi)
+    pre = _propagate(layers, 0.0, box_lo, box_hi)
     x_idx = np.arange(0, n)
     t_idx = np.arange(n, 2 * n)
     node_idx, out_idx, xi_idx, num_vars = _relu_layout(layers, extra_head=2 * n)
@@ -351,22 +342,21 @@ def encode_nearest_ce(
     lo[out_idx] = -np.inf
     for idx in xi_idx:
         hi[idx] = 1.0
-    _fix_stable_binaries(lo, hi, xi_idx, bigm)
+    _fix_stable_binaries(lo, hi, xi_idx, pre)
 
     rb = _RowBuilder(num_vars)
     for i in range(n):  # t_i >= |x'_i - x_i|
         rb.add({t_idx[i]: 1.0, x_idx[i]: -1.0}, GE, -x[i])
         rb.add({t_idx[i]: 1.0, x_idx[i]: 1.0}, GE, x[i])
     for layer, (w, b) in enumerate(layers[:-1]):
-        m_consts = bigm.big_m(layer)
         bias = b if b is not None else np.zeros(w.shape[0])
         prev = node_idx[layer - 1] if layer > 0 else x_idx
         for j in range(w.shape[0]):
             v = node_idx[layer][j]
             xi = xi_idx[layer][j]
-            m = m_consts[j]
-            rb.add({v: 1.0, xi: m}, LE, m)
-            up = {v: 1.0, xi: -m}
+            pre_lo, pre_hi = pre[layer][0][j], pre[layer][1][j]
+            rb.add({v: 1.0, xi: pre_hi}, LE, pre_hi)  # v <= hi (1 - xi)
+            up = {v: 1.0, xi: pre_lo}
             low = {v: 1.0}
             for l, p in enumerate(prev):
                 up[p] = -w[j, l]
@@ -404,6 +394,6 @@ def encode_nearest_ce(
     binaries = np.concatenate(xi_idx) if xi_idx else np.empty(0, dtype=np.int64)
     return EncodedProblem(
         problem=MilpProblem(lp=lp, binary_idx=binaries),
-        bigm=bigm,
+        pre=pre,
         var_index={"x": x_idx, "t": t_idx, "nodes": node_idx, "out": out_idx, "xi": xi_idx},
     )

@@ -37,10 +37,9 @@ def _assert_same(got, want):
             assert all(_same(a, b) for a, b in zip(got.var_index[key], idx)), key
         else:
             assert _same(got.var_index[key], idx), key
-    for side in ("pre_lo", "pre_hi"):
-        mine, theirs = getattr(got.bigm, side), getattr(want.bigm, side)
-        assert len(mine) == len(theirs)
-        assert all(_same(a, b) for a, b in zip(mine, theirs)), side
+    assert len(got.pre) == len(want.pre)
+    for (lo, hi), (want_lo, want_hi) in zip(got.pre, want.pre):
+        assert _same(lo, want_lo) and _same(hi, want_hi)
 
 
 def _with_signed_zeros(rng, a):
@@ -100,7 +99,9 @@ def test_encoders_match_dict_row_oracle(name, hidden, n_out, seed, with_bias):
 
 
 @pytest.mark.parametrize("n_out", [1, 3], ids=["1 logit", "3 logits"])
-@pytest.mark.parametrize("hidden", [[8], [6, 6], [4, 4, 4]], ids=["1 hidden", "2 hidden", "3 hidden"])
+@pytest.mark.parametrize(
+    "hidden", [[8], [6, 6], [4, 4, 4], [16, 16]], ids=["1 hidden", "2 hidden", "3 hidden", "16x16"]
+)
 def test_first_layer_box_keeps_the_highs_optimum(hidden, n_out):
     # The box replaces the first layer's big-M rows and binaries, which
     # describe exactly the interval [relu(lo), relu(hi)] at a fixed input.

@@ -62,6 +62,19 @@ class TestMce:
         r = mce(logistic_ref, [0.7, 0.5], 1, margin=10.0)
         assert not r.found and r.x_prime is None
 
+    def test_inverted_box_is_rejected(self, binary_net):
+        # An empty box used to make the MILP infeasible: found=False, silently.
+        for box in ((1.0, 0.0), ([0.0, 0.0], [1.0, -0.5])):
+            with pytest.raises(ValueError, match="box"):
+                mce(binary_net, [1.0, 2.0], 1, box=box)
+        with pytest.raises(ValueError, match="box"):
+            mce_robust(binary_net, ShiftSet(np.inf, 0.05), [1.0, 2.0], 1, box=(1.0, 0.0))
+
+    def test_non_finite_box_is_rejected(self, binary_net):
+        for box in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="box"):
+                mce(binary_net, [1.0, 2.0], 1, box=box)
+
     def test_iteration_limit_means_not_found(self, binary_net, monkeypatch):
         monkeypatch.setattr(
             "cfcert.milp.simplex.pivot_loop",
