@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, SplitSpec, split
-from .generators import generate
+from .generators import generate_all
 from .intervals import ShiftSet
 from .metrics import DEFAULT_LOF_K, l1_normalized, lof_scores, validity_after_retraining
 from .models import classify, classify_batch
@@ -208,10 +208,9 @@ def _run_seed(args):
         for label, delta in targets_rows:
             shift = ShiftSet(config.p, delta) if delta is not None else ShiftSet(config.p, 0.0)
             started = time.perf_counter()
-            records = [
-                generate(method, model, shift, x, target, d1_train.X, node_limit=config.node_limit)
-                for x in test_inputs
-            ]
+            records = generate_all(
+                method, model, shift, test_inputs, target, d1_train.X, node_limit=config.node_limit
+            )
             seconds = time.perf_counter() - started
             found = [r for r in records if r.found]
             ces = [r.x_prime for r in found]

@@ -41,10 +41,14 @@ __all__ = [
     "get_robust_ce",
     "rnce",
     "generate",
+    "generate_all",
 ]
 
 LINE_SEARCH_START = 1.0
 LINE_SEARCH_STEP = 0.05
+# GCE's proximal step size and iteration count when the caller gives none.
+GCE_STEP = 0.1
+GCE_MAX_ITERS = 500
 
 # rnce-XY: X = robust_init, Y = optimal, each t or f.
 _RNCE_FLAGS = {f"rnce-{a}{b}": (a == "t", b == "t") for a in "tf" for b in "tf"}
@@ -118,65 +122,104 @@ def mce(
     )
 
 
-def _score_step(layers, target: int):
-    """The fused GCE step for a model's affine layers and a target: a
-    function of x giving, from one forward pass, the point class (by
-    :func:`class_of_logits`), the validity score (positive iff comfortably
+def _rows_matvec(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``w @ v`` for each row v of V.  A stack of vectors goes through the
+    same BLAS matrix-vector call as a lone ``w @ v``, so each row equals it
+    bit for bit (``V @ w.T`` is one matrix product and does not)."""
+    return np.matmul(w, V[..., None])[..., 0]
+
+
+def _score_rows(layers, target: int, V: np.ndarray):
+    """The fused GCE step for a model's affine layers, a target and a stack
+    of points, one row each: from one forward pass, each row's point class
+    (by :func:`class_of_logits`), validity score (positive iff comfortably
     in the target class; multi-class uses the margin to the runner-up logit)
-    and its input gradient.  One affine row, the hot case, is stepped in
-    closed form."""
-    if len(layers) == 1 and layers[0][0].shape[0] == 1:
-        w, b = layers[0][0][0], layers[0][1]
-        bias = None if b is None else float(b[0])
-        grad = w if target == 1 else -w
-
-        def affine_step(x):
-            z = float(w @ x)
-            if bias is not None:
-                z += bias
-            return class_of_logits(z), (z if target == 1 else -z), grad
-
-        return affine_step
-
-    def network_step(x):
-        # Forward pass caching ReLU masks.
-        masks = []
-        v = x
-        for w, b in layers[:-1]:
-            pre = w @ v
-            if b is not None:
-                pre = pre + b
-            masks.append(pre > 0)
-            v = np.maximum(pre, 0.0)
-        w, b = layers[-1]
-        logits = w @ v
+    and input gradient."""
+    # Forward pass caching ReLU masks.
+    masks = []
+    for w, b in layers[:-1]:
+        V = _rows_matvec(w, V)
         if b is not None:
-            logits = logits + b
+            V = V + b
+        masks.append(V > 0)
+        V = np.maximum(V, 0.0)
+    w, b = layers[-1]
+    logits = _rows_matvec(w, V)
+    if b is not None:
+        logits = logits + b
 
-        if logits.size == 1:
-            out_vec = np.array([1.0 if target == 1 else -1.0])
-            score = logits[0] if target == 1 else -logits[0]
-        else:
-            t0 = target - 1
-            others = np.delete(np.arange(logits.size), t0)
-            runner = others[int(np.argmax(logits[others]))]
-            out_vec = np.zeros(logits.size)
-            out_vec[t0] = 1.0
-            out_vec[runner] = -1.0
-            score = logits[t0] - logits[runner]
+    rows, width = logits.shape
+    if width == 1:
+        # The last layer's gradient is its one weight row, signed: the same
+        # values as w.T @ [+-1], and the same for every row.
+        g = w if target == 1 else -w
+        score = logits[:, 0] if target == 1 else -logits[:, 0]
+    else:
+        t0 = target - 1
+        others = np.delete(np.arange(width), t0)
+        runner = others[np.argmax(logits[:, others], axis=1)]
+        out = np.zeros((rows, width))
+        out[:, t0] = 1.0
+        out[np.arange(rows), runner] = -1.0
+        score = logits[:, t0] - logits[np.arange(rows), runner]
+        g = _rows_matvec(w.T, out)
 
-        g = out_vec
-        for i in range(len(layers) - 1, -1, -1):
-            g = layers[i][0].T @ g
-            if i > 0:
-                g = g * masks[i - 1]
-        return class_of_logits(logits), score, g
-
-    return network_step
+    for i in range(len(layers) - 1, 0, -1):
+        g = _rows_matvec(layers[i - 1][0].T, g * masks[i - 1])
+    return class_of_logits(logits), score, g
 
 
-def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
+def _soft_threshold(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+
+def _gce_rows(model, anchors, target: int, lams, step: float, max_iters: int, margin: float):
+    """GCE records for rows of one iterate array: row i runs :func:`gce` from
+    ``anchors[i]`` (validated feature vectors) with trade-off weight
+    ``lams[i]`` and keeps its own best valid iterate.  Every operation is
+    elementwise, a per-row reduction or :func:`_rows_matvec`, so each row
+    takes the steps a lone run would, bit for bit; no row depends on
+    another."""
+    check_target(model, target)
+    lam_arr = np.asarray(lams, dtype=np.float64).reshape(-1)
+    bad = lam_arr[~(np.isfinite(lam_arr) & (lam_arr >= 0.0))]
+    if bad.size:
+        raise ValueError(f"lam must be finite and >= 0, got {bad[0]}")
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not np.isfinite(margin):
+        raise ValueError(f"margin must be finite, got {margin}")
+    n = model.input_dim
+    A = np.asarray(anchors, dtype=np.float64).reshape(lam_arr.size, n)
+    if not A.size:
+        return []
+    tau = (lam_arr * step / n)[:, None]
+    layers = affine_layers(model)
+    V = A.copy()
+    best = np.empty_like(A)
+    best_dist = np.full(A.shape[0], np.inf)
+    for it in range(max_iters + 1):
+        cls, score, grad = _score_rows(layers, target, V)
+        d = np.abs(V - A).sum(axis=1) / n  # l1_normalized of each row
+        better = (cls == target) & (d < best_dist)
+        np.copyto(best, V, where=better[:, None])
+        np.copyto(best_dist, d, where=better)
+        if it == max_iters:
+            break
+        # V - step * (-grad), bit for bit, on the rows short of the margin.
+        Z = np.where((score < margin)[:, None], V + step * grad, V)
+        V = (A + _soft_threshold(Z - A, tau)).clip(0.0, 1.0)
+    return [
+        _not_found("gce", target, iterations=max_iters, trace=[lam])
+        if dist == np.inf
+        else CounterfactualRecord(
+            method="gce", target_class=target, found=True, x_prime=x_best,
+            distance=float(dist), iterations=max_iters, trace=[lam],
+        )
+        for x_best, dist, lam in zip(best, best_dist, lams)
+    ]
 
 
 def gce(
@@ -184,49 +227,14 @@ def gce(
     x,
     target: int,
     lam: float = 0.1,
-    step: float = 0.1,
-    max_iters: int = 500,
+    step: float = GCE_STEP,
+    max_iters: int = GCE_MAX_ITERS,
     margin: float = 0.0,
 ) -> CounterfactualRecord:
     """Proximal gradient descent on hinge(margin - score) + lam * L1/n,
     projected to the unit box; returns the best valid iterate."""
     x = as_feature_vector(x, model.input_dim)
-    check_target(model, target)
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    if not (np.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and > 0, got {step}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    n = x.size
-    tau = lam * step / n
-    x_cur = x.copy()
-    best = None
-    best_dist = np.inf
-    score_step = _score_step(affine_layers(model), target)
-    for it in range(max_iters + 1):
-        cls, score, grad = score_step(x_cur)
-        if cls == target:
-            d = float(np.abs(x_cur - x).sum() / n)  # l1_normalized(x_cur, x)
-            if d < best_dist:
-                best = x_cur
-                best_dist = d
-        if it == max_iters:
-            break
-        # x_cur - step * (-grad), bit for bit.
-        z = x_cur + step * grad if score < margin else x_cur
-        x_cur = (x + _soft_threshold(z - x, tau)).clip(0.0, 1.0)
-    if best is None:
-        return _not_found("gce", target, iterations=max_iters, trace=[lam])
-    return CounterfactualRecord(
-        method="gce",
-        target_class=target,
-        found=True,
-        x_prime=best,
-        distance=best_dist,
-        iterations=max_iters,
-        trace=[lam],
-    )
+    return _gce_rows(model, [x], target, [lam], step, max_iters, margin)[0]
 
 
 def nnce(model: ParametricModel, X, x, target: int) -> CounterfactualRecord:
@@ -267,6 +275,8 @@ def iterative_robustify(
     budget is exhausted the last counterfactual found is returned flagged
     not robust, preserving the incompleteness of the underlying scheme.
     """
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     last = None
     trace = []
     for k in range(max_rounds):
@@ -301,6 +311,8 @@ def mce_robust(
 ) -> CounterfactualRecord:
     """MCE wrapped in the iterative scheme: the logit margin grows by
     ``margin_step`` per round, starting from zero."""
+    if not (np.isfinite(margin_step) and margin_step >= 0.0):
+        raise ValueError(f"margin_step must be finite and >= 0, got {margin_step}")
 
     def base(k):
         margin = k * margin_step
@@ -317,21 +329,33 @@ def gce_robust(
     x,
     target: int,
     lam: float = 0.1,
-    step: float = 0.1,
-    max_iters: int = 500,
+    step: float = GCE_STEP,
+    max_iters: int = GCE_MAX_ITERS,
     max_rounds: int = 10,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> CounterfactualRecord:
     """GCE wrapped in the iterative scheme: the trade-off weight halves per
-    round, allowing costlier but more confidently classified iterates."""
+    round, allowing costlier but more confidently classified iterates.  The
+    rounds run as rows of one batch, so every round is computed even when
+    round 0 certifies; the verifier still takes them in order."""
+    x = as_feature_vector(x, model.input_dim)
+    return _gce_robust_rows(model, shift, [x], target, lam, step, max_iters, max_rounds, node_limit)[0]
 
-    def base(k):
-        lam_k = lam / (2.0**k)
-        return gce(model, x, target, lam=lam_k, step=step, max_iters=max_iters), lam_k
 
-    return iterative_robustify(
-        base, model, shift, x, target, max_rounds, node_limit, method="gce-r"
+def _gce_robust_rows(model, shift, inputs, target, lam, step, max_iters, max_rounds, node_limit):
+    """:func:`gce_robust` for each of ``inputs`` (validated feature
+    vectors), all inputs x rounds as rows of one :func:`_gce_rows` batch."""
+    lams = [lam / (2.0**k) for k in range(max_rounds)]
+    rows = _gce_rows(
+        model, [x for x in inputs for _ in lams], target, lams * len(inputs), step, max_iters, 0.0
     )
+    out = []
+    for i, x in enumerate(inputs):
+        rounds = list(zip(rows[i * len(lams) : (i + 1) * len(lams)], lams))
+        out.append(iterative_robustify(
+            rounds.__getitem__, model, shift, x, target, max_rounds, node_limit, method="gce-r"
+        ))
+    return out
 
 
 def get_candidates(
@@ -508,3 +532,30 @@ def generate(
             node_limit=node_limit,
         )
     raise ValueError(f"unknown method {method!r}")
+
+
+def generate_all(
+    method: str, model: ParametricModel, shift: ShiftSet, inputs, target: int, X=None, **knobs
+) -> list[CounterfactualRecord]:
+    """``[generate(method, model, shift, x, target, X, **knobs) for x in
+    inputs]``, record for record.
+
+    ``gce`` runs as one batch over the inputs and ``gce-r`` as one batch over
+    inputs x rounds (:func:`_gce_rows`); every other method goes through
+    :func:`generate` once per input, so rebinding a module name still
+    reaches it.
+    """
+    if method not in ("gce", "gce-r"):
+        return [generate(method, model, shift, x, target, X, **knobs) for x in inputs]
+    defaults = generate.__kwdefaults__
+    unknown = sorted(knobs.keys() - defaults.keys())
+    if unknown:
+        raise TypeError(f"generate_all() got unexpected keyword arguments {unknown}")
+    opts = {**defaults, **knobs}
+    xs = [as_feature_vector(x, model.input_dim) for x in inputs]
+    if method == "gce":
+        return _gce_rows(model, xs, target, [opts["lam"]] * len(xs), GCE_STEP, GCE_MAX_ITERS, 0.0)
+    return _gce_robust_rows(
+        model, shift, xs, target, opts["lam"], GCE_STEP, GCE_MAX_ITERS, opts["max_rounds"],
+        opts["node_limit"],
+    )

@@ -184,6 +184,15 @@ def test_explain_gce_bad_target_or_knob_is_an_error(tmp_path, example_model_file
         assert captured.err.startswith("error: ")
 
 
+def test_explain_gce_r_negative_rounds_is_an_error(tmp_path, example_model_file, capsys):
+    inputs = _inputs_file(tmp_path, [[0.7, 0.5]])
+    argv = ["explain", "--method", "gce-r", "--model", str(example_model_file), "--inputs", str(inputs)]
+    rc = main([*argv, "--max-iters", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "max_rounds" in captured.err
+
+
 def test_estimate_delta_incremental_cli(tmp_path, capsys):
     rc = main(
         [

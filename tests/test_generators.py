@@ -4,7 +4,7 @@ import pytest
 from cfcert._kernels import STATUS_ITER_LIMIT
 from cfcert.generators import (
     CounterfactualRecord,
-    _score_step,
+    _score_rows,
     gce,
     gce_robust,
     generate,
@@ -185,7 +185,8 @@ def _away_from_kinks(model, x, target, gap=1e-3):
 
 
 def _class_score_and_grad(model, x, target):
-    return _score_step(affine_layers(model), target)(x)
+    cls, score, grad = _score_rows(affine_layers(model), target, x[None, :])
+    return cls[0], score[0], grad[0]
 
 
 def _central_differences(model, x, target, h=1e-6):
