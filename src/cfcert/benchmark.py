@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, SplitSpec, split
-from .generators import generate_all
+from .generators import DEFAULT_METHODS, GENERATORS, generate_all
 from .intervals import ShiftSet
 from .metrics import DEFAULT_LOF_K, l1_normalized, lof_scores, validity_after_retraining
 from .models import classify, classify_batch
@@ -42,8 +42,9 @@ from .verifier import delta_validity, is_delta_robust  # noqa: F401
 
 __all__ = ["BenchmarkConfig", "MetricReport", "run_benchmark", "METHODS"]
 
-METHODS = ("mce", "mce-r", "gce", "gce-r", "nnce", "rnce-ff", "rnce-ft", "rnce-tf", "rnce-tt")
-ROBUST_METHODS = ("mce-r", "gce-r", "rnce-ff", "rnce-ft", "rnce-tf", "rnce-tt")
+METHODS = tuple(GENERATORS)
+# Run once per delta label: their records carry a verdict at the shift.
+ROBUST_METHODS = tuple(name for name, method in GENERATORS.items() if method.robust)
 
 # Incremental retraining fine-tunes on this share of D2 for this many epochs,
 # both for the fleet and for the delta_inc estimate.
@@ -56,7 +57,7 @@ DELTA_GRID = tuple(np.round(np.arange(0.005, 0.2001, 0.005), 6))
 
 @dataclass
 class BenchmarkConfig:
-    methods: tuple = ("mce", "mce-r", "nnce", "rnce-ff")
+    methods: tuple = DEFAULT_METHODS
     deltas: tuple | None = None  # explicit magnitudes; None -> estimate inc/val
     p: str | float = "inf"
     n_test: int = 20

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .benchmark import METHODS, BenchmarkConfig, pmap, run_benchmark
 from .data import Dataset, SplitSpec, fit_scale, load_csv, split, synth_binary, synth_multiclass
-from .generators import generate
+from .generators import GENERATORS, generate_all, resolve_method
 from .intervals import ShiftSet
 from .models import classify_batch, counterfactual_target, load_model, save_model
 from .training import (
@@ -33,8 +34,6 @@ from .training import (
     train,
 )
 from .verifier import is_delta_robust
-
-EXPLAIN_METHODS = ("mce", "mce-r", "gce", "gce-r", "nnce", "rnce")
 
 
 def _err(msg: str) -> None:
@@ -155,34 +154,27 @@ def cmd_verify(args) -> int:
     return 0 if all(v.robust for v in verdicts) else 1
 
 
-def _explain_job(job):
-    model, method, opts, X_train, shift, x, target = job
-    target = counterfactual_target(model, x, target)
-    return generate(method, model, shift, x, target, X_train, **opts)
-
-
 def cmd_explain(args) -> int:
     model = load_model(args.model)
     inputs, targets = _load_inputs(args.inputs)
     shift = ShiftSet(args.p, args.delta)
-    X_train = None
-    if args.method in ("nnce", "rnce"):
-        dataset = _load_dataset(args)
-        X_train = dataset.X
-    opts = {
-        "margin": args.margin,
-        "margin_step": args.margin_step,
-        "max_rounds": args.max_iters,
-        "lam": args.lam,
-        "node_limit": args.node_limit,
-        "robust_init": args.robust_init == "t",
-        "optimal": args.optimal == "t",
-    }
-    jobs = [
-        (model, args.method, opts, X_train, shift, x, targets[i] if targets else args.target)
-        for i, x in enumerate(inputs)
-    ]
-    records = pmap(_explain_job, jobs, args.workers)
+    method = resolve_method(args.method, args.robust_init == "t", args.optimal == "t")
+    X_train = _load_dataset(args).X if GENERATORS[method].uses_data else None
+    knobs = dict(margin=args.margin, margin_step=args.margin_step, max_rounds=args.max_iters,
+                 lam=args.lam, node_limit=args.node_limit)
+    # One generate_all batch per target class, split across the workers;
+    # the records go back in input order.
+    groups = {}
+    for i, x in enumerate(inputs):
+        target = counterfactual_target(model, x, targets[i] if targets else args.target)
+        groups.setdefault(target, []).append(i)
+    records = [None] * len(inputs)
+    for target, rows in groups.items():
+        parts = [part for part in np.array_split(rows, max(args.workers, 1)) if part.size]
+        run = partial(generate_all, method, model, shift, target=target, X=X_train, **knobs)
+        batches = pmap(run, [[inputs[i] for i in part] for part in parts], args.workers)
+        for i, record in zip(np.concatenate(parts), [r for batch in batches for r in batch]):
+            records[i] = record
     _write_jsonl(args.out, records)
     return 0 if all(r.found for r in records) else 1
 
@@ -308,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="generate counterfactuals")
     p.add_argument("--model", required=True)
-    p.add_argument("--method", required=True, choices=EXPLAIN_METHODS)
+    p.add_argument("--method", required=True, choices=[*GENERATORS, "rnce"])
     _add_common_data(p)
     p.add_argument("--inputs", required=True, help="JSON file with {'inputs': [...]}")
     p.add_argument("--target", type=int, default=None)
@@ -341,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="run the full benchmark study")
     _add_common_data(p)
     _add_train_knobs(p)
-    p.add_argument("--methods", default="mce,mce-r,nnce,rnce-ff", help=f"subset of {METHODS}")
+    p.add_argument(
+        "--methods", default=",".join(BenchmarkConfig.methods), help=f"subset of {METHODS}"
+    )
     p.add_argument("--deltas", help="comma-separated magnitudes; omit to estimate inc/val")
     p.add_argument("--p", default="inf", choices=["1", "2", "inf"])
     p.add_argument("--n-test", type=int, default=20)

@@ -11,6 +11,8 @@ optionally refines the hit with a line search towards the query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +33,9 @@ from .verifier import is_delta_robust, robust_flags
 
 __all__ = [
     "CounterfactualRecord",
+    "GENERATORS",
+    "DEFAULT_METHODS",
+    "resolve_method",
     "mce",
     "gce",
     "nnce",
@@ -49,9 +54,6 @@ LINE_SEARCH_STEP = 0.05
 # GCE's proximal step size and iteration count when the caller gives none.
 GCE_STEP = 0.1
 GCE_MAX_ITERS = 500
-
-# rnce-XY: X = robust_init, Y = optimal, each t or f.
-_RNCE_FLAGS = {f"rnce-{a}{b}": (a == "t", b == "t") for a in "tf" for b in "tf"}
 
 
 @dataclass
@@ -338,13 +340,13 @@ def gce_robust(
     round, allowing costlier but more confidently classified iterates.  The
     rounds run as rows of one batch, so every round is computed even when
     round 0 certifies; the verifier still takes them in order."""
-    x = as_feature_vector(x, model.input_dim)
     return _gce_robust_rows(model, shift, [x], target, lam, step, max_iters, max_rounds, node_limit)[0]
 
 
 def _gce_robust_rows(model, shift, inputs, target, lam, step, max_iters, max_rounds, node_limit):
-    """:func:`gce_robust` for each of ``inputs`` (validated feature
-    vectors), all inputs x rounds as rows of one :func:`_gce_rows` batch."""
+    """:func:`gce_robust` for each of ``inputs``, all inputs x rounds as rows
+    of one :func:`_gce_rows` batch."""
+    inputs = [as_feature_vector(x, model.input_dim) for x in inputs]
     lams = [lam / (2.0**k) for k in range(max_rounds)]
     rows = _gce_rows(
         model, [x for x in inputs for _ in lams], target, lams * len(inputs), step, max_iters, 0.0
@@ -464,98 +466,100 @@ def rnce(
     X = np.asarray(X, dtype=np.float64)
     x = as_feature_vector(x, model.input_dim)
     target = counterfactual_target(model, x, target)
-    idx = get_candidates(
-        model, X, x, shift, target=target, robust_init=robust_init, node_limit=node_limit
-    )
-    flags = f"{'t' if robust_init else 'f'}{'t' if optimal else 'f'}"
+    idx = get_candidates(model, X, x, shift, target, robust_init, node_limit)
+    name = _rnce_name(robust_init, optimal)
     if idx.size == 0:
-        return _not_found(f"rnce-{flags}", target, shift=shift)
-    tree = KDTree(X[idx])
+        return _not_found(name, target, shift=shift)
     record = get_robust_ce(
-        model,
-        shift,
-        tree,
-        x,
-        target,
-        optimal=optimal,
-        candidates_verified=robust_init,
+        model, shift, KDTree(X[idx]), x, target, optimal, candidates_verified=robust_init,
         node_limit=node_limit,
     )
-    record.method = f"rnce-{flags}"
-    return record
+    return replace(record, method=name)
 
 
-def generate(
-    method: str,
-    model: ParametricModel,
-    shift: ShiftSet,
-    x,
-    target: int,
-    X=None,
-    *,
-    margin: float = 0.0,
-    margin_step: float = 0.1,
-    max_rounds: int = 10,
-    lam: float = 0.1,
-    robust_init: bool = False,
-    optimal: bool = False,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> CounterfactualRecord:
-    """One counterfactual by method name.
+def _rnce_name(robust_init: bool, optimal: bool) -> str:
+    """``rnce-XY``: X is ``robust_init`` and Y ``optimal``, each t or f."""
+    return f"rnce-{'t' if robust_init else 'f'}{'t' if optimal else 'f'}"
 
-    ``X`` holds the training rows the nearest-neighbour methods search;
-    ``rnce-XY`` sets ``robust_init``/``optimal`` from its two t/f letters.
-    The generators are looked up at call time, so rebinding a module name
-    (as a tracer does) reaches this dispatch too.
-    """
-    if method == "mce":
-        return mce(model, x, target, margin=margin, node_limit=node_limit)
-    if method == "mce-r":
-        return mce_robust(
-            model, shift, x, target, margin_step=margin_step, max_rounds=max_rounds,
-            node_limit=node_limit,
-        )
-    if method == "gce":
-        return gce(model, x, target, lam=lam)
-    if method == "gce-r":
-        return gce_robust(
-            model, shift, x, target, lam=lam, max_rounds=max_rounds, node_limit=node_limit
-        )
-    if method == "nnce":
-        return nnce(model, X, x, target)
-    if method in _RNCE_FLAGS:
-        robust_init, optimal = _RNCE_FLAGS[method]
-        method = "rnce"
-    if method == "rnce":
-        return rnce(
-            model, X, x, shift, target=target, robust_init=robust_init, optimal=optimal,
-            node_limit=node_limit,
-        )
-    raise ValueError(f"unknown method {method!r}")
+
+# The batch generators: (model, shift, inputs, target, X, knobs) -> records.
+# The loops read mce, mce_robust, nnce and rnce from this module at call time,
+# so rebinding one of those names (as a tracer does) reaches them.
+def _mce_batch(model, shift, inputs, target, X, k):
+    return [mce(model, x, target, margin=k["margin"], node_limit=k["node_limit"]) for x in inputs]
+
+
+def _mce_robust_batch(model, shift, inputs, target, X, k):
+    knobs = {key: k[key] for key in ("margin_step", "max_rounds", "node_limit")}
+    return [mce_robust(model, shift, x, target, **knobs) for x in inputs]
+
+
+def _gce_batch(model, shift, inputs, target, X, k):
+    xs = [as_feature_vector(x, model.input_dim) for x in inputs]
+    return _gce_rows(model, xs, target, [k["lam"]] * len(xs), GCE_STEP, GCE_MAX_ITERS, 0.0)
+
+
+def _gce_robust_batch(model, shift, inputs, target, X, k):
+    knobs = (k["lam"], GCE_STEP, GCE_MAX_ITERS, k["max_rounds"], k["node_limit"])
+    return _gce_robust_rows(model, shift, inputs, target, *knobs)
+
+
+def _nnce_batch(model, shift, inputs, target, X, k):
+    return [nnce(model, X, x, target) for x in inputs]
+
+
+def _rnce_batch(model, shift, inputs, target, X, k, **flags):
+    knobs = dict(flags, target=target, node_limit=k["node_limit"])
+    return [rnce(model, X, x, shift, **knobs) for x in inputs]
+
+
+class Method(NamedTuple):
+    """A row of :data:`GENERATORS`."""
+
+    run: Callable  # (model, shift, inputs, target, X, knobs) -> one record per input
+    robust: bool  # its records carry a verdict at the shift
+    uses_data: bool  # it searches the training rows X
+
+
+# Every generator by method name, in the benchmark's order.
+GENERATORS = {
+    "mce": Method(_mce_batch, False, False),
+    "mce-r": Method(_mce_robust_batch, True, False),
+    "gce": Method(_gce_batch, False, False),
+    "gce-r": Method(_gce_robust_batch, True, False),
+    "nnce": Method(_nnce_batch, False, True),
+    "rnce-ff": Method(partial(_rnce_batch, robust_init=False, optimal=False), True, True),
+    "rnce-ft": Method(partial(_rnce_batch, robust_init=False, optimal=True), True, True),
+    "rnce-tf": Method(partial(_rnce_batch, robust_init=True, optimal=False), True, True),
+    "rnce-tt": Method(partial(_rnce_batch, robust_init=True, optimal=True), True, True),
+}
+# What a benchmark runs when it is given no methods.
+DEFAULT_METHODS = ("mce", "mce-r", "nnce", "rnce-ff")
+
+
+def resolve_method(method: str, robust_init: bool = False, optimal: bool = False) -> str:
+    """The :data:`GENERATORS` name of ``method``; the bare ``rnce`` takes both flags."""
+    method = _rnce_name(robust_init, optimal) if method == "rnce" else method
+    if method not in GENERATORS:
+        raise ValueError(f"unknown method {method!r}")
+    return method
 
 
 def generate_all(
-    method: str, model: ParametricModel, shift: ShiftSet, inputs, target: int, X=None, **knobs
+    method: str, model: ParametricModel, shift: ShiftSet, inputs, target: int, X=None, *,
+    margin: float = 0.0, margin_step: float = 0.1, max_rounds: int = 10, lam: float = 0.1,
+    robust_init: bool = False, optimal: bool = False, node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> list[CounterfactualRecord]:
-    """``[generate(method, model, shift, x, target, X, **knobs) for x in
-    inputs]``, record for record.
+    """One counterfactual for each of ``inputs`` by method name; ``X`` holds
+    the training rows the nearest-neighbour methods search.  ``gce`` runs as
+    one batch over the inputs and ``gce-r`` as one over inputs x rounds
+    (:func:`_gce_rows`); every record equals a lone run's."""
+    knobs = dict(margin=margin, margin_step=margin_step, max_rounds=max_rounds, lam=lam,
+                 node_limit=node_limit)
+    run = GENERATORS[resolve_method(method, robust_init, optimal)].run
+    return run(model, shift, inputs, target, X, knobs)
 
-    ``gce`` runs as one batch over the inputs and ``gce-r`` as one batch over
-    inputs x rounds (:func:`_gce_rows`); every other method goes through
-    :func:`generate` once per input, so rebinding a module name still
-    reaches it.
-    """
-    if method not in ("gce", "gce-r"):
-        return [generate(method, model, shift, x, target, X, **knobs) for x in inputs]
-    defaults = generate.__kwdefaults__
-    unknown = sorted(knobs.keys() - defaults.keys())
-    if unknown:
-        raise TypeError(f"generate_all() got unexpected keyword arguments {unknown}")
-    opts = {**defaults, **knobs}
-    xs = [as_feature_vector(x, model.input_dim) for x in inputs]
-    if method == "gce":
-        return _gce_rows(model, xs, target, [opts["lam"]] * len(xs), GCE_STEP, GCE_MAX_ITERS, 0.0)
-    return _gce_robust_rows(
-        model, shift, xs, target, opts["lam"], GCE_STEP, GCE_MAX_ITERS, opts["max_rounds"],
-        opts["node_limit"],
-    )
+
+def generate(method: str, model, shift, x, target: int, X=None, **knobs) -> CounterfactualRecord:
+    """One counterfactual by method name: :func:`generate_all` of ``[x]``."""
+    return generate_all(method, model, shift, [x], target, X, **knobs)[0]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cfcert import benchmark
 from cfcert.benchmark import BenchmarkConfig, run_benchmark
 from cfcert.data import synth_binary
 from cfcert.training import TrainConfig
@@ -18,6 +19,16 @@ def small_report():
         train=TrainConfig(epochs=100, seed=13, l2=0.05),
     )
     return run_benchmark(synth_binary(240, noise=0.2, seed=13), config)
+
+
+def test_method_lists_keep_their_names_and_order():
+    # Built from generators.GENERATORS; the desk workload runs METHODS in this
+    # order and checks ROBUST_METHODS, so its digest rests on both.
+    assert benchmark.METHODS == (
+        "mce", "mce-r", "gce", "gce-r", "nnce", "rnce-ff", "rnce-ft", "rnce-tf", "rnce-tt"
+    )
+    assert benchmark.ROBUST_METHODS == ("mce-r", "gce-r", "rnce-ff", "rnce-ft", "rnce-tf", "rnce-tt")
+    assert BenchmarkConfig().methods == ("mce", "mce-r", "nnce", "rnce-ff")
 
 
 def test_report_row_structure(small_report):

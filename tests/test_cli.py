@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from cfcert.cli import main
+from cfcert.data import synth_binary
+from cfcert.generators import generate
+from cfcert.intervals import ShiftSet
 from cfcert.models import load_model
 
 
@@ -191,6 +194,32 @@ def test_explain_gce_r_negative_rounds_is_an_error(tmp_path, example_model_file,
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and "max_rounds" in captured.err
+
+
+@pytest.mark.parametrize("method", ["gce", "gce-r", "rnce"])
+def test_explain_is_the_same_at_any_worker_count(tmp_path, example_model_file, method):
+    # The targets change from input to input, so explain's per-target batches
+    # must be put back in input order.
+    rows = [[0.7, 0.5], [0.2, 0.9], [0.9, 0.2], [0.4, 0.6], [0.1, 0.3]]
+    targets = [1, 0, 0, 1, 1]
+    inputs = _inputs_file(tmp_path, rows, targets=targets)
+    argv = [
+        "explain", "--method", method, "--model", str(example_model_file), "--inputs",
+        str(inputs), "--synth", "moons:100", "--seed", "0", "--delta", "0.05",
+    ]
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"records-{workers}.jsonl"
+        assert main([*argv, "--workers", workers, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    model, X = load_model(example_model_file), synth_binary(100, seed=0).X
+    want = "".join(
+        json.dumps(generate(method, model, ShiftSet("inf", 0.05), x, t, X).to_dict(), sort_keys=True)
+        + "\n"
+        for x, t in zip(rows, targets)
+    )
+    assert outputs[0].decode() == want
 
 
 def test_estimate_delta_incremental_cli(tmp_path, capsys):

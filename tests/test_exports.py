@@ -1,8 +1,11 @@
+import ast
 import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+from cfcert.generators import GENERATORS
 
 
 @pytest.mark.parametrize(
@@ -30,3 +33,31 @@ def test_only_models_tells_the_logistic_family_apart():
     ]
     assert not offenders, f"isinstance(..., LogisticModel) outside models.py: {offenders}"
     assert pattern.search((src / "models.py").read_text())
+
+
+def test_only_generators_lists_the_method_names():
+    # The CLI and the benchmark read their methods from generators.GENERATORS,
+    # so no other module holds a collection (or a comma-joined string) that
+    # names two or more of them.
+    src = Path(importlib.import_module("cfcert").__file__).parent
+    names = {*GENERATORS, "rnce"}
+
+    def named(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return sum(part in names for part in node.value.split(","))
+        return 0
+
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "generators.py" and path.parent == src:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                count = sum(named(elt) for elt in node.elts)
+            elif isinstance(node, ast.Dict):
+                count = sum(named(key) for key in node.keys if key is not None)
+            else:
+                count = named(node)
+            if count >= 2:
+                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert not offenders, f"method names listed outside generators.py: {offenders}"

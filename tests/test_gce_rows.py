@@ -4,7 +4,8 @@ Over the model zoo of ``test_gce_reference.py`` (logistic models with and
 without bias, one- and two-hidden-layer binary nets, 3-class nets, one with
 always-tied logits, and nets without a hidden layer), with inputs holding
 ``-0.0``, every record must equal, field for field, the one its sequential
-definition gives: ``generate_all`` equals per-input ``generate``,
+definition gives: ``generate_all`` equals per-input ``generate`` (for every
+method of the dispatch table on a logistic model and a one-hidden-layer net),
 ``gce_robust`` equals ``iterative_robustify`` over per-round ``gce`` calls,
 and a reordered batch gives each row the same record.  The numpy property
 the loop rests on is checked on its own.
@@ -15,6 +16,7 @@ import pytest
 
 import cfcert.generators as generators
 from cfcert.generators import (
+    GENERATORS,
     _gce_rows,
     gce,
     gce_robust,
@@ -63,6 +65,20 @@ def test_generate_all_equals_per_input_generate(index):
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 _same(g, w)
+
+
+@pytest.mark.parametrize("method", GENERATORS)
+@pytest.mark.parametrize("index", [1, 18])  # a logistic model, a one-hidden-layer net
+def test_every_method_batch_equals_per_input_generate(index, method):
+    model = MODELS[index]
+    X = _inputs(index, model, count=4)
+    train_rows = np.random.default_rng(index).uniform(0, 1, (12, model.input_dim))
+    for target in (0, 1):
+        got = generate_all(method, model, SHIFT, X, target, train_rows, max_rounds=3)
+        want = [generate(method, model, SHIFT, x, target, train_rows, max_rounds=3) for x in X]
+        assert len(got) == len(want) == len(X) and all(r.found for r in got)
+        for g, w in zip(got, want):
+            _same(g, w)
 
 
 @pytest.mark.parametrize("index", range(len(MODELS)))
@@ -129,16 +145,21 @@ def test_empty_batch():
     model = MODELS[0]
     assert generate_all("gce", model, SHIFT, [], 1) == []
     assert generate_all("gce-r", model, SHIFT, [], 1) == []
+    # The method is looked up before the batch is read.
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        generate_all("bogus", model, SHIFT, [], 1)
 
 
 def test_generate_all_rejects_unknown_knobs():
-    with pytest.raises(TypeError, match="bogus"):
-        generate_all("gce", MODELS[0], SHIFT, _inputs(0, MODELS[0]), 1, bogus=1)
+    # Before the batch is read, so an empty batch is rejected too.
+    for method, count in (("gce", 3), ("gce", 0), ("mce", 0), ("rnce-ff", 0)):
+        with pytest.raises(TypeError, match="bogus"):
+            generate_all(method, MODELS[0], SHIFT, _inputs(0, MODELS[0])[:count], 1, bogus=1)
 
 
 def test_generate_all_reaches_rebound_generators(monkeypatch):
-    # Methods other than gce and gce-r go through generate per input, which
-    # looks the generators up at call time.
+    # Methods other than gce and gce-r run once per input, and the dispatch
+    # table looks the generators up at call time.
     calls = []
 
     def fake_rnce(model, X, x, shift, **kw):
