@@ -154,6 +154,11 @@ def cmd_verify(args) -> int:
     return 0 if all(v.robust for v in verdicts) else 1
 
 
+def _explain_job(method, model, shift, X, knobs, job):
+    target, inputs = job
+    return generate_all(method, model, shift, inputs, target, X, **knobs)
+
+
 def cmd_explain(args) -> int:
     model = load_model(args.model)
     inputs, targets = _load_inputs(args.inputs)
@@ -162,18 +167,21 @@ def cmd_explain(args) -> int:
     X_train = _load_dataset(args).X if GENERATORS[method].uses_data else None
     knobs = dict(margin=args.margin, margin_step=args.margin_step, max_rounds=args.max_iters,
                  lam=args.lam, node_limit=args.node_limit)
-    # One generate_all batch per target class, split across the workers;
-    # the records go back in input order.
+    # One generate_all batch per target class and worker share, all in one
+    # map; the records go back in input order.
     groups = {}
     for i, x in enumerate(inputs):
         target = counterfactual_target(model, x, targets[i] if targets else args.target)
         groups.setdefault(target, []).append(i)
+    jobs = [
+        (target, part) for target, rows in groups.items()
+        for part in np.array_split(rows, max(args.workers, 1)) if part.size
+    ]
+    run = partial(_explain_job, method, model, shift, X_train, knobs)
+    batches = pmap(run, [(target, [inputs[i] for i in part]) for target, part in jobs], args.workers)
     records = [None] * len(inputs)
-    for target, rows in groups.items():
-        parts = [part for part in np.array_split(rows, max(args.workers, 1)) if part.size]
-        run = partial(generate_all, method, model, shift, target=target, X=X_train, **knobs)
-        batches = pmap(run, [[inputs[i] for i in part] for part in parts], args.workers)
-        for i, record in zip(np.concatenate(parts), [r for batch in batches for r in batch]):
+    for (_, part), batch in zip(jobs, batches):
+        for i, record in zip(part, batch):
             records[i] = record
     _write_jsonl(args.out, records)
     return 0 if all(r.found for r in records) else 1

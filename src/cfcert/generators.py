@@ -4,8 +4,9 @@ Plain baselines (exact MILP-based minimum-distance, projected proximal
 gradient descent, nearest training neighbour) plus the robust variants: an
 iterative wrapper that retries the base generator with a relaxed
 cost/validity trade-off until the verifier signs off, and the robust
-nearest-neighbour method that queries a k-d tree of candidates and
-optionally refines the hit with a line search towards the query.
+nearest-neighbour method that walks its candidates outward from the query
+(:class:`KDTree`, in distance order) and optionally refines the hit with a
+line search towards the query.  Every distance is ``metrics.l1_rows``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .intervals import ShiftSet
 from .kdtree import KDTree
-from .metrics import l1_normalized
+from .metrics import l1_normalized, l1_rows
 from .milp import DEFAULT_NODE_LIMIT, branch_and_bound, encode_nearest_ce
 from .models import (
     ParametricModel,
@@ -204,7 +205,7 @@ def _gce_rows(model, anchors, target: int, lams, step: float, max_iters: int, ma
     best_dist = np.full(A.shape[0], np.inf)
     for it in range(max_iters + 1):
         cls, score, grad = _score_rows(layers, target, V)
-        d = np.abs(V - A).sum(axis=1) / n  # l1_normalized of each row
+        d = l1_rows(V, A)
         better = (cls == target) & (d < best_dist)
         np.copyto(best, V, where=better[:, None])
         np.copyto(best_dist, d, where=better)
@@ -248,8 +249,7 @@ def nnce(model: ParametricModel, X, x, target: int) -> CounterfactualRecord:
     if not valid.any():
         return _not_found("nnce", target)
     idx = np.flatnonzero(valid)
-    # Same distance expression as the k-d tree so orderings agree bitwise.
-    dists = np.array([l1_normalized(X[i], x) for i in idx])
+    dists = l1_rows(X[idx], x)
     pos = int(np.argmin(dists))  # argmin takes the lowest index on ties
     return CounterfactualRecord(
         method="nnce",
@@ -264,7 +264,6 @@ def iterative_robustify(
     base_generate,
     model: ParametricModel,
     shift: ShiftSet,
-    x,
     target: int,
     max_rounds: int = 10,
     node_limit: int = DEFAULT_NODE_LIMIT,
@@ -320,9 +319,7 @@ def mce_robust(
         margin = k * margin_step
         return mce(model, x, target, margin=margin, box=box, node_limit=node_limit), margin
 
-    return iterative_robustify(
-        base, model, shift, x, target, max_rounds, node_limit, method="mce-r"
-    )
+    return iterative_robustify(base, model, shift, target, max_rounds, node_limit, method="mce-r")
 
 
 def gce_robust(
@@ -352,10 +349,10 @@ def _gce_robust_rows(model, shift, inputs, target, lam, step, max_iters, max_rou
         model, [x for x in inputs for _ in lams], target, lams * len(inputs), step, max_iters, 0.0
     )
     out = []
-    for i, x in enumerate(inputs):
+    for i in range(len(inputs)):
         rounds = list(zip(rows[i * len(lams) : (i + 1) * len(lams)], lams))
         out.append(iterative_robustify(
-            rounds.__getitem__, model, shift, x, target, max_rounds, node_limit, method="gce-r"
+            rounds.__getitem__, model, shift, target, max_rounds, node_limit, method="gce-r"
         ))
     return out
 
@@ -398,7 +395,7 @@ def get_robust_ce(
     candidates_verified: bool = False,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> CounterfactualRecord:
-    """Walk the tree outward until a robust candidate appears; optionally
+    """Walk the candidates outward until a robust one appears; optionally
     refine it with a line search towards the query.
 
     The line search scans the fixed segment between the query and the chosen
@@ -457,8 +454,8 @@ def rnce(
     optimal: bool = False,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> CounterfactualRecord:
-    """Robust nearest-neighbour counterfactual: filter candidates, fit a k-d
-    tree, query outward for a certified hit, optionally line-search refine.
+    """Robust nearest-neighbour counterfactual: filter candidates, walk them
+    outward from x for a certified hit, optionally line-search refine.
 
     Sound by construction (only verified points are returned) and complete
     whenever some target-class training point passes the robustness test.

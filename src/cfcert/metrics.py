@@ -7,26 +7,28 @@ import numpy as np
 
 from .models import ParametricModel, classify_batch
 
-__all__ = ["l1_normalized", "lof_score", "lof_scores", "validity_after_retraining"]
+__all__ = ["l1_rows", "l1_normalized", "lof_score", "lof_scores", "validity_after_retraining"]
 
 DEFAULT_LOF_K = 20
 
 
+def l1_rows(P, q) -> np.ndarray:
+    """Normalised L1 distance from ``q`` to each row of ``P`` (last axis,
+    broadcast): the one L1 expression of the toolkit.  A row's distance
+    equals a lone call's on that row bit for bit, so the neighbour walk,
+    the nearest-neighbour and GCE searches and the reported costs agree."""
+    return np.abs(P - q).sum(axis=-1) / P.shape[-1]
+
+
 def l1_normalized(x, x_prime) -> float:
-    """Normalised L1 distance, the one metric of the toolkit; the k-d tree
-    and the generators call it in their inner loops, hence the fast path
-    for two vectors of equal length."""
+    """Normalised L1 distance between two vectors of equal size."""
     a = np.asarray(x, dtype=np.float64)
     b = np.asarray(x_prime, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         a, b = a.reshape(-1), b.reshape(-1)
         if a.size != b.size:
             raise ValueError(f"vectors differ in length ({a.size} vs {b.size})")
-    return float(np.abs(a - b).sum() / a.size)
-
-
-def _pairwise_l1(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.abs(A[:, None, :] - B[None, :, :]).sum(axis=2) / A.shape[1]
+    return float(l1_rows(a, b))
 
 
 def _k_neighbourhoods(D: np.ndarray, k: int):
@@ -60,7 +62,7 @@ def lof_scores(points, reference, k: int = DEFAULT_LOF_K) -> np.ndarray:
     if not 1 <= k < n:
         raise ValueError(f"need reference size > k >= 1, got k={k}, n={n}")
 
-    D = _pairwise_l1(ref, ref)
+    D = l1_rows(ref[:, None], ref)
     np.fill_diagonal(D, np.inf)  # a point is not its own neighbour
     k_dist, mask = _k_neighbourhoods(D, k)
     lrd_ref = np.empty(n)
@@ -68,7 +70,7 @@ def lof_scores(points, reference, k: int = DEFAULT_LOF_K) -> np.ndarray:
         nb = np.flatnonzero(mask[o])
         lrd_ref[o] = _lrd(D[o, nb], k_dist[nb])
 
-    Dq = _pairwise_l1(points, ref)
+    Dq = l1_rows(points[:, None], ref)
     out = np.empty(points.shape[0])
     for q in range(points.shape[0]):
         kd_q = np.partition(Dq[q], k - 1)[k - 1]

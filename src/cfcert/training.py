@@ -307,11 +307,11 @@ def estimate_delta_validation(
 
     Counterfactuals come from the robust nearest-neighbour generator with
     both flags off.  Its candidates, the target-class rows, then depend on
-    neither the magnitude nor the input, so each target's k-d tree is built
-    once and walked at every magnitude.  Magnitudes where it finds none for
-    some validation input are skipped with a warning; if no magnitude
-    reaches full validity the grid maximum is returned flagged
-    ``not_reached``.
+    neither the magnitude nor the input, so each target's candidate set
+    (:class:`KDTree`) is built once and walked at every magnitude.
+    Magnitudes where it finds none for some validation input are skipped
+    with a warning; if no magnitude reaches full validity the grid maximum
+    is returned flagged ``not_reached``.
     """
     # Deferred, since generators import the verifier stack; taken from
     # generators so that rebinding a name there (as a tracer does) reaches here.
@@ -328,7 +328,7 @@ def estimate_delta_validation(
     elif len(targets) != len(val_inputs):
         raise ValueError(f"{len(targets)} targets for {len(val_inputs)} validation inputs")
     grid = sorted(float(g) for g in grid)
-    trees = {}  # target -> k-d tree of its candidates, None when there are none
+    trees = {}  # target -> KDTree of its candidates, None when there are none
     per_point = []
     for delta in grid:
         shift = ShiftSet(p, delta)

@@ -94,7 +94,7 @@ def test_gce_robust_equals_per_round_gce(index):
             lam_k = lam / (2.0**k)
             return gce(model, x, target, lam=lam_k, step=step, max_iters=MAX_ITERS), lam_k
 
-        want = iterative_robustify(base, model, SHIFT, x, target, rounds, method="gce-r")
+        want = iterative_robustify(base, model, SHIFT, target, rounds, method="gce-r")
         got = gce_robust(model, SHIFT, x, target, lam=lam, step=step, max_iters=MAX_ITERS,
                          max_rounds=rounds)
         _same(got, want)
@@ -187,7 +187,7 @@ class TestMaxRounds:
             return gce(logistic, x, 1), 0.1
 
         for run in (
-            lambda: iterative_robustify(base, logistic, SHIFT, x, 1, max_rounds=-2),
+            lambda: iterative_robustify(base, logistic, SHIFT, 1, max_rounds=-2),
             lambda: mce_robust(logistic, SHIFT, x, 1, max_rounds=-2),
             lambda: gce_robust(logistic, SHIFT, x, 1, max_rounds=-2),
             lambda: generate_all("gce-r", logistic, SHIFT, [x], 1, max_rounds=-2),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cfcert._kernels import STATUS_ITER_LIMIT
+from cfcert.data import synth_binary
 from cfcert.generators import (
     CounterfactualRecord,
     _score_rows,
@@ -28,6 +29,7 @@ from cfcert.models import (
     classify_batch,
     forward,
 )
+from cfcert.training import TrainConfig, train
 from cfcert.verifier import is_delta_robust
 from conftest import random_network
 
@@ -281,7 +283,7 @@ class TestIterativeRobustify:
             calls.append(k)
             return mce(logistic_ref, [0.7, 0.5], 1, margin=1.0), 1.0
 
-        r = iterative_robustify(base, logistic_ref, ShiftSet("inf", 0.01), [0.7, 0.5], 1)
+        r = iterative_robustify(base, logistic_ref, ShiftSet("inf", 0.01), 1)
         assert r.robust and len(calls) == 1 and r.iterations == 1
 
     def test_exhaustion_returns_last_not_robust(self, logistic_ref):
@@ -304,8 +306,7 @@ class TestIterativeRobustify:
                 ), margin
 
             shift = ShiftSet("inf", 0.5 if robust else 3.0)
-            r = iterative_robustify(base, logistic_ref, shift, [0.7, 0.5], 1, max_rounds=2,
-                                    method="wrapped")
+            r = iterative_robustify(base, logistic_ref, shift, 1, max_rounds=2, method="wrapped")
             assert r == CounterfactualRecord(
                 method="wrapped", target_class=1, found=True, x_prime=base_record.x_prime,
                 distance=base_record.distance, robust=robust, shift=shift, iterations=rounds,
@@ -317,7 +318,7 @@ class TestIterativeRobustify:
         def base(k):
             return mce(logistic_ref, [0.7, 0.5], 1, margin=50.0), 50.0
 
-        r = iterative_robustify(base, logistic_ref, ShiftSet("inf", 0.01), [0.7, 0.5], 1)
+        r = iterative_robustify(base, logistic_ref, ShiftSet("inf", 0.01), 1)
         assert not r.found
 
     def test_gce_robust_halves_lambda(self, logistic_ref):
@@ -439,16 +440,21 @@ class TestGetRobustCe:
 
 class TestRnce:
     def test_delta_zero_equals_nnce(self, blob_problem):
-        model, X = blob_problem
+        # The second problem's candidates lie on a 0.1 grid, many of them
+        # duplicates, so both searches must break exact ties alike.
+        data = synth_binary(300, seed=0)
+        net = train(data.X, data.y, (8,), TrainConfig(epochs=40, seed=0))
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            x = rng.uniform(0, 1, 2)
-            target = 1 - classify(model, x)
-            a = nnce(model, X, x, target)
-            b = rnce(model, X, x, ShiftSet("inf", 0.0))
-            assert a.found == b.found
-            if a.found:
-                assert np.array_equal(a.x_prime, b.x_prime)
+        for (model, X), queries in ((blob_problem, 100), ((net, np.round(data.X, 1)), 60)):
+            for _ in range(queries):
+                x = rng.uniform(0, 1, 2)
+                target = 1 - classify(model, x)
+                a = nnce(model, X, x, target)
+                b = rnce(model, X, x, ShiftSet("inf", 0.0))
+                assert a.found == b.found
+                if a.found:
+                    assert np.array_equal(a.x_prime, b.x_prime)
+                    assert a.distance == b.distance
 
     def test_flag_combinations_agree_and_verify(self, blob_problem):
         model, X = blob_problem

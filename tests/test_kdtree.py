@@ -43,12 +43,18 @@ def test_iterator_exhausts_then_stops():
 
 def test_many_queries_match_brute_force():
     rng = np.random.default_rng(1)
-    pts = rng.uniform(0, 1, (200, 2))
-    tree = KDTree(pts)
-    for _ in range(25):
-        q = rng.uniform(-0.2, 1.2, 2)
-        want, _ = brute_order(pts, q)
-        assert [i for i, _ in tree.neighbors(q)] == want
+    # Uniform points, then duplicates on a 0.1 grid in 5-D queried from the
+    # grid too, where most distances tie exactly and order by index.
+    grid = np.round(rng.uniform(0, 1, (60, 5)), 1)
+    for pts, snap in ((rng.uniform(0, 1, (200, 2)), False), (grid[rng.integers(0, 60, 300)], True)):
+        tree = KDTree(pts)
+        for _ in range(25):
+            q = rng.uniform(-0.2, 1.2, pts.shape[1])
+            q = np.round(q, 1) if snap else q
+            want, d = brute_order(pts, q)
+            got = list(tree.neighbors(q))
+            assert [i for i, _ in got] == want
+            assert all(d[i] == dist for i, dist in got)
 
 
 def test_validation():
