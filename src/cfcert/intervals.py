@@ -191,10 +191,8 @@ def interval_classify(im: IntervalModel, x) -> IntervalVerdict:
 
 
 def sigmoid(z):
+    """Logistic function, overflow-free: exp only ever sees -|z|."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)

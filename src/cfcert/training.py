@@ -9,7 +9,7 @@ Labels follow the classification conventions of the rest of the package:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +76,12 @@ class RetrainSpec:
             raise ValueError("fraction must be in (0, 1]")
         if self.replicas < 1:
             raise ValueError("replica count must be >= 1")
+        if self.seeds and len(self.seeds) != self.replicas:
+            raise ValueError(f"{len(self.seeds)} seeds for {self.replicas} replicas")
+        if not 0 <= self.removed < 1:
+            raise ValueError("removed must be in [0, 1)")
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
 
 
 def _arch_layout(architecture, input_dim: int, num_classes: int):
@@ -101,49 +107,66 @@ def init_model(architecture, input_dim: int, num_classes: int, seed: int) -> Par
     return ReluNetwork(layers=tuple(layers))
 
 
-def _as_layer_params(model: ParametricModel):
-    """Writable copies of the model's affine layers, for SGD to update."""
-    return [(w.copy(), None if b is None else b.copy()) for w, b in affine_layers(model)]
-
-
 def _softmax(Z: np.ndarray) -> np.ndarray:
-    Z = Z - Z.max(axis=1, keepdims=True)
+    Z = Z - Z.max(axis=-1, keepdims=True)
     E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
+    return E / E.sum(axis=-1, keepdims=True)
 
 
-def _loss_and_param_grads(params, X, y, num_outputs, l2):
-    """Cross-entropy (on sigmoid/softmax of the logits) and its gradients."""
+def _stack(model: ParametricModel, replicas: int):
+    """Writable copies of the model's affine layers for SGD to update, one
+    per replica: ``(R, out, in)`` weights and ``(R, 1, out)`` biases."""
+    return [
+        (np.tile(w, (replicas, 1, 1)), None if b is None else np.tile(b, (replicas, 1, 1)))
+        for w, b in affine_layers(model)
+    ]
+
+
+def _targets(model: ParametricModel, y) -> np.ndarray:
+    """What the loss compares the logits with: the 0/1 labels of a
+    single-logit model, one-hot rows over the classes otherwise."""
+    y = np.asarray(y)
+    return y if model.num_outputs == 1 else np.eye(model.num_outputs)[y.astype(np.int64) - 1]
+
+
+def _loss_and_param_grads(params, X, T, l2):
+    """Cross-entropy (on sigmoid/softmax of the logits) of each replica in a
+    stack, and its gradients.
+
+    ``params`` is a :func:`_stack`, ``X`` is ``(R, batch, in)`` and ``T``
+    the rows' :func:`_targets`.  Replica r's slice is bit for bit a lone
+    replica's arithmetic: each matmul slice is the lone 2-D product's BLAS
+    call on the same layout, and every reduction runs along replica r's own
+    batch axis.
+    """
     acts = [X]
     V = X
     for i, (w, b) in enumerate(params):
-        V = V @ w.T
+        V = V @ w.transpose(0, 2, 1)
         if b is not None:
-            V = V + b
+            V += b
         if i < len(params) - 1:
-            V = np.maximum(V, 0.0)
+            np.maximum(V, 0.0, out=V)
             acts.append(V)
-    m = X.shape[0]
-    if num_outputs == 1:
-        p = sigmoid(V[:, 0])
+    m = X.shape[1]
+    if T.ndim == 2:
+        p = sigmoid(V[..., 0])
         eps = 1e-12
-        loss = -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
-        dz = ((p - y) / m)[:, None]
+        loss = -(T * np.log(p + eps) + (1 - T) * np.log(1 - p + eps)).sum(axis=1) / m
+        dz = ((p - T) / m)[..., None]
     else:
         P = _softmax(V)
-        onehot = np.zeros_like(P)
-        onehot[np.arange(m), np.asarray(y, dtype=np.int64) - 1] = 1.0
-        loss = -np.mean(np.log((P * onehot).sum(axis=1) + 1e-12))
-        dz = (P - onehot) / m
+        loss = -np.log((P * T).sum(axis=-1) + 1e-12).sum(axis=1) / m
+        dz = (P - T) / m
     grads = []
     g = dz
     for i in range(len(params) - 1, -1, -1):
         w, b = params[i]
-        gw = g.T @ acts[i]
+        gw = g.transpose(0, 2, 1) @ acts[i]
         if l2:
-            gw = gw + l2 * w
-            loss += 0.5 * l2 * float((w**2).sum())
-        gb = g.sum(axis=0) if b is not None else None
+            gw += l2 * w
+            loss += 0.5 * l2 * (w**2).sum(axis=(1, 2))
+        gb = g.sum(axis=1, keepdims=True) if b is not None else None
         grads.append((gw, gb))
         if i > 0:
             g = (g @ w) * (acts[i] > 0)
@@ -154,33 +177,49 @@ def _loss_and_param_grads(params, X, y, num_outputs, l2):
 def loss_and_grad(model: ParametricModel, X, y, l2: float = 0.0):
     """Loss and the gradient as a flat vector in flatten() order (for
     finite-difference checks)."""
-    params = _as_layer_params(model)
-    loss, grads = _loss_and_param_grads(params, np.asarray(X, float), np.asarray(y), model.num_outputs, l2)
+    X, y = np.asarray(X, float), np.asarray(y)
+    loss, grads = _loss_and_param_grads(_stack(model, 1), X[None], _targets(model, y)[None], l2)
     parts = []
-    for (w, b), (gw, gb) in zip(params, grads):
-        parts.append(gw.flatten(order="F"))
+    for gw, gb in grads:
+        parts.append(gw[0].flatten(order="F"))
         if gb is not None:
-            parts.append(gb)
-    return loss, np.concatenate(parts)
+            parts.append(gb[0, 0])
+    return loss[0], np.concatenate(parts)
 
 
-def _sgd(params, X, y, num_outputs, config: TrainConfig, epochs: int):
-    rng = np.random.default_rng(config.seed)
-    m = X.shape[0]
+def _sgd(model: ParametricModel, Xs, ys, seeds, config: TrainConfig, epochs: int) -> list:
+    """Minibatch SGD from ``model`` for R replicas that step as one stack.
+
+    Replica r trains on rows ``Xs[r]`` with labels ``ys[r]`` and shuffles
+    each epoch with its own ``default_rng(seeds[r])``; its parameters equal
+    a lone run's bit for bit.  With no epochs or no rows the input model
+    itself is every replica.
+    """
+    R, m = Xs.shape[:2]
+    if epochs == 0 or m == 0:
+        return [model] * R
+    params = _stack(model, R)
+    Ts = _targets(model, ys)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    replica = np.arange(R)[:, None]
+    rate, size = config.learning_rate, config.batch_size
     for _ in range(epochs):
-        order = rng.permutation(m)
-        for start in range(0, m, config.batch_size):
-            batch = order[start : start + config.batch_size]
+        order = np.stack([rng.permutation(m) for rng in rngs])
+        X, T = Xs[replica, order], Ts[replica, order]
+        for start in range(0, m, size):
             loss, grads = _loss_and_param_grads(
-                params, X[batch], y[batch], num_outputs, config.l2
+                params, X[:, start : start + size], T[:, start : start + size], config.l2
             )
-            if not np.isfinite(loss):
+            if not np.isfinite(loss).all():
                 raise RuntimeError("training diverged: non-finite loss")
-            for i, ((w, b), (gw, gb)) in enumerate(zip(params, grads)):
-                w -= config.learning_rate * gw
+            for (w, b), (gw, gb) in zip(params, grads):
+                w -= rate * gw
                 if b is not None:
-                    b -= config.learning_rate * gb
-    return params
+                    b -= rate * gb
+    return [
+        from_affine_layers(model, [(w[r], None if b is None else b[r, 0]) for w, b in params])
+        for r in range(R)
+    ]
 
 
 def train(X, y, architecture, config: TrainConfig, init: ParametricModel | None = None) -> ParametricModel:
@@ -190,9 +229,7 @@ def train(X, y, architecture, config: TrainConfig, init: ParametricModel | None 
     if init is None:
         num_classes = 2 if architecture in ("logistic", None) else _num_classes_from_labels(y)
         init = init_model(architecture, X.shape[1], num_classes, config.seed)
-    params = _as_layer_params(init)
-    params = _sgd(params, X, y, init.num_outputs, config, config.epochs)
-    return from_affine_layers(init, params)
+    return _sgd(init, X[None], y[None], (config.seed,), config, config.epochs)[0]
 
 
 def _is_multi(y) -> bool:
@@ -205,13 +242,10 @@ def _num_classes_from_labels(y) -> int:
 
 def fine_tune(model: ParametricModel, X, y, iterations: int, config: TrainConfig) -> ParametricModel:
     """Warm-started SGD continuation on a data subset; the input model is
-    left untouched."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] == 0 or iterations == 0:
-        return model
-    params = _as_layer_params(model)
-    params = _sgd(params, X, np.asarray(y), model.num_outputs, config, iterations)
-    return from_affine_layers(model, params)
+    left untouched, and returned as is when there are no iterations or no
+    rows."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    return _sgd(model, X[None], y[None], (config.seed,), config, iterations)[0]
 
 
 def retrain_fleet(
@@ -224,31 +258,34 @@ def retrain_fleet(
     architecture,
     config: TrainConfig,
 ) -> list[ParametricModel]:
-    """Replica retrained models according to the spec's mode."""
+    """Replica retrained models according to the spec's mode.
+
+    A mode's replicas share every shape (the same rows for ``complete``,
+    equal-size subsets otherwise), so they train as one stack.  Replica r
+    draws its data subset from ``default_rng(seeds[r])`` and its shuffles
+    from a fresh generator of the same seed.
+    """
     X1, y1 = np.asarray(X1, float), np.asarray(y1)
     X2, y2 = np.asarray(X2, float), np.asarray(y2)
     seeds = spec.seeds or tuple(config.seed + 1000 + r for r in range(spec.replicas))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if spec.mode == "incremental":
+        k = max(1, int(round(spec.fraction * X2.shape[0])))
+        pick = np.stack([rng.choice(X2.shape[0], size=k, replace=False) for rng in rngs])
+        return _sgd(model, X2[pick], y2[pick], seeds, config, spec.iterations)
     # "Same hyperparameter setting" includes the initialisation seed; replica
     # variation comes from the shuffling seed and the data subset.
     fresh_init = init_model(
         architecture, X1.shape[1], _num_classes_from_labels(y1), config.seed
     )
-    fleet = []
-    for r in range(spec.replicas):
-        rng = np.random.default_rng(seeds[r])
-        cfg = replace(config, seed=seeds[r])
-        if spec.mode == "incremental":
-            k = max(1, int(round(spec.fraction * X2.shape[0])))
-            pick = rng.choice(X2.shape[0], size=k, replace=False)
-            fleet.append(fine_tune(model, X2[pick], y2[pick], spec.iterations, cfg))
-        elif spec.mode == "complete":
-            X = np.vstack([X1, X2])
-            y = np.concatenate([y1, y2])
-            fleet.append(train(X, y, architecture, cfg, init=fresh_init))
-        else:  # leave_one_out
-            keep = rng.permutation(X1.shape[0])[int(np.ceil(spec.removed * X1.shape[0])) :]
-            fleet.append(train(X1[keep], y1[keep], architecture, cfg, init=fresh_init))
-    return fleet
+    if spec.mode == "complete":
+        X, y = np.vstack([X1, X2]), np.concatenate([y1, y2])
+        rows = np.broadcast_to(np.arange(X.shape[0]), (len(seeds), X.shape[0]))
+    else:  # leave_one_out
+        X, y = X1, y1
+        drop = int(np.ceil(spec.removed * X1.shape[0]))
+        rows = np.stack([rng.permutation(X1.shape[0])[drop:] for rng in rngs])
+    return _sgd(fresh_init, X[rows], y[rows], seeds, config, config.epochs)
 
 
 def estimate_delta_incremental(
@@ -262,8 +299,11 @@ def estimate_delta_incremental(
 ) -> dict:
     """Mean inf-distance to incrementally retrained replicas, per fraction.
 
-    The value at fraction 0.10 is reported as the incremental shift target.
+    A fraction's replicas fine-tune on equal-size picks, as one stack.  The
+    value at fraction 0.10 is reported as the incremental shift target.
     """
+    if replicas < 1 or iterations < 0:
+        raise ValueError("replica count must be >= 1 and iterations >= 0")
     X2, y2 = np.asarray(X2, float), np.asarray(y2)
     config = config or TrainConfig()
     theta = flatten(model)
@@ -271,18 +311,16 @@ def estimate_delta_incremental(
     for f in fractions:
         if not 0 <= f <= 1:
             raise ValueError("fractions must lie in [0, 1]")
-        dists = []
-        for r in range(replicas):
-            seed = config.seed + 101 * r + int(round(f * 10000))
-            rng = np.random.default_rng(seed)
-            k = int(round(f * X2.shape[0]))
-            if k == 0:
-                dists.append(0.0)
-                continue
-            pick = rng.choice(X2.shape[0], size=k, replace=False)
-            tuned = fine_tune(model, X2[pick], y2[pick], iterations, replace(config, seed=seed))
-            dists.append(p_distance(theta, flatten(tuned), "inf"))
-        per_fraction.append({"fraction": float(f), "delta": float(np.mean(dists))})
+        k = int(round(f * X2.shape[0]))
+        delta = 0.0
+        if k:
+            seeds = [config.seed + 101 * r + int(round(f * 10000)) for r in range(replicas)]
+            pick = np.stack(
+                [np.random.default_rng(seed).choice(X2.shape[0], size=k, replace=False) for seed in seeds]
+            )
+            tuned = _sgd(model, X2[pick], y2[pick], seeds, config, iterations)
+            delta = float(np.mean([p_distance(theta, flatten(t), "inf") for t in tuned]))
+        per_fraction.append({"fraction": float(f), "delta": delta})
     named = [row["delta"] for row in per_fraction if abs(row["fraction"] - 0.10) < 1e-9]
     delta_inc = named[0] if named else per_fraction[-1]["delta"]
     return {

@@ -243,6 +243,16 @@ def test_estimate_delta_incremental_cli(tmp_path, capsys):
     assert report["strategy"] == "incremental" and report["delta_inc"] > 0
 
 
+@pytest.mark.parametrize("knob", [["--replicas", "0"], ["--iterations", "-2"]])
+def test_estimate_delta_incremental_bad_count_is_an_error(knob, capsys):
+    args = ["estimate-delta", "--strategy", "incremental", "--synth", "moons:200", "--epochs", "5"]
+    rc = main(args + ["--seed", "0"] + knob)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: replica count must be >= 1 and iterations >= 0" in captured.err
+    assert "delta_inc" not in captured.out
+
+
 def test_estimate_delta_validation_empty_pool_cli(capsys):
     rc = main(
         [

@@ -88,6 +88,9 @@ def test_fine_tune_zero_iterations_is_identity():
     m = train(ds.X, ds.y, "logistic", TrainConfig(epochs=30, seed=7))
     tuned = fine_tune(m, ds.X, ds.y, 0, TrainConfig(seed=7))
     assert p_distance(flatten(m), flatten(tuned), "inf") == 0.0
+    # With no iterations, or no rows, the input model itself comes back.
+    assert tuned is m
+    assert fine_tune(m, ds.X[:0], ds.y[:0], 5, TrainConfig(seed=7)) is m
 
 
 def test_fine_tune_single_step_bounded_by_lr_times_gradient():
@@ -164,6 +167,41 @@ def test_retrain_spec_validation():
         RetrainSpec(mode="incremental", fraction=0.0)
     with pytest.raises(ValueError):
         RetrainSpec(mode="complete", replicas=0)
+    with pytest.raises(ValueError, match="1 seeds for 3 replicas"):
+        RetrainSpec(mode="complete", replicas=3, seeds=(7,))
+    with pytest.raises(ValueError, match="removed"):
+        RetrainSpec(mode="leave_one_out", removed=-0.5)
+    with pytest.raises(ValueError, match="removed"):
+        RetrainSpec(mode="leave_one_out", removed=1.0)
+    with pytest.raises(ValueError, match="iterations"):
+        RetrainSpec(mode="incremental", iterations=-3)
+    RetrainSpec(mode="complete", replicas=2, seeds=(7, 8))
+    RetrainSpec(mode="leave_one_out", removed=0.0)
+    RetrainSpec(mode="incremental", iterations=0)
+
+
+@pytest.mark.parametrize("mode", ["complete", "leave_one_out"])
+def test_fleet_on_a_nan_row_diverges(mode):
+    ds = synth_binary(120, seed=15)
+    X1 = ds.X[:60].copy()
+    X1[0, 1] = np.nan
+    m = LogisticModel(weights=[0.5, -0.5], bias=0.0)
+    spec = RetrainSpec(mode=mode, replicas=3, removed=0.5, seeds=(1, 2, 3))
+    if mode == "leave_one_out":
+        # Some replicas drop the NaN row: one replica's divergence is enough.
+        kept = [0 in np.random.default_rng(s).permutation(60)[30:] for s in spec.seeds]
+        assert any(kept) and not all(kept)
+    cfg = TrainConfig(epochs=2, seed=15)
+    with pytest.raises(RuntimeError, match="diverged"):
+        retrain_fleet(m, X1, ds.y[:60], ds.X[60:], ds.y[60:], spec, "logistic", cfg)
+
+
+@pytest.mark.parametrize("knobs", [{"replicas": 0}, {"iterations": -2}])
+def test_estimate_delta_incremental_rejects_bad_counts(knobs):
+    ds = synth_binary(60, seed=17)
+    m = LogisticModel(weights=[0.5, -0.5], bias=0.1)
+    with pytest.raises(ValueError):
+        estimate_delta_incremental(m, ds.X, ds.y, fractions=(0.1,), **knobs)
 
 
 class TestEstimateDeltaValidation:
