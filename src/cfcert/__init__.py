@@ -7,7 +7,7 @@ parameter shift of bounded norm (via an embedded MILP engine), and generates
 counterfactuals that carry that certificate.
 """
 
-from .intervals import IntervalModel, IntervalVerdict, ShiftSet, abstract, interval_forward
+from .intervals import IntervalModel, ShiftSet, abstract, interval_forward
 from .models import (
     Layer,
     LogisticModel,
@@ -37,7 +37,6 @@ __all__ = [
     "load_model",
     "ShiftSet",
     "IntervalModel",
-    "IntervalVerdict",
     "abstract",
     "interval_forward",
 ]

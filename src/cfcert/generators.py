@@ -360,24 +360,23 @@ def _gce_robust_rows(model, shift, inputs, target, lam, step, max_iters, max_rou
 def get_candidates(
     model: ParametricModel,
     X,
-    x,
     shift: ShiftSet,
-    target: int | None = None,
+    target: int,
     robust_init: bool = False,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> np.ndarray:
-    """Indices of training rows eligible as counterfactual candidates.
+    """Indices of training rows eligible as counterfactual candidates for
+    ``target``; they do not depend on the query.
 
     Without ``robust_init`` a row qualifies when the point model classifies
     it to the target class; with it the row must additionally pass the
     robustness test.  (Robustness implies target-class point classification,
     so the point filter is applied first in both modes.)  The test is one
     :func:`robust_flags` call over the target-class rows: interval arithmetic
-    certifies what it can and only the rest is solved as a MILP.  The
-    target defaults to the other class of x (:func:`counterfactual_target`).
+    certifies what it can and only the rest is solved as a MILP.
     """
+    check_target(model, target)
     X = np.asarray(X, dtype=np.float64)
-    target = counterfactual_target(model, x, target)
     idx = np.flatnonzero(classify_batch(model, X) == target)
     if not robust_init:
         return idx
@@ -455,23 +454,17 @@ def rnce(
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> CounterfactualRecord:
     """Robust nearest-neighbour counterfactual: filter candidates, walk them
-    outward from x for a certified hit, optionally line-search refine.
+    outward from x for a certified hit, optionally line-search refine.  The
+    one-input case of the ``rnce-XY`` batch generators; the target defaults
+    to the other class of x (:func:`counterfactual_target`).
 
     Sound by construction (only verified points are returned) and complete
     whenever some target-class training point passes the robustness test.
     """
-    X = np.asarray(X, dtype=np.float64)
     x = as_feature_vector(x, model.input_dim)
     target = counterfactual_target(model, x, target)
-    idx = get_candidates(model, X, x, shift, target, robust_init, node_limit)
-    name = _rnce_name(robust_init, optimal)
-    if idx.size == 0:
-        return _not_found(name, target, shift=shift)
-    record = get_robust_ce(
-        model, shift, KDTree(X[idx]), x, target, optimal, candidates_verified=robust_init,
-        node_limit=node_limit,
-    )
-    return replace(record, method=name)
+    knobs = {"node_limit": node_limit}
+    return _rnce_batch(model, shift, [x], target, X, knobs, robust_init, optimal)[0]
 
 
 def _rnce_name(robust_init: bool, optimal: bool) -> str:
@@ -480,8 +473,9 @@ def _rnce_name(robust_init: bool, optimal: bool) -> str:
 
 
 # The batch generators: (model, shift, inputs, target, X, knobs) -> records.
-# The loops read mce, mce_robust, nnce and rnce from this module at call time,
-# so rebinding one of those names (as a tracer does) reaches them.
+# They read mce, mce_robust, nnce, get_candidates, KDTree and get_robust_ce
+# from this module at call time, so rebinding one of those names (as a
+# tracer does) reaches them.
 def _mce_batch(model, shift, inputs, target, X, k):
     return [mce(model, x, target, margin=k["margin"], node_limit=k["node_limit"]) for x in inputs]
 
@@ -505,9 +499,23 @@ def _nnce_batch(model, shift, inputs, target, X, k):
     return [nnce(model, X, x, target) for x in inputs]
 
 
-def _rnce_batch(model, shift, inputs, target, X, k, **flags):
-    knobs = dict(flags, target=target, node_limit=k["node_limit"])
-    return [rnce(model, X, x, shift, **knobs) for x in inputs]
+def _rnce_batch(model, shift, inputs, target, X, k, robust_init, optimal):
+    """One candidate filter and one :class:`KDTree` for the batch, then one
+    walk per input."""
+    xs = [as_feature_vector(x, model.input_dim) for x in inputs]
+    X = np.asarray(X, dtype=np.float64)
+    idx = get_candidates(model, X, shift, target, robust_init, k["node_limit"])
+    name = _rnce_name(robust_init, optimal)
+    if idx.size == 0:
+        return [_not_found(name, target, shift=shift) for _ in xs]
+    tree = KDTree(X[idx])
+    return [
+        replace(
+            get_robust_ce(model, shift, tree, x, target, optimal, robust_init, k["node_limit"]),
+            method=name,
+        )
+        for x in xs
+    ]
 
 
 class Method(NamedTuple):

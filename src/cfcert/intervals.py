@@ -5,7 +5,7 @@ Every scalar parameter theta_i is replaced by the interval
 arithmetic then encloses the outputs of every model whose parameters sit in
 that box.  Classification over output intervals is three-valued: a class is
 assigned only when its logit interval dominates, otherwise the verdict is
-undefined.
+undefined: ``dominant_class(*interval_forward(abstract(model, shift), x))``.
 
 The box is the same for every norm order p: a shift with ||dtheta||_p <=
 delta has every coordinate within +/- delta, so for p in {1, 2} the p-ball
@@ -24,11 +24,10 @@ __all__ = [
     "ShiftSet",
     "IntervalLayer",
     "IntervalModel",
-    "IntervalVerdict",
     "abstract",
     "interval_bounds",
     "interval_forward",
-    "interval_classify",
+    "dominant_class",
     "sigmoid",
 ]
 
@@ -94,23 +93,6 @@ class IntervalModel:
     @property
     def num_classes(self) -> int:
         return 2 if self.num_outputs == 1 else self.num_outputs
-
-
-@dataclass(frozen=True)
-class IntervalVerdict:
-    """Three-valued interval classification plus the intervals behind it.
-
-    ``label`` is the assigned class, or ``None`` when no class dominates
-    (the undefined case).  ``lo``/``hi`` are the per-logit output intervals.
-    """
-
-    label: int | None
-    lo: np.ndarray
-    hi: np.ndarray
-
-    @property
-    def undefined(self) -> bool:
-        return self.label is None
 
 
 def abstract(model: ParametricModel, shift: ShiftSet) -> IntervalModel:
@@ -181,13 +163,6 @@ def dominant_class(lo: np.ndarray, hi: np.ndarray) -> int | None:
         if lo[i] > hi[:i].max(initial=-np.inf) and lo[i] >= hi[i + 1 :].max(initial=-np.inf):
             return i + 1
     return None
-
-
-def interval_classify(im: IntervalModel, x) -> IntervalVerdict:
-    """The class :func:`dominant_class` reads off the logit intervals at x,
-    or undefined."""
-    lo, hi = interval_forward(im, x)
-    return IntervalVerdict(label=dominant_class(lo, hi), lo=lo, hi=hi)
 
 
 def sigmoid(z):

@@ -3,7 +3,8 @@ backprop), the three retraining modes, and the two shift-magnitude
 identification strategies.
 
 Labels follow the classification conventions of the rest of the package:
-{0, 1} for single-logit models, {1, ..., l} for multi-logit ones.
+{0, 1} for single-logit models, {1, ..., l} for multi-logit ones; any other
+label is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .generators import generate_all
 from .intervals import ShiftSet, sigmoid
 from .models import (
     Layer,
@@ -124,9 +126,15 @@ def _stack(model: ParametricModel, replicas: int):
 
 def _targets(model: ParametricModel, y) -> np.ndarray:
     """What the loss compares the logits with: the 0/1 labels of a
-    single-logit model, one-hot rows over the classes otherwise."""
+    single-logit model, one-hot rows over the classes 1..l otherwise.  A
+    label outside the model's convention is a ``ValueError``."""
     y = np.asarray(y)
-    return y if model.num_outputs == 1 else np.eye(model.num_outputs)[y.astype(np.int64) - 1]
+    l = model.num_outputs
+    bad = y[~np.isin(y, (0, 1) if l == 1 else np.arange(1, l + 1))]
+    if bad.size:
+        rule = "0 or 1" if l == 1 else f"in 1..{l}"
+        raise ValueError(f"label {bad[0]} is not a class of this model: labels must be {rule}")
+    return y if l == 1 else np.eye(l)[y.astype(np.int64) - 1]
 
 
 def _loss_and_param_grads(params, X, T, l2):
@@ -196,10 +204,10 @@ def _sgd(model: ParametricModel, Xs, ys, seeds, config: TrainConfig, epochs: int
     itself is every replica.
     """
     R, m = Xs.shape[:2]
+    Ts = _targets(model, ys)
     if epochs == 0 or m == 0:
         return [model] * R
     params = _stack(model, R)
-    Ts = _targets(model, ys)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     replica = np.arange(R)[:, None]
     rate, size = config.learning_rate, config.batch_size
@@ -267,6 +275,7 @@ def retrain_fleet(
     """
     X1, y1 = np.asarray(X1, float), np.asarray(y1)
     X2, y2 = np.asarray(X2, float), np.asarray(y2)
+    _targets(model, np.concatenate([y1, y2]))  # every label, not only the rows drawn
     seeds = spec.seeds or tuple(config.seed + 1000 + r for r in range(spec.replicas))
     rngs = [np.random.default_rng(seed) for seed in seeds]
     if spec.mode == "incremental":
@@ -275,9 +284,7 @@ def retrain_fleet(
         return _sgd(model, X2[pick], y2[pick], seeds, config, spec.iterations)
     # "Same hyperparameter setting" includes the initialisation seed; replica
     # variation comes from the shuffling seed and the data subset.
-    fresh_init = init_model(
-        architecture, X1.shape[1], _num_classes_from_labels(y1), config.seed
-    )
+    fresh_init = init_model(architecture, X1.shape[1], model.num_classes, config.seed)
     if spec.mode == "complete":
         X, y = np.vstack([X1, X2]), np.concatenate([y1, y2])
         rows = np.broadcast_to(np.arange(X.shape[0]), (len(seeds), X.shape[0]))
@@ -343,18 +350,15 @@ def estimate_delta_validation(
     """Smallest grid shift magnitude whose certified counterfactuals are all
     valid under every retrained model.
 
-    Counterfactuals come from the robust nearest-neighbour generator with
-    both flags off.  Its candidates, the target-class rows, then depend on
-    neither the magnitude nor the input, so each target's candidate set
-    (:class:`KDTree`) is built once and walked at every magnitude.
+    Each validation input's counterfactual is its nearest target-class
+    candidate that passes the robustness test at the magnitude, ties to the
+    lowest row index: the robust nearest-neighbour generator's walk.  So at
+    each magnitude every target's inputs take one ``rnce-tf`` batch, which
+    tests each candidate once (:func:`~cfcert.generators.get_candidates`).
     Magnitudes where it finds none for some validation input are skipped
     with a warning; if no magnitude reaches full validity the grid maximum
     is returned flagged ``not_reached``.
     """
-    # Deferred, since generators import the verifier stack; taken from
-    # generators so that rebinding a name there (as a tracer does) reaches here.
-    from .generators import KDTree, get_candidates, get_robust_ce
-
     if not retrained:
         raise ValueError("need at least one retrained model")
     X_candidates = np.asarray(X_candidates, dtype=np.float64)
@@ -365,33 +369,30 @@ def estimate_delta_validation(
         targets = [None] * len(val_inputs)
     elif len(targets) != len(val_inputs):
         raise ValueError(f"{len(targets)} targets for {len(val_inputs)} validation inputs")
+    targets = [counterfactual_target(model, x, t) for x, t in zip(val_inputs, targets)]
+    groups = {}  # target -> the indices of its inputs
+    for i, target in enumerate(targets):
+        groups.setdefault(target, []).append(i)
     grid = sorted(float(g) for g in grid)
-    trees = {}  # target -> KDTree of its candidates, None when there are none
     per_point = []
     for delta in grid:
         shift = ShiftSet(p, delta)
-        ces, tgt = [], []
-        failed = False
-        for x, t in zip(val_inputs, targets):
-            target = counterfactual_target(model, x, t)
-            if target not in trees:
-                idx = get_candidates(model, X_candidates, x, shift, target=target)
-                trees[target] = KDTree(X_candidates[idx]) if idx.size else None
-            tree = trees[target]
-            record = None if tree is None else get_robust_ce(model, shift, tree, x, target)
-            if record is None or not record.found:
-                warnings.warn(
-                    f"generator found no counterfactual at delta={delta}; skipping this magnitude"
-                )
-                failed = True
+        ces = [None] * len(val_inputs)
+        for target, rows in groups.items():
+            inputs = [val_inputs[i] for i in rows]
+            records = generate_all("rnce-tf", model, shift, inputs, target, X_candidates)
+            for i, record in zip(rows, records):
+                ces[i] = record.x_prime
+            if not all(record.found for record in records):
                 break
-            ces.append(record.x_prime)
-            tgt.append(target)
-        if failed:
+        if any(ce is None for ce in ces):
+            warnings.warn(
+                f"generator found no counterfactual at delta={delta}; skipping this magnitude"
+            )
             per_point.append({"delta": delta, "validity": None})
             continue
         ces = np.vstack(ces)
-        valid = np.logical_and.reduce([classify_batch(m, ces) == tgt for m in retrained])
+        valid = np.logical_and.reduce([classify_batch(m, ces) == targets for m in retrained])
         validity = int(valid.sum()) / len(ces)
         per_point.append({"delta": delta, "validity": validity})
         if validity == 1.0:

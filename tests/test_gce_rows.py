@@ -158,19 +158,27 @@ def test_generate_all_rejects_unknown_knobs():
 
 
 def test_generate_all_reaches_rebound_generators(monkeypatch):
-    # Methods other than gce and gce-r run once per input, and the dispatch
-    # table looks the generators up at call time.
-    calls = []
+    # The dispatch table's batch generators look their parts up at call
+    # time: an rnce batch filters its candidates once and walks once per
+    # input.
+    filters, walks = [], []
 
-    def fake_rnce(model, X, x, shift, **kw):
-        calls.append(x)
-        return "record"
+    def fake_candidates(model, X, shift, target, robust_init, node_limit):
+        filters.append(len(X))
+        return np.arange(len(X))
 
-    monkeypatch.setattr(generators, "rnce", fake_rnce)
+    def fake_walk(model, shift, tree, x, target, optimal, verified, node_limit):
+        walks.append(x)
+        return generators._not_found("rnce", target)
+
+    monkeypatch.setattr(generators, "get_candidates", fake_candidates)
+    monkeypatch.setattr(generators, "get_robust_ce", fake_walk)
     model = MODELS[0]
     X = _inputs(0, model)
-    assert generate_all("rnce-ff", model, SHIFT, X, 1, X) == ["record"] * len(X)
-    assert len(calls) == len(X)
+    records = generate_all("rnce-ff", model, SHIFT, X, 1, X)
+    assert [r.method for r in records] == ["rnce-ff"] * len(X)
+    assert filters == [len(X)]
+    assert [w.tobytes() for w in walks] == [x.tobytes() for x in X]
 
 
 class TestMaxRounds:

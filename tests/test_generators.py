@@ -331,25 +331,22 @@ class TestIterativeRobustify:
 class TestGetCandidates:
     def test_plain_filter_matches_point_classification(self, blob_problem):
         model, X = blob_problem
-        x = X[0]
-        idx = get_candidates(model, X, x, ShiftSet("inf", 0.1), robust_init=False)
+        idx = get_candidates(model, X, ShiftSet("inf", 0.1), 1, robust_init=False)
         assert np.array_equal(idx, np.flatnonzero(classify_batch(model, X) == 1))
 
     def test_delta_zero_robust_init_equals_plain(self, blob_problem):
         model, X = blob_problem
-        x = X[0]
-        a = get_candidates(model, X, x, ShiftSet("inf", 0.0), robust_init=False)
-        b = get_candidates(model, X, x, ShiftSet("inf", 0.0), robust_init=True)
+        a = get_candidates(model, X, ShiftSet("inf", 0.0), 1, robust_init=False)
+        b = get_candidates(model, X, ShiftSet("inf", 0.0), 1, robust_init=True)
         assert np.array_equal(a, b)
 
     def test_robust_init_strictly_smaller_on_boundary_points(self, blob_problem):
         model, X = blob_problem
         # Plant a barely-class-1 point that cannot survive the shift budget.
         X = np.vstack([X, [[0.5001, 0.5001]]])
-        x = X[0]
         shift = ShiftSet("inf", 0.05)
-        plain = get_candidates(model, X, x, shift, robust_init=False)
-        robust = get_candidates(model, X, x, shift, robust_init=True)
+        plain = get_candidates(model, X, shift, 1, robust_init=False)
+        robust = get_candidates(model, X, shift, 1, robust_init=True)
         assert set(robust) < set(plain)
         for i in robust:
             assert is_delta_robust(model, shift, X[i], target=1).robust
@@ -359,7 +356,7 @@ class TestGetRobustCe:
     def test_first_neighbour_when_verified(self, blob_problem):
         model, X = blob_problem
         shift = ShiftSet("inf", 0.05)
-        idx = get_candidates(model, X, X[0], shift, robust_init=True)
+        idx = get_candidates(model, X, shift, 1, robust_init=True)
         tree = KDTree(X[idx])
         r = get_robust_ce(model, shift, tree, X[0], 1, optimal=False, candidates_verified=True)
         assert r.found and r.iterations == 1
@@ -439,6 +436,31 @@ class TestGetRobustCe:
 
 
 class TestRnce:
+    def test_batch_filters_its_candidates_once(self, blob_problem, monkeypatch):
+        # rnce-tt over 5 inputs: one robust_flags call tests the candidates,
+        # then one per input runs its line search; each record equals rnce's.
+        import cfcert.generators as generators
+
+        model, X = blob_problem
+        shift = ShiftSet("inf", 0.05)
+        inputs = X[classify_batch(model, X) == 0][:5]
+        want = [rnce(model, X, x, shift, target=1, robust_init=True, optimal=True) for x in inputs]
+        calls = []
+        robust_flags = generators.robust_flags
+
+        def spy(model_, shift_, points, target, node_limit):
+            calls.append(len(points))
+            return robust_flags(model_, shift_, points, target, node_limit)
+
+        monkeypatch.setattr(generators, "robust_flags", spy)
+        got = generators.generate_all("rnce-tt", model, shift, inputs, 1, X)
+        assert len(inputs) == 5 and all(r.found for r in got)
+        assert calls[0] == np.count_nonzero(classify_batch(model, X) == 1)
+        assert len(calls) == 1 + len(inputs)
+        for g, w in zip(got, want):
+            assert g.method == w.method == "rnce-tt"
+            assert np.array_equal(g.x_prime, w.x_prime) and g.iterations == w.iterations
+
     def test_delta_zero_equals_nnce(self, blob_problem):
         # The second problem's candidates lie on a 0.1 grid, many of them
         # duplicates, so both searches must break exact ties alike.
@@ -568,7 +590,7 @@ class TestTargetChecks:
         model, X = blob_problem
         shift = ShiftSet("inf", 0.05)
         with pytest.raises(ValueError, match="binary target"):
-            get_candidates(model, X, X[0], shift, target=2)
+            get_candidates(model, X, shift, target=2)
         with pytest.raises(ValueError, match="binary target"):
             get_robust_ce(model, shift, KDTree(X), X[0], 2, candidates_verified=True)
 
@@ -577,9 +599,8 @@ class TestTargetChecks:
         shift = ShiftSet("inf", 0.05)
         for x in (X[0], X[-1]):
             want = 1 - classify(model, x)
-            assert rnce(model, X, x, shift).target_class == want
-            idx = get_candidates(model, X, x, shift)
-            assert np.array_equal(idx, np.flatnonzero(classify_batch(model, X) == want))
+            record = rnce(model, X, x, shift)
+            assert record.target_class == want and classify(model, record.x_prime) == want
 
     def test_multi_class_needs_a_target(self, multi_net):
         X = np.random.default_rng(3).uniform(0, 3, (30, 2))
@@ -587,4 +608,6 @@ class TestTargetChecks:
         with pytest.raises(ValueError, match="explicit target class"):
             rnce(multi_net, X, X[0], shift)
         with pytest.raises(ValueError, match="explicit target class"):
-            get_candidates(multi_net, X, X[0], shift)
+            rnce(multi_net, X, X[0], shift, robust_init=True, optimal=True)
+        with pytest.raises(ValueError, match="is not an integer"):
+            get_candidates(multi_net, X, shift, None)

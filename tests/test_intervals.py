@@ -4,7 +4,7 @@ import pytest
 from cfcert.intervals import (
     ShiftSet,
     abstract,
-    interval_classify,
+    dominant_class,
     interval_bounds,
     interval_forward,
     sigmoid,
@@ -111,14 +111,19 @@ def test_interval_forward_monotone_in_delta(binary_net):
         assert np.all(lo2 <= lo1 + 1e-12) and np.all(hi2 >= hi1 - 1e-12)
 
 
-def test_interval_classify_binary_examples(logistic_ref):
+def _interval_class(im, x):
+    """The three-valued class under every shift: None when undefined."""
+    return dominant_class(*interval_forward(im, x))
+
+
+def test_interval_class_binary_examples(logistic_ref):
     im = abstract(logistic_ref, ShiftSet("inf", 0.1))
-    assert interval_classify(im, [0.7, 0.5]).label == 0
-    assert interval_classify(im, [0.7, 0.7]).label is None
-    assert interval_classify(im, [0.7, 0.86]).label == 1
+    assert _interval_class(im, [0.7, 0.5]) == 0
+    assert _interval_class(im, [0.7, 0.7]) is None
+    assert _interval_class(im, [0.7, 0.86]) == 1
 
 
-def test_interval_classify_degenerate_matches_point(binary_net, logistic_ref):
+def test_interval_class_degenerate_matches_point(binary_net, logistic_ref):
     from cfcert.models import classify
 
     rng = np.random.default_rng(10)
@@ -126,23 +131,23 @@ def test_interval_classify_degenerate_matches_point(binary_net, logistic_ref):
         im = abstract(model, ShiftSet("inf", 0.0))
         for _ in range(50):
             x = rng.uniform(-1, 2, 2)
-            assert interval_classify(im, x).label == classify(model, x)
+            assert _interval_class(im, x) == classify(model, x)
 
 
-def test_interval_classify_multi_examples(multi_net):
+def test_interval_class_multi_examples(multi_net):
     im = abstract(multi_net, ShiftSet("inf", 0.05))
-    v = interval_classify(im, [2, 2])
-    assert v.label == 2
-    assert np.allclose(v.lo, [-0.6, 0.70, -0.6]) and np.allclose(v.hi, [0.6, 1.32, 0.6])
-    v2 = interval_classify(im, [3, 1])
-    assert v2.label == 1
-    assert np.allclose(v2.lo, [1.40, 0.20, -2.60]) and np.allclose(v2.hi, [2.60, 0.82, -1.40])
+    lo, hi = interval_forward(im, [2, 2])
+    assert dominant_class(lo, hi) == 2
+    assert np.allclose(lo, [-0.6, 0.70, -0.6]) and np.allclose(hi, [0.6, 1.32, 0.6])
+    lo, hi = interval_forward(im, [3, 1])
+    assert dominant_class(lo, hi) == 1
+    assert np.allclose(lo, [1.40, 0.20, -2.60]) and np.allclose(hi, [2.60, 0.82, -1.40])
 
 
-def test_interval_classify_multi_overlap_undefined(multi_net):
+def test_interval_class_multi_overlap_undefined(multi_net):
     # Large delta widens every class interval until nothing dominates.
     im = abstract(multi_net, ShiftSet("inf", 1.0))
-    assert interval_classify(im, [2, 2]).label is None
+    assert _interval_class(im, [2, 2]) is None
 
 
 def test_verdict_trichotomy(multi_net):
@@ -150,10 +155,11 @@ def test_verdict_trichotomy(multi_net):
     for _ in range(40):
         x = rng.uniform(0, 3, 2)
         delta = float(rng.uniform(0, 0.3))
-        v = interval_classify(abstract(multi_net, ShiftSet("inf", delta)), x)
-        if v.label is not None:
-            others = np.delete(v.hi, v.label - 1)
-            assert v.lo[v.label - 1] >= others.max()
+        lo, hi = interval_forward(abstract(multi_net, ShiftSet("inf", delta)), x)
+        label = dominant_class(lo, hi)
+        if label is not None:
+            others = np.delete(hi, label - 1)
+            assert lo[label - 1] >= others.max()
 
 
 def _same_bits(a, b):

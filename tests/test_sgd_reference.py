@@ -49,7 +49,10 @@ CONFIGS = {
 
 def _data(name):
     ds = synth_multiclass(N1 + 60, 3, seed=22) if name == "3class" else synth_binary(N1 + 60, seed=22)
-    return ds.X[:N1], ds.y[:N1], ds.X[N1:], ds.y[N1:]
+    # synth_multiclass lists its rows class by class; shuffled, D1 and D2
+    # each hold all three classes, so the net has three logits.
+    rows = np.random.default_rng(22).permutation(N1 + 60)
+    return ds.X[rows[:N1]], ds.y[rows[:N1]], ds.X[rows[N1:]], ds.y[rows[N1:]]
 
 
 def _init(name):
@@ -60,7 +63,9 @@ def _init(name):
 def _deployed(name, config):
     """A model trained on D1 by the reference, the one every mode retrains."""
     X1, y1, _, _ = _data(name)
-    return reference_train(X1, y1, ARCHS[name], config, init=_init(name))
+    model = reference_train(X1, y1, ARCHS[name], config, init=_init(name))
+    assert model.num_outputs == (3 if name == "3class" else 1)
+    return model
 
 
 def _same_bytes(got, want):

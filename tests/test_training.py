@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from cfcert.data import synth_binary, synth_multiclass
+from cfcert.generators import rnce
 from cfcert.intervals import ShiftSet
 from cfcert.models import LogisticModel, classify_batch, flatten, p_distance, unflatten
 from cfcert.training import (
@@ -160,6 +163,37 @@ def test_retrain_fleet_modes():
         assert len(dists) == 3  # replicas differ
 
 
+@pytest.mark.parametrize("epochs", [0, 5])
+def test_train_rejects_labels_outside_the_model_convention(epochs):
+    ds = synth_multiclass(240, 3)
+    cfg = TrainConfig(epochs=epochs, seed=0)
+    # 0-based classes make a one-logit net, whose labels are 0 or 1.
+    with pytest.raises(ValueError, match="label 2 .* must be 0 or 1"):
+        train(ds.X, ds.y - 1, (8,), cfg)
+    # A logistic model has one logit, whatever the labels.
+    with pytest.raises(ValueError, match="label 2 .* must be 0 or 1"):
+        train(ds.X, ds.y, "logistic", cfg)
+    assert train(ds.X, ds.y, (8,), cfg).num_outputs == 3
+
+
+@pytest.mark.parametrize("mode", ["incremental", "complete", "leave_one_out"])
+def test_retrain_fleet_rejects_labels_outside_the_model_convention(mode):
+    ds = synth_multiclass(120, 3, seed=4)
+    cfg = TrainConfig(epochs=2, seed=4)
+    spec = RetrainSpec(mode=mode, replicas=2)
+    net = train(ds.X, ds.y, (4,), cfg)
+    with pytest.raises(ValueError, match="label 0 .* in 1..3"):
+        retrain_fleet(net, ds.X, ds.y - 1, ds.X, ds.y - 1, spec, (4,), cfg)
+    # One bad label among the new rows is enough, drawn or not.
+    y2 = ds.y.copy()
+    y2[-1] = 4
+    with pytest.raises(ValueError, match="label 4 .* in 1..3"):
+        retrain_fleet(net, ds.X, ds.y, ds.X, y2, spec, (4,), cfg)
+    logistic = train(ds.X, (ds.y == 1).astype(int), "logistic", cfg)
+    with pytest.raises(ValueError, match="label 2 .* must be 0 or 1"):
+        retrain_fleet(logistic, ds.X, ds.y, ds.X, ds.y, spec, "logistic", cfg)
+
+
 def test_retrain_spec_validation():
     with pytest.raises(ValueError):
         RetrainSpec(mode="warp")
@@ -202,6 +236,27 @@ def test_estimate_delta_incremental_rejects_bad_counts(knobs):
     m = LogisticModel(weights=[0.5, -0.5], bias=0.1)
     with pytest.raises(ValueError):
         estimate_delta_incremental(m, ds.X, ds.y, fractions=(0.1,), **knobs)
+
+
+def _rnce_ff_scan(model, retrained, X, inputs, targets, grid):
+    """The validation scan by its definition: at every magnitude, rnce-ff
+    for each input alone, up to the first input it finds nothing for."""
+    per_point = []
+    for delta in sorted(grid):
+        records = []
+        for x, t in zip(inputs, targets):
+            records.append(rnce(model, X, x, ShiftSet("inf", delta), target=t))
+            if not records[-1].found:
+                break
+        if not records[-1].found:
+            per_point.append({"delta": delta, "validity": None})
+            continue
+        ces = np.vstack([r.x_prime for r in records])
+        valid = np.logical_and.reduce([classify_batch(r, ces) == targets for r in retrained])
+        per_point.append({"delta": delta, "validity": int(valid.sum()) / len(records)})
+        if valid.all():
+            break
+    return per_point
 
 
 class TestEstimateDeltaValidation:
@@ -270,40 +325,64 @@ class TestEstimateDeltaValidation:
         with pytest.raises(ValueError, match="targets for 10 validation inputs"):
             estimate_delta_validation(m, [m], ds.X, pool, targets=[1] * n_targets, grid=(0.01,))
 
-    def test_one_tree_per_target(self, monkeypatch):
-        # Without robust_init rnce's candidates are the target-class rows,
-        # whatever the input and delta: one k-d tree serves every magnitude.
+    def test_one_candidate_filter_per_magnitude(self, monkeypatch):
+        # The scan equals rnce-ff run afresh for each input at every
+        # magnitude, while it tests each candidate once per magnitude: one
+        # robust candidate filter, and one k-d tree when it keeps a row.
         from cfcert import generators
 
         ds, m, pool = self._setup()
         hostile = unflatten(m, -flatten(m))  # no magnitude ends the scan
         grid = (0.01, 0.05, 0.1, 50.0)  # at 50 no candidate certifies
-        want = []  # the report of rnce run afresh at every magnitude
-        for delta in grid:
-            records = []
-            for x in pool:
-                records.append(generators.rnce(m, ds.X, x, ShiftSet("inf", delta), target=1))
-                if not records[-1].found:
-                    break
-            if not records[-1].found:
-                want.append({"delta": delta, "validity": None})
-                continue
-            valid = classify_batch(hostile, np.vstack([r.x_prime for r in records])) == 1
-            want.append({"delta": delta, "validity": int(valid.sum()) / len(records)})
+        want = _rnce_ff_scan(m, [hostile], ds.X, pool, [1] * len(pool), grid)
+        filters, builds = [], []
+        get_candidates = generators.get_candidates
 
-        builds = []
+        def counting_candidates(model, X, shift, target, robust_init, node_limit):
+            filters.append((shift.delta, target, robust_init))
+            return get_candidates(model, X, shift, target, robust_init, node_limit)
 
         class CountingTree(generators.KDTree):
             def __init__(self, points):
                 builds.append(len(points))
                 super().__init__(points)
 
+        monkeypatch.setattr(generators, "get_candidates", counting_candidates)
         monkeypatch.setattr(generators, "KDTree", CountingTree)
         with pytest.warns(UserWarning, match="delta=50.0; skipping") as caught:
             rep = estimate_delta_validation(m, [hostile], ds.X, pool, [1] * len(pool), grid=grid)
-        assert len(caught) == 1 and len(builds) == 1
+        assert len(caught) == 1
+        assert filters == [(delta, 1, True) for delta in grid]
+        assert len(builds) == len(grid) - 1
         assert rep["per_point"] == want and want[0]["validity"] is not None
         assert rep["not_reached"] and rep["delta_val"] == 50.0
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_equals_a_per_input_rnce_ff_scan(self, classes):
+        # One-hidden-layer nets, whose open rows go to the MILP; the 3-class
+        # inputs aim at two targets, so the scan runs one batch per target.
+        if classes == 2:
+            ds = synth_binary(200, noise=0.15, seed=21)
+        else:
+            ds = synth_multiclass(240, classes, spread=0.1, seed=21)
+        m = train(ds.X, ds.y, (8,), TrainConfig(learning_rate=0.3, epochs=100, seed=21))
+        source = 0 if classes == 2 else 1
+        pool = ds.X[classify_batch(m, ds.X) == source][:8]
+        targets = [1] * len(pool) if classes == 2 else [2, 3] * (len(pool) // 2)
+        assert len(pool) == 8 and len(set(targets)) == classes - 1
+        theta = flatten(m)
+        rng = np.random.default_rng(22)
+        fleet = [unflatten(m, theta + rng.uniform(-0.2, 0.2, theta.size)) for _ in range(3)]
+        X = ds.X[::3]
+        grid = (0.005, 0.01, 0.02, 0.04, 0.08, 0.5)
+        want = _rnce_ff_scan(m, fleet, X, pool, targets, grid)
+        assert len(want) > 3 and want[0]["validity"] < 1.0  # the scan walks the grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            rep = estimate_delta_validation(m, fleet, X, pool, targets, grid=grid)
+        assert rep["per_point"] == want
+        assert rep["delta_val"] == want[-1]["delta"]
+        assert rep["not_reached"] == (want[-1]["validity"] != 1.0)
 
     def test_generator_failure_skips_grid_point(self):
         # At delta 50 every interval logit straddles 0, so no candidate
