@@ -204,6 +204,7 @@ def _run_seed(args):
     test_inputs = d1_test.X[mask][: config.n_test]
 
     detail = []
+    scored = []  # (entry, its CEs): one LOF call below scores them all
     for method in config.methods:
         targets_rows = deltas if method in ROBUST_METHODS else [(None, None)]
         for label, delta in targets_rows:
@@ -228,7 +229,7 @@ def _run_seed(args):
             if found:
                 entry["vr"] = validity_after_retraining(ces, tgts, fleet)
                 entry["l1"] = float(np.mean([l1_normalized(x, r.x_prime) for x, r in zip(test_inputs, records) if r.found]))
-                entry["lof"] = float(np.mean(lof_scores(np.vstack(ces), d1_train.X, k=min(DEFAULT_LOF_K, d1_train.n - 1))))
+                scored.append((entry, ces))
                 for lab, d in deltas:
                     entry[f"v_delta_{lab}"] = delta_validity(
                         model, ShiftSet(config.p, d), ces, tgts, config.node_limit
@@ -247,6 +248,13 @@ def _run_seed(args):
                 for lab, _ in deltas:
                     entry[f"v_delta_{lab}"] = None
             detail.append(entry)
+    if scored:
+        # A query row's LOF score does not depend on the other query rows.
+        ces = np.vstack([ce for _, entry_ces in scored for ce in entry_ces])
+        scores = lof_scores(ces, d1_train.X, k=min(DEFAULT_LOF_K, d1_train.n - 1))
+        ends = np.cumsum([len(entry_ces) for _, entry_ces in scored])
+        for (entry, _), part in zip(scored, np.split(scores, ends[:-1])):
+            entry["lof"] = float(np.mean(part))
     return detail
 
 

@@ -23,12 +23,14 @@ from .metrics import l1_normalized, l1_rows
 from .milp import DEFAULT_NODE_LIMIT, branch_and_bound, encode_nearest_ce
 from .models import (
     ParametricModel,
+    _rows_matvec,
     affine_layers,
     as_feature_vector,
     check_target,
     class_of_logits,
     classify_batch,
     counterfactual_target,
+    pre_activations,
 )
 from .verifier import is_delta_robust, robust_flags
 
@@ -125,31 +127,16 @@ def mce(
     )
 
 
-def _rows_matvec(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``w @ v`` for each row v of V.  A stack of vectors goes through the
-    same BLAS matrix-vector call as a lone ``w @ v``, so each row equals it
-    bit for bit (``V @ w.T`` is one matrix product and does not)."""
-    return np.matmul(w, V[..., None])[..., 0]
-
-
-def _score_rows(layers, target: int, V: np.ndarray):
-    """The fused GCE step for a model's affine layers, a target and a stack
-    of points, one row each: from one forward pass, each row's point class
+def _score_rows(model, target: int, V: np.ndarray):
+    """The fused GCE step for a model, a target and a stack of points, one
+    row each: from one :func:`pre_activations` pass, each row's point class
     (by :func:`class_of_logits`), validity score (positive iff comfortably
     in the target class; multi-class uses the margin to the runner-up logit)
     and input gradient."""
-    # Forward pass caching ReLU masks.
-    masks = []
-    for w, b in layers[:-1]:
-        V = _rows_matvec(w, V)
-        if b is not None:
-            V = V + b
-        masks.append(V > 0)
-        V = np.maximum(V, 0.0)
-    w, b = layers[-1]
-    logits = _rows_matvec(w, V)
-    if b is not None:
-        logits = logits + b
+    layers = affine_layers(model)
+    pre = pre_activations(model, V)
+    logits = pre[-1]
+    w = layers[-1][0]
 
     rows, width = logits.shape
     if width == 1:
@@ -168,7 +155,7 @@ def _score_rows(layers, target: int, V: np.ndarray):
         g = _rows_matvec(w.T, out)
 
     for i in range(len(layers) - 1, 0, -1):
-        g = _rows_matvec(layers[i - 1][0].T, g * masks[i - 1])
+        g = _rows_matvec(layers[i - 1][0].T, g * (pre[i - 1] > 0))
     return class_of_logits(logits), score, g
 
 
@@ -180,9 +167,10 @@ def _gce_rows(model, anchors, target: int, lams, step: float, max_iters: int, ma
     """GCE records for rows of one iterate array: row i runs :func:`gce` from
     ``anchors[i]`` (validated feature vectors) with trade-off weight
     ``lams[i]`` and keeps its own best valid iterate.  Every operation is
-    elementwise, a per-row reduction or :func:`_rows_matvec`, so each row
-    takes the steps a lone run would, bit for bit; no row depends on
-    another."""
+    elementwise, a per-row reduction or a row-stable matrix-vector product
+    (:func:`~cfcert.models.pre_activations` forward, its transposes back),
+    so each row takes the steps a lone run would, bit for bit; no row
+    depends on another."""
     check_target(model, target)
     lam_arr = np.asarray(lams, dtype=np.float64).reshape(-1)
     bad = lam_arr[~(np.isfinite(lam_arr) & (lam_arr >= 0.0))]
@@ -199,12 +187,11 @@ def _gce_rows(model, anchors, target: int, lams, step: float, max_iters: int, ma
     if not A.size:
         return []
     tau = (lam_arr * step / n)[:, None]
-    layers = affine_layers(model)
     V = A.copy()
     best = np.empty_like(A)
     best_dist = np.full(A.shape[0], np.inf)
     for it in range(max_iters + 1):
-        cls, score, grad = _score_rows(layers, target, V)
+        cls, score, grad = _score_rows(model, target, V)
         d = l1_rows(V, A)
         better = (cls == target) & (d < best_dist)
         np.copyto(best, V, where=better[:, None])

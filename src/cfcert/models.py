@@ -32,6 +32,7 @@ __all__ = [
     "ParametricModel",
     "affine_layers",
     "from_affine_layers",
+    "pre_activations",
     "forward",
     "forward_batch",
     "classify",
@@ -206,43 +207,50 @@ def from_affine_layers(template: ParametricModel, layers) -> ParametricModel:
     return _from_layers(_kind(template), tuple(Layer(weights=w, bias=b) for w, b in layers))
 
 
+def _rows_matvec(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``w @ v`` for a vector V, or for each row v of a stack V.  A stack
+    goes through the same BLAS matrix-vector call as a lone ``w @ v``, so
+    each row equals it bit for bit (``V @ w.T`` is one matrix product and
+    does not)."""
+    return np.matmul(w, V[..., None])[..., 0]
+
+
+def pre_activations(model: ParametricModel, X) -> list[np.ndarray]:
+    """Pre-activation of every layer, the logits last, at a vector or at
+    each row of a (k, n) batch: the point twin of
+    :func:`~cfcert.intervals.interval_bounds`.  Row i equals the result for
+    row i alone, bit for bit, at any batch size and memory layout: a
+    matrix-vector product's bits depend on the vector's stride, so the
+    input is read as a C-contiguous array."""
+    V = np.ascontiguousarray(X, dtype=np.float64)
+    pre = []
+    for w, b in affine_layers(model):
+        if pre:
+            V = np.maximum(pre[-1], 0.0)
+        V = _rows_matvec(w, V)
+        pre.append(V if b is None else V + b)
+    return pre
+
+
 def forward(model: ParametricModel, x) -> np.ndarray:
     """Raw pre-squash logits of the model at x (always a 1-D vector)."""
-    v = as_feature_vector(x, model.input_dim)
-    layers = affine_layers(model)
-    for i, (w, b) in enumerate(layers):
-        v = w @ v
-        if b is not None:
-            v = v + b
-        if i < len(layers) - 1:
-            v = np.maximum(v, 0.0)
-    return v
+    return pre_activations(model, as_feature_vector(x, model.input_dim))[-1]
 
 
 def forward_batch(model: ParametricModel, X: np.ndarray) -> np.ndarray:
-    """Logits for a batch of rows, shape (rows, num_outputs)."""
+    """Logits for a batch of rows, shape (rows, num_outputs); each row is
+    :func:`forward` of that row, bit for bit."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ValueError(f"batch shape {X.shape} does not match input dim {model.input_dim}")
-    V = X
-    layers = affine_layers(model)
-    for i, (w, b) in enumerate(layers):
-        V = V @ w.T
-        if b is not None:
-            V = V + b
-        if i < len(layers) - 1:
-            V = np.maximum(V, 0.0)
-    return V
+    return pre_activations(model, X)[-1]
 
 
 def class_of_logits(z):
-    """The point-class rule on a logit vector or a lone logit as a number (an
-    int), or on a batch of logit vectors, one row each (an int64 array).  One
-    logit: 1 iff it is >= 0 (sigmoid >= 0.5, boundary inclusive), else 0.
-    Several logits: the argmax in {1, ..., l}, ties to the lowest class
-    index."""
-    if isinstance(z, float):
-        return int(z >= 0.0)
+    """The point-class rule on a logit vector (an int), or on a batch of
+    logit vectors, one row each (an int64 array).  One logit: 1 iff it is
+    >= 0 (sigmoid >= 0.5, boundary inclusive), else 0.  Several logits: the
+    argmax in {1, ..., l}, ties to the lowest class index."""
     if z.ndim == 1:
         return int(z[0] >= 0.0) if z.size == 1 else int(np.argmax(z)) + 1
     if z.shape[1] == 1:

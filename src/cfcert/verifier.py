@@ -130,6 +130,11 @@ def _enclosed(
     return min(max(value, point), ia_hi)
 
 
+def _exact(model: ParametricModel) -> bool:
+    """A model without hidden layers, whose interval enclosure is exact."""
+    return len(affine_layers(model)) == 1
+
+
 def _certify(
     model: ParametricModel, shift: ShiftSet, x, target: int, node_limit: int
 ) -> RobustnessVerdict:
@@ -153,7 +158,7 @@ def _certify(
         sides = [(t0, "min", target)]
         sides += [(j, "max", j + 1) for j in range(model.num_outputs) if j != t0]
     ia_lo, ia_hi = interval_forward(abstract(model, shift), x)
-    exact = len(affine_layers(model)) == 1
+    exact = _exact(model)
     point = None if exact else forward(model, x)
     bounds: dict[int, tuple[float, float]] = {}
     nodes = 0
@@ -240,13 +245,15 @@ def robust_flags(
     unshifted model lies in the shift set.  A row the interval abstraction
     assigns the target is robust: interval arithmetic encloses the logit
     range the MILP computes; one pass over all the rows the point class
-    leaves open tests them.  Every other row goes to ``is_delta_robust``.
+    leaves open tests them.  Every other row goes to ``is_delta_robust``,
+    except in a model without hidden layers: its enclosure is exact, so the
+    interval pass has already decided the row as ``is_delta_robust`` would.
     The answers agree with ``is_delta_robust`` except where it gives up (an
     unresolved verdict is not robust, while a cheap test may settle the
     row) and where two logits, or a logit and 0, are equal up to rounding
-    that the batched forward pass, the single-point one and interval
-    arithmetic settle differently.  At delta 0 the shift set holds only the
-    point model, so its class decides every row.
+    that the point model and interval arithmetic settle differently.  At
+    delta 0 the shift set holds only the point model, so its class decides
+    every row.
     """
     target = _target(model, target)
     X = np.asarray(X, dtype=np.float64).reshape(-1, model.input_dim)
@@ -255,10 +262,12 @@ def robust_flags(
         return flags.tolist()
     rows = np.flatnonzero(flags)
     lo, hi = interval_bounds(abstract(model, shift), X[rows], X[rows])[-1]
+    exact = _exact(model)
     for i, row_lo, row_hi in zip(rows, lo, hi):
         if dominant_class(row_lo, row_hi) != target:
-            verdict = is_delta_robust(model, shift, X[i], target=target, node_limit=node_limit)
-            flags[i] = verdict.robust
+            flags[i] = not exact and is_delta_robust(
+                model, shift, X[i], target=target, node_limit=node_limit
+            ).robust
     return flags.tolist()
 
 

@@ -24,7 +24,6 @@ from cfcert.models import (
     Layer,
     LogisticModel,
     ReluNetwork,
-    affine_layers,
     classify,
     classify_batch,
     forward,
@@ -187,7 +186,7 @@ def _away_from_kinks(model, x, target, gap=1e-3):
 
 
 def _class_score_and_grad(model, x, target):
-    cls, score, grad = _score_rows(affine_layers(model), target, x[None, :])
+    cls, score, grad = _score_rows(model, target, x[None, :])
     return cls[0], score[0], grad[0]
 
 
@@ -395,11 +394,12 @@ class TestGetRobustCe:
         )
         assert np.allclose(r.x_prime, [0.4, 0.4], atol=1e-9)
 
-    def test_cheap_tests_keep_the_records_of_the_plain_predicate(self, blob_problem, monkeypatch):
-        # rnce with the point-class / IA / MILP cascade returns bit for bit
-        # what it returns when every test is a full is_delta_robust call,
-        # and the cascade never hands a point of another class to the MILP.
-        model, X = blob_problem
+    @staticmethod
+    def _cascade_matches_plain(model, X, monkeypatch):
+        """rnce with the point-class / IA / MILP cascade returns bit for bit
+        what it returns when every test is a full is_delta_robust call, and
+        the cascade never hands a point of another class to the MILP.  The
+        points the cascade hands to ``is_delta_robust``, with their targets."""
         shift = ShiftSet("inf", 0.05)
         rng = np.random.default_rng(4)
         queries = [X[0]] + [q for q in rng.uniform(0, 1, (40, 2)) if classify(model, q) == 0][:7]
@@ -411,7 +411,6 @@ class TestGetRobustCe:
 
         monkeypatch.setattr("cfcert.verifier.is_delta_robust", spy)
         cascade = [rnce(model, X, q, shift, robust_init=True, optimal=True) for q in queries]
-        assert solved
         assert all(classify(model, point) == target for point, target in solved)
 
         def plain(model_, shift_, points, target, node_limit):
@@ -426,6 +425,24 @@ class TestGetRobustCe:
             assert got.found and want.found
             assert np.array_equal(got.x_prime, want.x_prime)
             assert (got.iterations, got.robust) == (want.iterations, want.robust)
+        return solved
+
+    def test_cheap_tests_keep_the_records_of_the_plain_predicate(self, blob_problem, monkeypatch):
+        # A model without hidden layers has an exact enclosure: the interval
+        # pass settles every row the point class leaves open.
+        assert not self._cascade_matches_plain(*blob_problem, monkeypatch)
+
+    def test_cheap_tests_keep_the_records_of_the_plain_predicate_on_a_net(
+        self, blob_problem, monkeypatch
+    ):
+        # The blob model with a ReLU layer in front (the identity on the unit
+        # box): the rows the interval pass leaves open go to the MILP.
+        logistic, X = blob_problem
+        model = ReluNetwork(layers=(
+            Layer(weights=np.eye(2), bias=np.zeros(2)),
+            Layer(weights=logistic.weights[None, :], bias=[logistic.bias]),
+        ))
+        assert self._cascade_matches_plain(model, X, monkeypatch)
 
     def test_exhausted_tree_not_found(self, blob_problem):
         model, X = blob_problem

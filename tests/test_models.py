@@ -21,9 +21,11 @@ from cfcert.models import (
     model_from_dict,
     model_to_dict,
     p_distance,
+    pre_activations,
     save_model,
     unflatten,
 )
+from conftest import random_network
 
 
 def test_forward_logistic_example(logistic_ref):
@@ -186,10 +188,74 @@ def test_forward_batch_matches_pointwise(multi_net):
     X = rng.uniform(-1, 3, (20, 2))
     Z = forward_batch(multi_net, X)
     for i in range(20):
-        assert np.allclose(Z[i], forward(multi_net, X[i]))
+        assert np.array_equal(Z[i], forward(multi_net, X[i]))
     assert np.array_equal(
         classify_batch(multi_net, X), [classify(multi_net, x) for x in X]
     )
+
+
+@pytest.mark.parametrize("hidden,n_out", [([8], 1), ([8, 8], 1), ([8], 3)], ids=["8", "8x8", "3class"])
+def test_forward_batch_rows_are_forward_at_every_batch_size(hidden, n_out):
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        model = random_network(rng, n_in=3, hidden=hidden, n_out=n_out)
+        X = rng.uniform(-1, 2, (8, 3))
+        lone = np.array([forward(model, x) for x in X])
+        for k in range(1, 9):
+            assert np.array_equal(forward_batch(model, X[:k]), lone[:k]), k
+        # A matrix-vector product's bits depend on the vector's stride.
+        XF = np.asfortranarray(X)
+        assert np.array_equal(forward_batch(model, XF), lone)
+        assert np.array_equal([forward(model, XF[i]) for i in range(8)], lone)
+
+
+def _boundary_point(model, rng):
+    """A point where the point class changes along a random segment, found
+    by bisection on :func:`classify`."""
+    for _ in range(1000):
+        a, b = rng.uniform(-2, 2, (2, model.input_dim))
+        if classify(model, a) != classify(model, b):
+            break
+    else:
+        raise AssertionError("the model has one class on the box")
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if classify(model, a + mid * (b - a)) == classify(model, a):
+            lo = mid
+        else:
+            hi = mid
+    return a + hi * (b - a)
+
+
+# At these seeds a batched matrix product gave the boundary point another
+# class than classify in some batches.
+@pytest.mark.parametrize("seed", [3, 4, 12])
+def test_a_boundary_point_keeps_its_class_in_every_batch(seed):
+    rng = np.random.default_rng(seed)
+    model = random_network(rng, n_in=2, hidden=[8])
+    point = _boundary_point(model, rng)
+    others = rng.uniform(0, 1, (7, 2))
+    for k in range(8):
+        for pos in range(k + 1):
+            batch = np.insert(others[:k], pos, point, axis=0)
+            assert classify_batch(model, batch)[pos] == classify(model, point), (k, pos)
+
+
+def test_pre_activations_are_every_layer_logits_last():
+    rng = np.random.default_rng(6)
+    model = random_network(rng, n_in=3, hidden=[4, 5], n_out=2)
+    X = rng.uniform(-1, 2, (6, 3))
+    batch = pre_activations(model, X)
+    assert [z.shape for z in batch] == [(6, 4), (6, 5), (6, 2)]
+    for i, x in enumerate(X):
+        lone = pre_activations(model, x)
+        v = x
+        for layer, z, row in zip(model.layers, lone, batch):
+            assert np.array_equal(z, layer.weights @ v + layer.bias)
+            assert np.array_equal(row[i], z)
+            v = np.maximum(z, 0.0)
+        assert np.array_equal(lone[-1], forward(model, x))
 
 
 def test_layer_validation():
