@@ -11,8 +11,9 @@ line search towards the query.  Every distance is ``metrics.l1_rows``.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,6 +51,7 @@ __all__ = [
     "rnce",
     "generate",
     "generate_all",
+    "generate_grid",
 ]
 
 LINE_SEARCH_START = 1.0
@@ -324,24 +326,28 @@ def gce_robust(
     round, allowing costlier but more confidently classified iterates.  The
     rounds run as rows of one batch, so every round is computed even when
     round 0 certifies; the verifier still takes them in order."""
-    return _gce_robust_rows(model, shift, [x], target, lam, step, max_iters, max_rounds, node_limit)[0]
+    (rounds,) = _gce_rounds(model, [x], target, lam, step, max_iters, max_rounds)
+    return _robustify_rounds(model, shift, target, rounds, lam, max_rounds, node_limit)
 
 
-def _gce_robust_rows(model, shift, inputs, target, lam, step, max_iters, max_rounds, node_limit):
-    """:func:`gce_robust` for each of ``inputs``, all inputs x rounds as rows
-    of one :func:`_gce_rows` batch."""
-    inputs = [as_feature_vector(x, model.input_dim) for x in inputs]
-    lams = [lam / (2.0**k) for k in range(max_rounds)]
-    rows = _gce_rows(
-        model, [x for x in inputs for _ in lams], target, lams * len(inputs), step, max_iters, 0.0
+def _gce_rounds(model, inputs, target, lam, step, max_iters, rounds):
+    """GCE for each of ``inputs`` at ``rounds`` trade-off weights, round j at
+    ``lam / 2**j``, as rows of one :func:`_gce_rows` batch: per input, its
+    rounds' records.  Round 0 runs at ``lam`` itself, so its records are
+    :func:`gce`'s at ``lam``."""
+    xs = [as_feature_vector(x, model.input_dim) for x in inputs]
+    lams = [lam / (2.0**j) if j else lam for j in range(rounds)]
+    rows = _gce_rows(model, [x for x in xs for _ in lams], target, lams * len(xs), step, max_iters, 0.0)
+    return [rows[i * rounds : (i + 1) * rounds] for i in range(len(xs))]
+
+
+def _robustify_rounds(model, shift, target, rounds, lam, max_rounds, node_limit):
+    """:func:`iterative_robustify` over one input's precomputed GCE rounds;
+    the trace holds each round's weight ``lam / 2**k``."""
+    return iterative_robustify(
+        lambda k: (rounds[k], lam / (2.0**k)), model, shift, target, max_rounds, node_limit,
+        method="gce-r",
     )
-    out = []
-    for i in range(len(inputs)):
-        rounds = list(zip(rows[i * len(lams) : (i + 1) * len(lams)], lams))
-        out.append(iterative_robustify(
-            rounds.__getitem__, model, shift, target, max_rounds, node_limit, method="gce-r"
-        ))
-    return out
 
 
 def get_candidates(
@@ -460,9 +466,10 @@ def _rnce_name(robust_init: bool, optimal: bool) -> str:
 
 
 # The batch generators: (model, shift, inputs, target, X, knobs) -> records.
-# They read mce, mce_robust, nnce, get_candidates, KDTree and get_robust_ce
-# from this module at call time, so rebinding one of those names (as a
-# tracer does) reaches them.
+# They read mce, mce_robust, nnce, _gce_rows, get_candidates, KDTree and
+# get_robust_ce from this module at call time, so rebinding one of those
+# names (as a tracer does) reaches them.  The GCE pair reads its rows from
+# knobs["gce_rounds"], the grid's one batch (generate_grid).
 def _mce_batch(model, shift, inputs, target, X, k):
     return [mce(model, x, target, margin=k["margin"], node_limit=k["node_limit"]) for x in inputs]
 
@@ -472,14 +479,18 @@ def _mce_robust_batch(model, shift, inputs, target, X, k):
     return [mce_robust(model, shift, x, target, **knobs) for x in inputs]
 
 
+# The GCE pair hands out copies: the grid's other cells read the same rows.
 def _gce_batch(model, shift, inputs, target, X, k):
-    xs = [as_feature_vector(x, model.input_dim) for x in inputs]
-    return _gce_rows(model, xs, target, [k["lam"]] * len(xs), GCE_STEP, GCE_MAX_ITERS, 0.0)
+    return [deepcopy(rounds[0]) for rounds in k["gce_rounds"]()]
 
 
 def _gce_robust_batch(model, shift, inputs, target, X, k):
-    knobs = (k["lam"], GCE_STEP, GCE_MAX_ITERS, k["max_rounds"], k["node_limit"])
-    return _gce_robust_rows(model, shift, inputs, target, *knobs)
+    return [
+        deepcopy(_robustify_rounds(
+            model, shift, target, rounds, k["lam"], k["max_rounds"], k["node_limit"]
+        ))
+        for rounds in k["gce_rounds"]()
+    ]
 
 
 def _nnce_batch(model, shift, inputs, target, X, k):
@@ -537,19 +548,50 @@ def resolve_method(method: str, robust_init: bool = False, optimal: bool = False
     return method
 
 
-def generate_all(
-    method: str, model: ParametricModel, shift: ShiftSet, inputs, target: int, X=None, *,
+def generate_grid(
+    methods, model: ParametricModel, shifts, inputs, target: int, X=None, *,
     margin: float = 0.0, margin_step: float = 0.1, max_rounds: int = 10, lam: float = 0.1,
     robust_init: bool = False, optimal: bool = False, node_limit: int = DEFAULT_NODE_LIMIT,
+):
+    """The records of every (method, shift) cell, one cell at a time, in
+    ``methods`` order: each robust method once per shift of ``shifts``,
+    every other method once.  Yields ``(method, k, records)``, ``k`` being
+    the position of the cell's shift in ``shifts`` (None for a method that
+    reads no shift) and ``records`` one per input, as :func:`generate_all`
+    gives them.
+
+    Work that no shift changes is done once per grid, by the first cell
+    that needs it: ``gce`` and ``gce-r`` at every shift read one GCE batch
+    over inputs x rounds (:func:`_gce_rounds`), ``gce`` its round-0 rows,
+    which do not depend on the rows beside them."""
+    names = [resolve_method(m, robust_init, optimal) for m in methods]
+    rounds = max(max_rounds, 1) if "gce-r" in names else 1
+    knobs = dict(
+        margin=margin, margin_step=margin_step, max_rounds=max_rounds, lam=lam,
+        node_limit=node_limit,
+        gce_rounds=cache(partial(_gce_rounds, model, inputs, target, lam, GCE_STEP,
+                                 GCE_MAX_ITERS, rounds)),
+    )
+    return _grid(names, model, list(shifts), inputs, target, X, knobs)
+
+
+def _grid(names, model, shifts, inputs, target, X, knobs):
+    for name in names:
+        method = GENERATORS[name]
+        for k, shift in enumerate(shifts) if method.robust else [(None, None)]:
+            yield name, k, method.run(model, shift, inputs, target, X, knobs)
+
+
+def generate_all(
+    method: str, model: ParametricModel, shift: ShiftSet, inputs, target: int, X=None, **knobs
 ) -> list[CounterfactualRecord]:
-    """One counterfactual for each of ``inputs`` by method name; ``X`` holds
-    the training rows the nearest-neighbour methods search.  ``gce`` runs as
-    one batch over the inputs and ``gce-r`` as one over inputs x rounds
-    (:func:`_gce_rows`); every record equals a lone run's."""
-    knobs = dict(margin=margin, margin_step=margin_step, max_rounds=max_rounds, lam=lam,
-                 node_limit=node_limit)
-    run = GENERATORS[resolve_method(method, robust_init, optimal)].run
-    return run(model, shift, inputs, target, X, knobs)
+    """One counterfactual for each of ``inputs`` by method name: the one cell
+    of a one-method, one-shift :func:`generate_grid`, which takes the knobs.
+    ``X`` holds the training rows the nearest-neighbour methods search.
+    ``gce`` runs as one batch over the inputs and ``gce-r`` as one over
+    inputs x rounds (:func:`_gce_rows`); every record equals a lone run's."""
+    ((_, _, records),) = generate_grid([method], model, [shift], inputs, target, X, **knobs)
+    return records
 
 
 def generate(method: str, model, shift, x, target: int, X=None, **knobs) -> CounterfactualRecord:

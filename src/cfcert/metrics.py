@@ -62,7 +62,12 @@ def lof_scores(points, reference, k: int = DEFAULT_LOF_K) -> np.ndarray:
     if not 1 <= k < n:
         raise ValueError(f"need reference size > k >= 1, got k={k}, n={n}")
 
-    D = l1_rows(ref[:, None], ref)
+    # One row at a time, so memory grows with n * n, not n * n * d; a row
+    # equals the (n, n, d) broadcast's bit for bit (|a - b| = |b - a|, and
+    # each row sums its d terms in the same order).
+    D = np.empty((n, n))
+    for o in range(n):
+        D[o] = l1_rows(ref, ref[o])
     np.fill_diagonal(D, np.inf)  # a point is not its own neighbour
     k_dist, mask = _k_neighbourhoods(D, k)
     lrd_ref = np.empty(n)
@@ -70,12 +75,12 @@ def lof_scores(points, reference, k: int = DEFAULT_LOF_K) -> np.ndarray:
         nb = np.flatnonzero(mask[o])
         lrd_ref[o] = _lrd(D[o, nb], k_dist[nb])
 
-    Dq = l1_rows(points[:, None], ref)
     out = np.empty(points.shape[0])
     for q in range(points.shape[0]):
-        kd_q = np.partition(Dq[q], k - 1)[k - 1]
-        nb = np.flatnonzero(Dq[q] <= kd_q)
-        lrd_q = _lrd(Dq[q, nb], k_dist[nb])
+        dq = l1_rows(ref, points[q])
+        kd_q = np.partition(dq, k - 1)[k - 1]
+        nb = np.flatnonzero(dq <= kd_q)
+        lrd_q = _lrd(dq[nb], k_dist[nb])
         num = lrd_ref[nb].mean()
         if np.isinf(lrd_q):
             out[q] = 1.0 if np.isinf(num) else 0.0

@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cfcert import benchmark
 from cfcert.benchmark import BenchmarkConfig, run_benchmark
-from cfcert.data import synth_binary
-from cfcert.training import TrainConfig
+from cfcert.data import SplitSpec, split, synth_binary
+from cfcert.generators import get_candidates
+from cfcert.intervals import ShiftSet
+from cfcert.models import affine_layers, classify_batch
+from cfcert.training import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +113,37 @@ def test_timing_lives_outside_reports(small_report):
     assert "seconds" not in small_report.to_json()
     assert "seconds" not in small_report.to_csv()
     assert "seconds_mean" in small_report.timing_csv()
+
+
+def test_rnce_finds_nothing_where_no_training_row_is_robust():
+    # The desk workload's configuration at run seed 45964, rnce methods
+    # only.  At delta_inc no target-class training row keeps its class under
+    # every shift: for a logistic model the worst shifted margin has the
+    # closed form w.x + b - delta (|x|_1 + 1), and it is negative for every
+    # such row.  So the right answer is no counterfactual and no certified
+    # validity, at every rnce variant.
+    seed = 45964
+    dataset = synth_binary(300, noise=0.2, seed=0)
+    config = BenchmarkConfig(
+        methods=tuple(m for m in benchmark.METHODS if m.startswith("rnce-")),
+        n_test=3,
+        seeds=(seed,),
+        architecture="logistic",
+        train=TrainConfig(epochs=100, seed=0, l2=0.05),
+        replicas=3,
+    )
+    report = run_benchmark(dataset, config)
+    at_inc = [d for d in report.detail if d["target_delta"] == "inc"]
+    assert [d["method"] for d in at_inc] == list(config.methods)
+    for entry in at_inc:
+        assert entry["found_rate"] == 0.0, entry["method"]
+        assert entry["v_delta_inc"] is None and entry["v_delta_val"] is None, entry["method"]
+
+    delta = at_inc[0]["deltas"]["inc"]
+    d1_train = split(dataset, SplitSpec(seed=seed))[0]
+    model = train(d1_train.X, d1_train.y, "logistic", replace(config.train, seed=seed))
+    assert get_candidates(model, d1_train.X, ShiftSet("inf", delta), 1, robust_init=True).size == 0
+    rows = d1_train.X[classify_batch(model, d1_train.X) == 1]
+    ((w, b),) = affine_layers(model)
+    margins = rows @ w[0] + b[0] - delta * (np.abs(rows).sum(axis=1) + 1.0)
+    assert rows.shape[0] > 0 and margins.max() < 0.0

@@ -8,8 +8,12 @@ definition gives: ``generate_all`` equals per-input ``generate`` (for every
 method of the dispatch table on a logistic model and a one-hidden-layer net),
 ``gce_robust`` equals ``iterative_robustify`` over per-round ``gce`` calls,
 and a reordered batch gives each row the same record.  The numpy property
-the loop rests on is checked on its own.
+the loop rests on is checked on its own.  A ``generate_grid`` over any
+subset of the methods and several shifts gives each cell the records of a
+lone ``generate_all``, from one GCE batch.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from cfcert.generators import (
     gce_robust,
     generate,
     generate_all,
+    generate_grid,
     iterative_robustify,
     mce_robust,
 )
@@ -179,6 +184,116 @@ def test_generate_all_reaches_rebound_generators(monkeypatch):
     assert [r.method for r in records] == ["rnce-ff"] * len(X)
     assert filters == [len(X)]
     assert [w.tobytes() for w in walks] == [x.tobytes() for x in X]
+
+
+# A logistic model, a one-hidden-layer net and a 3-class net, each with a
+# target its inputs reach.
+GRID_CASES = [(1, 0), (14, 0), (26, 1)]
+GRID_SHIFTS = [ShiftSet("inf", 0.05), ShiftSet("inf", 0.02), ShiftSet("inf", 0.1)]
+ZERO = ShiftSet("inf", 0.0)
+
+
+def _grid_case(index):
+    model = MODELS[index]
+    return model, _inputs(index, model, count=2), np.random.default_rng(index).uniform(
+        0, 1, (10, model.input_dim)
+    )
+
+
+def _check_grid(methods, shifts, want, model, X, target, train_rows, knobs):
+    cells = list(generate_grid(methods, model, shifts, X, target, train_rows, **knobs))
+    assert [(method, k) for method, k, _ in cells] == [
+        (method, k) for method in methods
+        for k in (range(len(shifts)) if GENERATORS[method].robust else [None])
+    ]
+    for method, k, records in cells:
+        assert len(records) == len(X)
+        for got, lone in zip(records, want[method, k]):
+            _same(got, lone)
+
+
+@pytest.mark.parametrize("index, target", GRID_CASES)
+def test_every_grid_cell_equals_its_lone_generate_all(monkeypatch, index, target):
+    # Fewer GCE steps keep the grids below cheap; the grid and generate_all
+    # read the same constant.
+    monkeypatch.setattr(generators, "GCE_MAX_ITERS", 30)
+    model, X, train_rows = _grid_case(index)
+    knobs = {"max_rounds": 2, "lam": 0.4}
+    want = {}
+    for method, row in GENERATORS.items():
+        for k, shift in enumerate(GRID_SHIFTS) if row.robust else [(None, ZERO)]:
+            want[method, k] = generate_all(method, model, shift, X, target, train_rows, **knobs)
+    assert any(r.found for r in want["gce", None])
+    assert any(r.robust for k in range(3) for r in want["gce-r", k])
+    for count in (1, 2, 3):
+        _check_grid(list(GENERATORS), GRID_SHIFTS[:count], want, model, X, target, train_rows, knobs)
+
+    # Every subset of the table's methods, in table order, at 1, 2 or 3
+    # shifts in turn.  Only the GCE pair shares work within a grid, so the
+    # other methods, checked for real above, replay their lone records.
+    def replay(method):
+        return lambda model, shift, *_: want[method, None if shift is None else GRID_SHIFTS.index(shift)]
+
+    for method, row in list(GENERATORS.items()):
+        if method not in ("gce", "gce-r"):
+            monkeypatch.setitem(GENERATORS, method, row._replace(run=replay(method)))
+    subsets = [
+        list(subset) for size in range(1, len(GENERATORS) + 1)
+        for subset in itertools.combinations(GENERATORS, size)
+    ]
+    for i, methods in enumerate(subsets):
+        _check_grid(methods, GRID_SHIFTS[: 1 + i % 3], want, model, X, target, train_rows, knobs)
+
+
+@pytest.mark.parametrize(
+    "methods", [["gce"], ["gce-r"], ["gce", "gce-r"], ["gce-r", "gce"], list(GENERATORS)]
+)
+def test_one_gce_batch_per_grid(monkeypatch, methods):
+    calls = []
+
+    def spy(model, anchors, *args):
+        calls.append(len(anchors))
+        return _gce_rows(model, anchors, *args)
+
+    monkeypatch.setattr(generators, "_gce_rows", spy)
+    model, X, train_rows = _grid_case(1)
+    cells = generate_grid(methods, model, GRID_SHIFTS, X, 0, train_rows, max_rounds=3)
+    seen = []
+    for method, _, _ in cells:
+        seen.append((method, len(calls)))
+    # The batch is made by the first cell that needs it and serves the rest:
+    # inputs x rounds rows when gce-r is in the grid, one row per input if not.
+    first = next(i for i, (method, _) in enumerate(seen) if method.startswith("gce"))
+    assert [count for _, count in seen] == [0] * first + [1] * (len(seen) - first)
+    assert calls == [len(X) * (3 if "gce-r" in methods else 1)]
+
+
+def test_grid_cells_own_their_records():
+    # Cells read one batch, yet a caller that edits a cell's records in
+    # place changes no later cell.
+    model, X, _ = _grid_case(1)
+    want = [generate_all("gce-r", model, shift, X, 0, max_rounds=3) for shift in GRID_SHIFTS]
+    for method, k, records in generate_grid(["gce", "gce-r"], model, GRID_SHIFTS, X, 0, max_rounds=3):
+        for got, lone in zip(records, [] if k is None else want[k]):
+            _same(got, lone)
+        for record in records:
+            assert record.found
+            record.x_prime[:] = -1.0
+            record.trace.append(None)
+
+
+def test_zero_rounds_leave_gce_its_own_records():
+    model, X, train_rows = _grid_case(1)
+    for methods in (["gce"], ["gce", "gce-r"], ["gce-r", "gce"]):
+        cells = {
+            (method, k): records
+            for method, k, records in generate_grid(methods, model, GRID_SHIFTS[:2], X, 0, max_rounds=0)
+        }
+        for got, lone in zip(cells["gce", None], generate_all("gce", model, ZERO, X, 0)):
+            _same(got, lone)
+        assert all(r.found for r in cells["gce", None])
+        for k in (0, 1) if "gce-r" in methods else ():
+            assert [(r.found, r.iterations, r.trace) for r in cells["gce-r", k]] == [(False, 0, [])] * len(X)
 
 
 class TestMaxRounds:

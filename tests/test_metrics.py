@@ -1,7 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cfcert.metrics import l1_normalized, lof_score, lof_scores, validity_after_retraining
+from cfcert.metrics import (
+    _k_neighbourhoods,
+    _lrd,
+    l1_normalized,
+    l1_rows,
+    lof_score,
+    lof_scores,
+    validity_after_retraining,
+)
 from cfcert.models import LogisticModel
 
 
@@ -98,6 +108,58 @@ def test_lof_duplicate_floor():
 def test_lof_k_validation():
     with pytest.raises(ValueError):
         lof_score([0.0], np.zeros((3, 1)), k=3)
+
+
+def lof_broadcast(points, ref, k):
+    """``lof_scores`` with its distances from one (n, n, d) and one (q, n, d)
+    broadcast, the form it had before it went row by row."""
+    n = ref.shape[0]
+    D = l1_rows(ref[:, None], ref)
+    np.fill_diagonal(D, np.inf)
+    k_dist, mask = _k_neighbourhoods(D, k)
+    lrd_ref = np.array([_lrd(D[o, mask[o]], k_dist[mask[o]]) for o in range(n)])
+    Dq = l1_rows(points[:, None], ref)
+    out = np.empty(points.shape[0])
+    for q in range(points.shape[0]):
+        kd_q = np.partition(Dq[q], k - 1)[k - 1]
+        nb = np.flatnonzero(Dq[q] <= kd_q)
+        lrd_q = _lrd(Dq[q, nb], k_dist[nb])
+        num = lrd_ref[nb].mean()
+        out[q] = (1.0 if np.isinf(num) else 0.0) if np.isinf(lrd_q) else num / lrd_q
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 5, 8, 13, 31])
+def test_lof_rows_equal_the_broadcast_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for case in range(40):
+        n, q = int(rng.integers(4, 40)), int(rng.integers(1, 6))
+        ref = rng.uniform(-1, 1, (n, d)) * 10.0 ** rng.integers(-3, 4)
+        points = rng.uniform(-1, 1, (q, d))
+        if case % 4 == 0:
+            # Ties and duplicates: a coarse grid, a repeated row, a query on a row.
+            ref = np.round(ref * 4) / 4
+            ref[-1] = ref[0]
+            points[0] = ref[1]
+        k = int(rng.integers(1, n))
+        rows = np.array([l1_rows(ref, ref[o]) for o in range(n)])
+        assert rows.tobytes() == l1_rows(ref[:, None], ref).tobytes()
+        assert lof_scores(points, ref, k).tobytes() == lof_broadcast(points, ref, k).tobytes()
+
+
+def test_lof_memory_grows_with_the_square_of_the_rows_not_times_the_features():
+    # The broadcast form peaked at about 122 MiB here (a (1000, 1000, 8)
+    # float64 temporary); row by row holds one (1000, 1000) matrix and its
+    # partition.
+    rng = np.random.default_rng(0)
+    ref, points = rng.uniform(0, 1, (1000, 8)), rng.uniform(0, 1, (20, 8))
+    tracemalloc.start()
+    try:
+        lof_scores(points, ref, k=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_validity_after_retraining_counts_pairs():
