@@ -156,10 +156,15 @@ def _fmt(v):
     return v
 
 
+def class_pair(model) -> tuple[int, int]:
+    """The study's (source, target) classes: 0 -> 1 for one logit, 1 -> l
+    for l logits."""
+    return (1, model.num_classes) if model.num_outputs > 1 else (0, 1)
+
+
 def _run_seed(args):
     """Full pipeline for one seed; pure function of (dataset, config, seed)."""
-    dataset_dict, config, seed = args
-    dataset = Dataset(**dataset_dict)
+    dataset, config, seed = args
     d1_train, d1_test, d2_train, d2_test = split(dataset, SplitSpec(seed=seed))
     cfg = replace(config.train, seed=seed)
     model = train(d1_train.X, d1_train.y, config.architecture, cfg)
@@ -176,9 +181,7 @@ def _run_seed(args):
             model, d1_train.X, d1_train.y, d2_train.X, d2_train.y, spec, config.architecture, cfg
         )
 
-    multi = model.num_outputs > 1
-    source_class = 1 if multi else 0
-    target = model.num_classes if multi else 1
+    source_class, target = class_pair(model)
 
     if config.deltas is not None:
         deltas = [(repr(float(d)), float(d)) for d in config.deltas]
@@ -269,14 +272,7 @@ def pmap(fn, items, workers: int) -> list:
 
 
 def run_benchmark(dataset: Dataset, config: BenchmarkConfig) -> MetricReport:
-    dataset_dict = {
-        "X": dataset.X,
-        "y": dataset.y,
-        "features": dataset.features,
-        "label_name": dataset.label_name,
-        "scaler": dataset.scaler,
-    }
-    jobs = [(dataset_dict, config, seed) for seed in config.seeds]
+    jobs = [(dataset, config, seed) for seed in config.seeds]
     per_seed = pmap(_run_seed, jobs, config.workers)
 
     detail = [entry for seed_detail in per_seed for entry in seed_detail]

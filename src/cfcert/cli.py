@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import METHODS, BenchmarkConfig, pmap, run_benchmark
+from .benchmark import METHODS, BenchmarkConfig, class_pair, pmap, run_benchmark
 from .data import Dataset, SplitSpec, fit_scale, load_csv, split, synth_binary, synth_multiclass
 from .generators import GENERATORS, generate_all, resolve_method
 from .intervals import ShiftSet
@@ -211,9 +211,7 @@ def cmd_estimate_delta(args) -> int:
             fleet += retrain_fleet(
                 model, d1_train.X, d1_train.y, d2_train.X, d2_train.y, spec, arch, config
             )
-        multi = model.num_outputs > 1
-        source = 1 if multi else 0
-        target = model.num_classes if multi else 1
+        source, target = class_pair(model)
         pool = d2_test.X[classify_batch(model, d2_test.X) == source][: args.n_val]
         report = estimate_delta_validation(
             model,

@@ -76,11 +76,6 @@ class Dataset:
     def dim(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def num_classes(self) -> int:
-        labels = np.unique(self.y)
-        return int(labels.max()) if labels.min() >= 1 else 2
-
     def validate_one_hot(self) -> None:
         groups: dict[str, list[int]] = {}
         for i, meta in enumerate(self.features):

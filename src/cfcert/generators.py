@@ -565,6 +565,9 @@ def generate_grid(
     over inputs x rounds (:func:`_gce_rounds`), ``gce`` its round-0 rows,
     which do not depend on the rows beside them."""
     names = [resolve_method(m, robust_init, optimal) for m in methods]
+    for name in names:
+        if X is None and GENERATORS[name].uses_data:
+            raise ValueError(f"method {name!r} needs the training rows X")
     rounds = max(max_rounds, 1) if "gce-r" in names else 1
     knobs = dict(
         margin=margin, margin_step=margin_step, max_rounds=max_rounds, lam=lam,

@@ -31,8 +31,6 @@ __all__ = [
     "sigmoid",
 ]
 
-SUPPORTED_P = (1, 2, float("inf"))
-
 
 def _norm_p(p):
     if p in ("inf", "Inf", "INF", np.inf):
@@ -89,10 +87,6 @@ class IntervalModel:
     @property
     def num_outputs(self) -> int:
         return self.layers[-1].w_lo.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return 2 if self.num_outputs == 1 else self.num_outputs
 
 
 def abstract(model: ParametricModel, shift: ShiftSet) -> IntervalModel:

@@ -20,9 +20,9 @@ interval propagation (``cfcert.intervals.interval_bounds``), which is itself
 a valid pair of constants (Tjeng et al., ICLR 2019).  Binary xi = 1 switches
 a ReLU off: v <= hi (1 - xi) caps it, and the upper affine row gains
 +lo xi.  Nodes whose pre-activation interval is stably signed get their
-binary fixed up front.  Both encoders build their rows one layer at a time
-as dense blocks, node by node: [v + hi xi <= hi], the upper and the lower
-affine row.
+binary fixed up front.  Both encoders write each layer's rows into one
+zeroed (nodes, rows per node, variables) block, so they come node by node:
+[v + hi xi <= hi], the upper and the lower affine row.
 """
 
 from __future__ import annotations
@@ -74,29 +74,22 @@ def _bias(b, size: int) -> np.ndarray:
     return np.zeros(size) if b is None else b
 
 
-def _rows(num_vars: int, rel: int, rhs, *terms):
-    """One row per right-hand side.  A term is (variables, coefficients):
-    one variable per row (1-D coefficients or a scalar), or variables shared
-    by every row with a 2-D coefficient block.  Coefficients are added onto
-    zeros, so a -0.0 coefficient reads 0.0."""
-    rhs = np.asarray(rhs, dtype=np.float64).reshape(-1)
-    A = np.zeros((rhs.size, num_vars))
-    rows = np.arange(rhs.size)
-    for cols, coef in terms:
-        if np.ndim(coef) == 2:
-            A[rows[:, None], cols[None, :]] += coef
-        else:
-            A[rows, cols] += coef
-    return A, np.full(rhs.size, rel, dtype=np.int64), rhs
-
-
-def _interleave(*blocks):
-    """Row blocks of equal height merged node-major: row j of every block,
-    then row j + 1."""
-    A = np.stack([b[0] for b in blocks], axis=1).reshape(-1, blocks[0][0].shape[1])
-    rel = np.stack([b[1] for b in blocks], axis=1).reshape(-1)
-    rhs = np.stack([b[2] for b in blocks], axis=1).reshape(-1)
-    return A, rel, rhs
+def _rows(num_vars: int, rels, rhs, v, prev=None, w=()):
+    """``len(rels)`` rows per node j, node-major, written into one zeroed
+    (nodes, rows per node, variables) block.  Row i of node j has relation
+    ``rels[i]``, right-hand side ``rhs[i][j]``, 1.0 on ``v[j]`` and
+    -w[i][j] on ``prev`` where ``w[i]`` is not None.  Returns the rows and
+    the block, onto which callers add their one-per-node terms.
+    Coefficients are added onto zeros, so a -0.0 coefficient reads 0.0."""
+    block = np.zeros((v.size, len(rels), num_vars))
+    nodes = np.arange(v.size)
+    block[nodes, :, v] = 1.0
+    for i, w_i in enumerate(w):
+        if w_i is not None:
+            block[:, i, prev] -= w_i
+    rel = np.array(rels * v.size, dtype=np.int64)
+    rhs = np.array(rhs, dtype=np.float64).T.reshape(-1)
+    return (block.reshape(-1, num_vars), rel, rhs), block
 
 
 def _layer_rows(num_vars, v, prev, up, low, xi=None, pre=None):
@@ -105,17 +98,20 @@ def _layer_rows(num_vars, v, prev, up, low, xi=None, pre=None):
     given, with its enclosure ``pre``) by v + hi xi <= hi.  ``up``/``low``
     are (W, rhs) pairs."""
     (w_up, rhs_up), (w_low, rhs_low) = up, low
-    lower = _rows(num_vars, GE, rhs_low, (v, 1.0), (prev, -w_low))
     if xi is None:
-        return _interleave(_rows(num_vars, LE, rhs_up, (v, 1.0), (prev, -w_up)), lower)
+        return _rows(num_vars, (LE, GE), (rhs_up, rhs_low), v, prev, (w_up, w_low))[0]
     pre_lo, pre_hi = pre
-    cap = _rows(num_vars, LE, pre_hi, (v, 1.0), (xi, pre_hi))
-    upper = _rows(num_vars, LE, rhs_up, (v, 1.0), (prev, -w_up), (xi, pre_lo))
-    return _interleave(cap, upper, lower)
+    rhs, w = (pre_hi, rhs_up, rhs_low), (None, w_up, w_low)
+    rows, block = _rows(num_vars, (LE, LE, GE), rhs, v, prev, w)
+    nodes = np.arange(v.size)
+    block[nodes, 0, xi] += pre_hi
+    block[nodes, 1, xi] += pre_lo
+    return rows
 
 
 def _milp(c, blocks, lo, hi, sense, binaries_of) -> MilpProblem:
-    A, rel, rhs = (np.concatenate(part) for part in zip(_rows(c.size, LE, ()), *blocks))
+    empty = np.empty((0, c.size)), np.empty(0, dtype=np.int64), np.empty(0)
+    A, rel, rhs = (np.concatenate(part) for part in zip(empty, *blocks))
     lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense=sense)
     binaries = np.concatenate(binaries_of) if binaries_of else np.empty(0, dtype=np.int64)
     return MilpProblem(lp=lp, binary_idx=binaries)
@@ -206,12 +202,11 @@ def encode_nearest_ce(
     lo[x_idx] = box_lo
     hi[x_idx] = box_hi
 
-    blocks = [  # t_i >= |x'_i - x_i|
-        _interleave(
-            _rows(num_vars, GE, -x, (t_idx, 1.0), (x_idx, -1.0)),
-            _rows(num_vars, GE, x, (t_idx, 1.0), (x_idx, 1.0)),
-        )
-    ]
+    # t_i >= |x'_i - x_i|: t_i - x'_i >= -x_i and t_i + x'_i >= x_i.
+    abs_rows, block = _rows(num_vars, (GE, GE), (-x, x), t_idx)
+    block[x_idx, 0, x_idx] -= 1.0  # node i is feature i
+    block[x_idx, 1, x_idx] += 1.0
+    blocks = [abs_rows]
     prev = x_idx
     for layer, (v, il) in enumerate(zip(node_idx, im.layers)):
         exact = (il.w_lo, _bias(il.b_lo, v.size))
@@ -220,23 +215,20 @@ def encode_nearest_ce(
         prev = v
     last = im.layers[-1]
     out_bias = _bias(last.b_lo, out_size)
-    blocks.append(_rows(num_vars, EQ, out_bias, (out_idx, 1.0), (prev, -last.w_lo)))
+    blocks.append(_rows(num_vars, (EQ,), (out_bias,), out_idx, prev, (last.w_lo,))[0])
 
     # Validity: the target logit must clear the margin (strictly where the
     # point tie-break would go against the target).
     if out_size == 1:
-        if target == 1:
-            blocks.append(_rows(num_vars, GE, margin, (out_idx, 1.0)))
-        else:
-            blocks.append(_rows(num_vars, LE, -margin - STRICT_EPS, (out_idx, 1.0)))
+        rel, rhs = (GE, margin) if target == 1 else (LE, -margin - STRICT_EPS)
+        blocks.append(_rows(num_vars, (rel,), (rhs,), out_idx)[0])
     else:
         t0 = target - 1
         others = np.delete(np.arange(out_size), t0)
         eps = np.where(others < t0, STRICT_EPS, 0.0)
-        target_out = np.full(others.size, out_idx[t0])
-        blocks.append(
-            _rows(num_vars, GE, margin + eps, (target_out, 1.0), (out_idx[others], -1.0))
-        )
+        rows, block = _rows(num_vars, (GE,), (margin + eps,), np.full(others.size, out_idx[t0]))
+        block[np.arange(others.size), 0, out_idx[others]] -= 1.0
+        blocks.append(rows)
 
     c = np.zeros(num_vars)
     c[t_idx] = 1.0 / n

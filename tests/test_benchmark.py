@@ -36,6 +36,13 @@ def test_method_lists_keep_their_names_and_order():
     assert BenchmarkConfig().methods == ("mce", "mce-r", "nnce", "rnce-ff")
 
 
+def test_class_pair_flips_the_first_class_to_the_last(binary_net, multi_net):
+    # The study and `cfcert estimate-delta` explain source-class rows towards
+    # this target.
+    assert benchmark.class_pair(binary_net) == (0, 1)
+    assert benchmark.class_pair(multi_net) == (1, 3)
+
+
 def test_report_row_structure(small_report):
     methods = {(r["method"], r["target_delta"]) for r in small_report.rows}
     assert ("mce", "-") in methods

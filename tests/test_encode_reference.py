@@ -70,6 +70,7 @@ ARCHS = [  # (name, hidden sizes or None for logistic, logits, seed)
     ("3 hidden", (2, 3, 2), 1, 3),
     ("3 logits", (3,), 3, 4),
     ("3 logits, 2 hidden", (3, 2), 3, 5),
+    ("8x8, 3 logits", (8, 8), 3, 6),  # 2-D weight blocks at a realistic width
 ]
 
 

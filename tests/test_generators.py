@@ -9,6 +9,8 @@ from cfcert.generators import (
     gce,
     gce_robust,
     generate,
+    generate_all,
+    generate_grid,
     get_candidates,
     get_robust_ce,
     iterative_robustify,
@@ -574,6 +576,18 @@ class TestGenerate:
                 f"rnce-{flags}", model, shift, X[0], 1, X, robust_init=True, optimal=True
             )
             assert got.method == f"rnce-{flags}"
+
+    @pytest.mark.parametrize("method", ["nnce", "rnce-tf"])
+    def test_data_method_without_rows_is_named(self, blob_problem, method):
+        model, X = blob_problem
+        shift = ShiftSet("inf", 0.05)
+        match = f"method '{method}' needs the training rows X"
+        with pytest.raises(ValueError, match=match):
+            generate_all(method, model, shift, X[:2], 1)
+        # The grid checks every method before it reads an input, an earlier
+        # method's cell included.
+        with pytest.raises(ValueError, match=match):
+            generate_grid(["mce", method], model, [shift], X[:2], 1)
 
     def test_unknown_method(self, blob_problem):
         model, X = blob_problem
