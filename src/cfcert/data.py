@@ -110,7 +110,8 @@ def load_schema(path) -> dict:
 
 
 def load_csv(path, schema: dict | str) -> Dataset:
-    """Parse a CSV with a header row against the schema; malformed rows are
+    """Parse a CSV with a header row against the schema; malformed rows, a
+    non-finite feature value and a label that is not an integer are
     reported with their line number."""
     if isinstance(schema, (str, bytes)) or hasattr(schema, "__fspath__"):
         schema = load_schema(schema)
@@ -137,10 +138,16 @@ def load_csv(path, schema: dict | str) -> Dataset:
             if len(row) != len(expected):
                 raise ValueError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}")
             try:
-                rows.append([float(v) for v in row[:-1]])
-                labels.append(int(float(row[-1])))
+                values = [float(v) for v in row[:-1]]
+                label = float(row[-1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}:{lineno}: feature values must be finite, got {row[:-1]}")
+            if not label.is_integer():
+                raise ValueError(f"{path}:{lineno}: label must be an integer, got {row[-1]!r}")
+            rows.append(values)
+            labels.append(int(label))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     ds = Dataset(X=np.array(rows), y=np.array(labels), features=metas, label_name=label)

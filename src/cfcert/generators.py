@@ -2,8 +2,8 @@
 
 Plain baselines (exact MILP-based minimum-distance, projected proximal
 gradient descent, nearest training neighbour) plus the robust variants: an
-iterative wrapper that retries the base generator with a relaxed
-cost/validity trade-off until the verifier signs off, and the robust
+iterative loop that verifies the base generator's rounds, each at a more
+relaxed cost/validity trade-off, until the verifier signs off, and the robust
 nearest-neighbour method that walks its candidates outward from the query
 (:class:`KDTree`, in distance order) and optionally refines the hit with a
 line search towards the query.  Every distance is ``metrics.l1_rows``.
@@ -14,6 +14,7 @@ from __future__ import annotations
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
+from itertools import count
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,7 +50,6 @@ __all__ = [
     "get_candidates",
     "get_robust_ce",
     "rnce",
-    "generate",
     "generate_all",
     "generate_grid",
 ]
@@ -249,8 +249,18 @@ def nnce(model: ParametricModel, X, x, target: int) -> CounterfactualRecord:
     )
 
 
+def _check_max_rounds(max_rounds: int) -> None:
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
+
+
+def _check_margin_step(margin_step: float) -> None:
+    if not (np.isfinite(margin_step) and margin_step >= 0.0):
+        raise ValueError(f"margin_step must be finite and >= 0, got {margin_step}")
+
+
 def iterative_robustify(
-    base_generate,
+    rounds,
     model: ParametricModel,
     shift: ShiftSet,
     target: int,
@@ -258,19 +268,19 @@ def iterative_robustify(
     node_limit: int = DEFAULT_NODE_LIMIT,
     method: str = "robustified",
 ) -> CounterfactualRecord:
-    """Retry a base generator with relaxed knobs until the verifier passes.
+    """Verify a base generator's rounds in order until one passes.
 
-    ``base_generate(round_index)`` must return a (record, knob) pair.  On
-    success the robust counterfactual is returned immediately; once the round
-    budget is exhausted the last counterfactual found is returned flagged
-    not robust, preserving the incompleteness of the underlying scheme.
+    ``rounds`` is an iterable of (record, knob) pairs, one per relaxation of
+    the knob; at most ``max_rounds`` of them are drawn, so a lazy iterable
+    computes no round past the first robust one.  On success the robust
+    counterfactual is returned immediately; once the rounds are spent the
+    last counterfactual found is returned flagged not robust, preserving the
+    incompleteness of the underlying scheme.
     """
-    if max_rounds < 0:
-        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
+    _check_max_rounds(max_rounds)
     last = None
     trace = []
-    for k in range(max_rounds):
-        record, knob = base_generate(k)
+    for k, (record, knob) in zip(range(max_rounds), rounds):
         trace.append(knob)
         if not record.found:
             continue
@@ -282,10 +292,10 @@ def iterative_robustify(
                 iterations=k + 1, trace=trace,
             )
     if last is None:
-        return _not_found(method, target, shift=shift, iterations=max_rounds, trace=trace)
+        return _not_found(method, target, shift=shift, iterations=len(trace), trace=trace)
     return replace(
         last, method=method, target_class=target, robust=False, shift=shift,
-        iterations=max_rounds, trace=trace,
+        iterations=len(trace), trace=trace,
     )
 
 
@@ -301,14 +311,10 @@ def mce_robust(
 ) -> CounterfactualRecord:
     """MCE wrapped in the iterative scheme: the logit margin grows by
     ``margin_step`` per round, starting from zero."""
-    if not (np.isfinite(margin_step) and margin_step >= 0.0):
-        raise ValueError(f"margin_step must be finite and >= 0, got {margin_step}")
-
-    def base(k):
-        margin = k * margin_step
-        return mce(model, x, target, margin=margin, box=box, node_limit=node_limit), margin
-
-    return iterative_robustify(base, model, shift, target, max_rounds, node_limit, method="mce-r")
+    _check_margin_step(margin_step)
+    margins = (k * margin_step for k in count())
+    rounds = ((mce(model, x, target, margin=m, box=box, node_limit=node_limit), m) for m in margins)
+    return iterative_robustify(rounds, model, shift, target, max_rounds, node_limit, method="mce-r")
 
 
 def gce_robust(
@@ -327,27 +333,18 @@ def gce_robust(
     rounds run as rows of one batch, so every round is computed even when
     round 0 certifies; the verifier still takes them in order."""
     (rounds,) = _gce_rounds(model, [x], target, lam, step, max_iters, max_rounds)
-    return _robustify_rounds(model, shift, target, rounds, lam, max_rounds, node_limit)
+    return iterative_robustify(rounds, model, shift, target, max_rounds, node_limit, method="gce-r")
 
 
 def _gce_rounds(model, inputs, target, lam, step, max_iters, rounds):
     """GCE for each of ``inputs`` at ``rounds`` trade-off weights, round j at
     ``lam / 2**j``, as rows of one :func:`_gce_rows` batch: per input, its
-    rounds' records.  Round 0 runs at ``lam`` itself, so its records are
-    :func:`gce`'s at ``lam``."""
+    rounds' (record, weight) pairs.  Round 0 runs at ``lam`` itself, so its
+    records are :func:`gce`'s at ``lam``."""
     xs = [as_feature_vector(x, model.input_dim) for x in inputs]
-    lams = [lam / (2.0**j) if j else lam for j in range(rounds)]
+    lams = [lam / 2.0**j if j else lam for j in range(rounds)]
     rows = _gce_rows(model, [x for x in xs for _ in lams], target, lams * len(xs), step, max_iters, 0.0)
-    return [rows[i * rounds : (i + 1) * rounds] for i in range(len(xs))]
-
-
-def _robustify_rounds(model, shift, target, rounds, lam, max_rounds, node_limit):
-    """:func:`iterative_robustify` over one input's precomputed GCE rounds;
-    the trace holds each round's weight ``lam / 2**k``."""
-    return iterative_robustify(
-        lambda k: (rounds[k], lam / (2.0**k)), model, shift, target, max_rounds, node_limit,
-        method="gce-r",
-    )
+    return [list(zip(rows[i * rounds : (i + 1) * rounds], lams)) for i in range(len(xs))]
 
 
 def get_candidates(
@@ -362,19 +359,16 @@ def get_candidates(
     ``target``; they do not depend on the query.
 
     Without ``robust_init`` a row qualifies when the point model classifies
-    it to the target class; with it the row must additionally pass the
-    robustness test.  (Robustness implies target-class point classification,
-    so the point filter is applied first in both modes.)  The test is one
-    :func:`robust_flags` call over the target-class rows: interval arithmetic
-    certifies what it can and only the rest is solved as a MILP.
+    it to the target class; with it the row must pass the robustness test,
+    one :func:`robust_flags` call over all the rows: it rejects a row of
+    another point class, certifies what interval arithmetic can and solves
+    only the rest as a MILP.
     """
     check_target(model, target)
     X = np.asarray(X, dtype=np.float64)
-    idx = np.flatnonzero(classify_batch(model, X) == target)
-    if not robust_init:
-        return idx
-    keep = robust_flags(model, shift, X[idx], target, node_limit)
-    return idx[np.asarray(keep, dtype=bool)]
+    if robust_init:
+        return np.flatnonzero(robust_flags(model, shift, X, target, node_limit))
+    return np.flatnonzero(classify_batch(model, X) == target)
 
 
 def get_robust_ce(
@@ -466,10 +460,11 @@ def _rnce_name(robust_init: bool, optimal: bool) -> str:
 
 
 # The batch generators: (model, shift, inputs, target, X, knobs) -> records.
-# They read mce, mce_robust, nnce, _gce_rows, get_candidates, KDTree and
-# get_robust_ce from this module at call time, so rebinding one of those
-# names (as a tracer does) reaches them.  The GCE pair reads its rows from
-# knobs["gce_rounds"], the grid's one batch (generate_grid).
+# They read mce, mce_robust, nnce, _gce_rows, iterative_robustify,
+# get_candidates, KDTree and get_robust_ce from this module at call time, so
+# rebinding one of those names (as a tracer does) reaches them.  The GCE pair
+# reads its rows from knobs["gce_rounds"], the grid's one batch
+# (generate_grid).
 def _mce_batch(model, shift, inputs, target, X, k):
     return [mce(model, x, target, margin=k["margin"], node_limit=k["node_limit"]) for x in inputs]
 
@@ -481,13 +476,13 @@ def _mce_robust_batch(model, shift, inputs, target, X, k):
 
 # The GCE pair hands out copies: the grid's other cells read the same rows.
 def _gce_batch(model, shift, inputs, target, X, k):
-    return [deepcopy(rounds[0]) for rounds in k["gce_rounds"]()]
+    return [deepcopy(rounds[0][0]) for rounds in k["gce_rounds"]()]
 
 
 def _gce_robust_batch(model, shift, inputs, target, X, k):
     return [
-        deepcopy(_robustify_rounds(
-            model, shift, target, rounds, k["lam"], k["max_rounds"], k["node_limit"]
+        deepcopy(iterative_robustify(
+            rounds, model, shift, target, k["max_rounds"], k["node_limit"], method="gce-r"
         ))
         for rounds in k["gce_rounds"]()
     ]
@@ -541,17 +536,15 @@ DEFAULT_METHODS = ("mce", "mce-r", "nnce", "rnce-ff")
 
 
 def resolve_method(method: str, robust_init: bool = False, optimal: bool = False) -> str:
-    """The :data:`GENERATORS` name of ``method``; the bare ``rnce`` takes both flags."""
-    method = _rnce_name(robust_init, optimal) if method == "rnce" else method
-    if method not in GENERATORS:
-        raise ValueError(f"unknown method {method!r}")
-    return method
+    """The :data:`GENERATORS` name of a command-line method: the bare
+    ``rnce`` takes its ``rnce-XY`` name from the two flags."""
+    return _rnce_name(robust_init, optimal) if method == "rnce" else method
 
 
 def generate_grid(
     methods, model: ParametricModel, shifts, inputs, target: int, X=None, *,
     margin: float = 0.0, margin_step: float = 0.1, max_rounds: int = 10, lam: float = 0.1,
-    robust_init: bool = False, optimal: bool = False, node_limit: int = DEFAULT_NODE_LIMIT,
+    node_limit: int = DEFAULT_NODE_LIMIT,
 ):
     """The records of every (method, shift) cell, one cell at a time, in
     ``methods`` order: each robust method once per shift of ``shifts``,
@@ -563,11 +556,18 @@ def generate_grid(
     Work that no shift changes is done once per grid, by the first cell
     that needs it: ``gce`` and ``gce-r`` at every shift read one GCE batch
     over inputs x rounds (:func:`_gce_rounds`), ``gce`` its round-0 rows,
-    which do not depend on the rows beside them."""
-    names = [resolve_method(m, robust_init, optimal) for m in methods]
+    which do not depend on the rows beside them.
+
+    Every method name, ``max_rounds`` and ``margin_step`` are checked
+    before the first cell runs."""
+    names = list(methods)
     for name in names:
+        if name not in GENERATORS:
+            raise ValueError(f"unknown method {name!r}")
         if X is None and GENERATORS[name].uses_data:
             raise ValueError(f"method {name!r} needs the training rows X")
+    _check_max_rounds(max_rounds)
+    _check_margin_step(margin_step)
     rounds = max(max_rounds, 1) if "gce-r" in names else 1
     knobs = dict(
         margin=margin, margin_step=margin_step, max_rounds=max_rounds, lam=lam,
@@ -595,8 +595,3 @@ def generate_all(
     inputs x rounds (:func:`_gce_rows`); every record equals a lone run's."""
     ((_, _, records),) = generate_grid([method], model, [shift], inputs, target, X, **knobs)
     return records
-
-
-def generate(method: str, model, shift, x, target: int, X=None, **knobs) -> CounterfactualRecord:
-    """One counterfactual by method name: :func:`generate_all` of ``[x]``."""
-    return generate_all(method, model, shift, [x], target, X, **knobs)[0]

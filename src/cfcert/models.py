@@ -374,11 +374,10 @@ def model_from_dict(doc: dict) -> ParametricModel:
         raise ValueError("model document has no layers")
     layers = tuple(_layer_from_dict(i, spec) for i, spec in enumerate(specs))
     model = _from_layers(kind, layers)
-    declared = doc.get("input_dim")
-    if declared is not None and int(declared) != model.input_dim:
-        raise ValueError(
-            f"declared input_dim {declared} does not match layer shapes ({model.input_dim})"
-        )
+    for key in ("input_dim", "num_classes"):
+        declared, actual = doc.get(key), getattr(model, key)
+        if declared is not None and int(declared) != actual:
+            raise ValueError(f"declared {key} {declared} does not match layer shapes ({actual})")
     return model
 
 

@@ -56,6 +56,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.epochs < 0 or self.batch_size <= 0:
             raise ValueError("learning rate and batch size must be positive, epochs >= 0")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning rate must be finite, got {self.learning_rate}")
+        if not (np.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 
 from cfcert.cli import main
 from cfcert.data import synth_binary
-from cfcert.generators import generate
+from cfcert.generators import generate_all, resolve_method
 from cfcert.intervals import ShiftSet
 from cfcert.models import load_model
 
@@ -60,6 +60,37 @@ def test_train_missing_dataset_fails(tmp_path, capsys):
     rc = main(["train", "--dataset", "nope.csv", "--schema", "nope.json", "--seed", "1", "--out", str(tmp_path / "x")])
     assert rc != 0
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.5,0.5,inf", "label must be an integer, got 'inf'"),
+        ("0.5,0.5,nan", "label must be an integer, got 'nan'"),
+        ("0.5,0.5,0.7", "label must be an integer, got '0.7'"),
+        ("nan,0.5,1", "feature values must be finite"),
+        ("0.5,-inf,1", "feature values must be finite"),
+    ],
+)
+def test_train_rejects_a_bad_csv_value_with_its_line(tmp_path, capsys, row, message):
+    rows = ["0.1,0.2,0", "0.9,0.8,1", "0.2,0.1,0", row, "0.8,0.9,1"]
+    (tmp_path / "d.csv").write_text("x1,x2,label\n" + "\n".join(rows) + "\n")
+    (tmp_path / "d.json").write_text(
+        json.dumps({"features": [{"name": "x1"}, {"name": "x2"}], "label": "label"})
+    )
+    argv = ["train", "--dataset", str(tmp_path / "d.csv"), "--schema", str(tmp_path / "d.json")]
+    rc = main([*argv, "--epochs", "5", "--seed", "0", "--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and f"d.csv:5: {message}" in captured.err
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_rejects_a_non_finite_learning_rate(tmp_path, capsys, lr):
+    rc = main(["train", "--synth", "moons:50", "--lr", lr, "--seed", "0", "--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: learning rate must be finite, got {lr}\n"
 
 
 def test_train_same_seed_byte_identical(tmp_path, capsys):
@@ -214,8 +245,10 @@ def test_explain_is_the_same_at_any_worker_count(tmp_path, example_model_file, m
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     model, X = load_model(example_model_file), synth_binary(100, seed=0).X
+    # The bare rnce is the command line's name for rnce-ff at the default flags.
+    name = resolve_method(method)
     want = "".join(
-        json.dumps(generate(method, model, ShiftSet("inf", 0.05), x, t, X).to_dict(), sort_keys=True)
+        json.dumps(generate_all(name, model, ShiftSet("inf", 0.05), [x], t, X)[0].to_dict(), sort_keys=True)
         + "\n"
         for x, t in zip(rows, targets)
     )

@@ -52,6 +52,11 @@ def test_load_csv_bad_row_reports_line(tmp_path):
         load_csv(csv_path, schema_path)
 
 
+def test_load_csv_reads_an_integral_float_label(tmp_path):
+    csv_path, schema_path = _write_dataset(tmp_path, ["0.5,1.0,1.0", "0.25,0.75,0", "1e-3,0,2.0"])
+    assert load_csv(csv_path, schema_path).y.tolist() == [1, 0, 2]
+
+
 def test_csv_round_trip(tmp_path):
     ds = synth_binary(40, seed=0)
     path = tmp_path / "round.csv"

@@ -4,9 +4,9 @@ Over the model zoo of ``test_gce_reference.py`` (logistic models with and
 without bias, one- and two-hidden-layer binary nets, 3-class nets, one with
 always-tied logits, and nets without a hidden layer), with inputs holding
 ``-0.0``, every record must equal, field for field, the one its sequential
-definition gives: ``generate_all`` equals per-input ``generate`` (for every
-method of the dispatch table on a logistic model and a one-hidden-layer net),
-``gce_robust`` equals ``iterative_robustify`` over per-round ``gce`` calls,
+definition gives: ``generate_all`` equals one ``generate_all`` per input (for
+every method of the dispatch table on a logistic model and a one-hidden-layer
+net), ``gce_robust`` equals ``iterative_robustify`` over per-round ``gce`` calls,
 and a reordered batch gives each row the same record.  The numpy property
 the loop rests on is checked on its own.  A ``generate_grid`` over any
 subset of the methods and several shifts gives each cell the records of a
@@ -24,7 +24,6 @@ from cfcert.generators import (
     _gce_rows,
     gce,
     gce_robust,
-    generate,
     generate_all,
     generate_grid,
     iterative_robustify,
@@ -60,13 +59,13 @@ def _same(got, want):
 
 
 @pytest.mark.parametrize("index", range(0, len(MODELS), 3))
-def test_generate_all_equals_per_input_generate(index):
+def test_generate_all_equals_per_input_batches(index):
     model = MODELS[index]
     X = _inputs(index, model)
     for target in _targets(model):
         for method, knobs in (("gce", {"lam": 0.05}), ("gce-r", {"lam": 0.4, "max_rounds": 3})):
             got = generate_all(method, model, SHIFT, X, target, **knobs)
-            want = [generate(method, model, SHIFT, x, target, **knobs) for x in X]
+            want = [generate_all(method, model, SHIFT, [x], target, **knobs)[0] for x in X]
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 _same(g, w)
@@ -74,13 +73,13 @@ def test_generate_all_equals_per_input_generate(index):
 
 @pytest.mark.parametrize("method", GENERATORS)
 @pytest.mark.parametrize("index", [1, 18])  # a logistic model, a one-hidden-layer net
-def test_every_method_batch_equals_per_input_generate(index, method):
+def test_every_method_batch_equals_per_input_batches(index, method):
     model = MODELS[index]
     X = _inputs(index, model, count=4)
     train_rows = np.random.default_rng(index).uniform(0, 1, (12, model.input_dim))
     for target in (0, 1):
         got = generate_all(method, model, SHIFT, X, target, train_rows, max_rounds=3)
-        want = [generate(method, model, SHIFT, x, target, train_rows, max_rounds=3) for x in X]
+        want = [generate_all(method, model, SHIFT, [x], target, train_rows, max_rounds=3)[0] for x in X]
         assert len(got) == len(want) == len(X) and all(r.found for r in got)
         for g, w in zip(got, want):
             _same(g, w)
@@ -94,12 +93,11 @@ def test_gce_robust_equals_per_round_gce(index):
     x = _inputs(index, model, count=1)[0]
     lam, step, rounds = 0.4, 0.2, 4
     for target in _targets(model):
-
-        def base(k):
-            lam_k = lam / (2.0**k)
-            return gce(model, x, target, lam=lam_k, step=step, max_iters=MAX_ITERS), lam_k
-
-        want = iterative_robustify(base, model, SHIFT, target, rounds, method="gce-r")
+        per_round = (
+            (gce(model, x, target, lam=lam / (2.0**k), step=step, max_iters=MAX_ITERS), lam / (2.0**k))
+            for k in itertools.count()
+        )
+        want = iterative_robustify(per_round, model, SHIFT, target, rounds, method="gce-r")
         got = gce_robust(model, SHIFT, x, target, lam=lam, step=step, max_iters=MAX_ITERS,
                          max_rounds=rounds)
         _same(got, want)
@@ -305,12 +303,13 @@ class TestMaxRounds:
         x = [0.7, 0.5]
         calls = []
 
-        def base(k):
-            calls.append(k)
-            return gce(logistic, x, 1), 0.1
+        def rounds():
+            for k in itertools.count():
+                calls.append(k)
+                yield gce(logistic, x, 1), 0.1
 
         for run in (
-            lambda: iterative_robustify(base, logistic, SHIFT, 1, max_rounds=-2),
+            lambda: iterative_robustify(rounds(), logistic, SHIFT, 1, max_rounds=-2),
             lambda: mce_robust(logistic, SHIFT, x, 1, max_rounds=-2),
             lambda: gce_robust(logistic, SHIFT, x, 1, max_rounds=-2),
             lambda: generate_all("gce-r", logistic, SHIFT, [x], 1, max_rounds=-2),

@@ -1,3 +1,5 @@
+from itertools import count, repeat
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from cfcert.generators import (
     _score_rows,
     gce,
     gce_robust,
-    generate,
     generate_all,
     generate_grid,
     get_candidates,
@@ -17,6 +18,7 @@ from cfcert.generators import (
     mce,
     mce_robust,
     nnce,
+    resolve_method,
     rnce,
 )
 from cfcert.intervals import ShiftSet
@@ -147,7 +149,7 @@ class TestGce:
         with pytest.raises(ValueError, match="out of range"):
             gce(multi_net, [0.4, 0.6], target)
         with pytest.raises(ValueError, match="out of range"):
-            generate("gce-r", multi_net, ShiftSet(np.inf, 0.01), [0.4, 0.6], target)
+            generate_all("gce-r", multi_net, ShiftSet(np.inf, 0.01), [[0.4, 0.6]], target)
 
     @pytest.mark.parametrize(
         "knobs",
@@ -277,15 +279,42 @@ class TestIterativeRobustify:
             assert earlier.found
             assert not is_delta_robust(binary_net, shift, earlier.x_prime, target=1).robust
 
+    def test_mce_robust_solves_no_round_past_the_robust_one(self, binary_net, monkeypatch):
+        import cfcert.generators as generators
+
+        margins = []
+
+        def spy(model, x, target, margin=0.0, **kw):
+            margins.append(margin)
+            return mce(model, x, target, margin=margin, **kw)
+
+        monkeypatch.setattr(generators, "mce", spy)
+        r = mce_robust(binary_net, ShiftSet("inf", 0.05), [1.0, 2.0], 1, box=(0.0, 3.0))
+        assert r.robust and 1 < r.iterations < 10
+        assert margins == r.trace
+
     def test_immediate_success_is_single_call(self, logistic_ref):
         calls = []
 
-        def base(k):
-            calls.append(k)
-            return mce(logistic_ref, [0.7, 0.5], 1, margin=1.0), 1.0
+        def rounds():
+            for k in count():
+                calls.append(k)
+                yield mce(logistic_ref, [0.7, 0.5], 1, margin=1.0), 1.0
 
-        r = iterative_robustify(base, logistic_ref, ShiftSet("inf", 0.01), 1)
+        r = iterative_robustify(rounds(), logistic_ref, ShiftSet("inf", 0.01), 1)
         assert r.robust and len(calls) == 1 and r.iterations == 1
+
+    def test_draws_at_most_max_rounds(self, logistic_ref):
+        drawn = []
+
+        def rounds():
+            for k in count():
+                drawn.append(k)
+                yield mce(logistic_ref, [0.7, 0.5], 1), 0.0
+
+        r = iterative_robustify(rounds(), logistic_ref, ShiftSet("inf", 3.0), 1, max_rounds=3)
+        assert r.found and r.robust is False and r.iterations == 3
+        assert drawn == [0, 1, 2]
 
     def test_exhaustion_returns_last_not_robust(self, logistic_ref):
         shift = ShiftSet("inf", 3.0)  # unbeatable width on the unit box
@@ -299,15 +328,12 @@ class TestIterativeRobustify:
         stale = dict(robust=False, shift=ShiftSet("inf", 9.0), iterations=7, trace=["stale"])
         for margin, robust, rounds in ((1.0, True, 1), (0.0, False, 2)):
             base_record = mce(logistic_ref, [0.7, 0.5], 1, margin=margin)
-
-            def base(k):
-                return CounterfactualRecord(
-                    method="base", target_class=1, found=True, x_prime=base_record.x_prime,
-                    distance=base_record.distance, **stale,
-                ), margin
-
+            stale_rounds = repeat((CounterfactualRecord(
+                method="base", target_class=1, found=True, x_prime=base_record.x_prime,
+                distance=base_record.distance, **stale,
+            ), margin))
             shift = ShiftSet("inf", 0.5 if robust else 3.0)
-            r = iterative_robustify(base, logistic_ref, shift, 1, max_rounds=2, method="wrapped")
+            r = iterative_robustify(stale_rounds, logistic_ref, shift, 1, max_rounds=2, method="wrapped")
             assert r == CounterfactualRecord(
                 method="wrapped", target_class=1, found=True, x_prime=base_record.x_prime,
                 distance=base_record.distance, robust=robust, shift=shift, iterations=rounds,
@@ -316,11 +342,9 @@ class TestIterativeRobustify:
             assert r.x_prime is base_record.x_prime
 
     def test_total_failure(self, logistic_ref):
-        def base(k):
-            return mce(logistic_ref, [0.7, 0.5], 1, margin=50.0), 50.0
-
-        r = iterative_robustify(base, logistic_ref, ShiftSet("inf", 0.01), 1)
-        assert not r.found
+        rounds = repeat((mce(logistic_ref, [0.7, 0.5], 1, margin=50.0), 50.0))
+        r = iterative_robustify(rounds, logistic_ref, ShiftSet("inf", 0.01), 1)
+        assert not r.found and r.iterations == 10 and r.trace == [50.0] * 10
 
     def test_gce_robust_halves_lambda(self, logistic_ref):
         r = gce_robust(logistic_ref, ShiftSet("inf", 0.05), [0.7, 0.5], 1, lam=0.4, max_rounds=4)
@@ -456,8 +480,9 @@ class TestGetRobustCe:
 
 class TestRnce:
     def test_batch_filters_its_candidates_once(self, blob_problem, monkeypatch):
-        # rnce-tt over 5 inputs: one robust_flags call tests the candidates,
-        # then one per input runs its line search; each record equals rnce's.
+        # rnce-tt over 5 inputs: one robust_flags call tests every training
+        # row (it rejects the other class itself), then one per input runs
+        # its line search; each record equals rnce's.
         import cfcert.generators as generators
 
         model, X = blob_problem
@@ -474,7 +499,7 @@ class TestRnce:
         monkeypatch.setattr(generators, "robust_flags", spy)
         got = generators.generate_all("rnce-tt", model, shift, inputs, 1, X)
         assert len(inputs) == 5 and all(r.found for r in got)
-        assert calls[0] == np.count_nonzero(classify_batch(model, X) == 1)
+        assert calls[0] == len(X)
         assert len(calls) == 1 + len(inputs)
         for g, w in zip(got, want):
             assert g.method == w.method == "rnce-tt"
@@ -558,24 +583,50 @@ class TestGenerate:
             "gce": gce(model, x, 1, lam=0.05),
             "gce-r": gce_robust(model, shift, x, 1, lam=0.05, max_rounds=4),
             "nnce": nnce(model, X, x, 1),
-            "rnce": rnce(model, X, x, shift, target=1, robust_init=True),
+            "rnce-tf": rnce(model, X, x, shift, target=1, robust_init=True),
             "rnce-ft": rnce(model, X, x, shift, target=1, optimal=True),
         }
         for method, want in direct.items():
-            got = generate(
-                method, model, shift, x, 1, X, margin=0.2, margin_step=0.3, max_rounds=4,
-                lam=0.05, robust_init=method == "rnce",
+            (got,) = generate_all(
+                method, model, shift, [x], 1, X, margin=0.2, margin_step=0.3, max_rounds=4,
+                lam=0.05,
             )
             assert got.to_dict() == want.to_dict(), method
 
-    def test_rnce_name_sets_both_flags(self, blob_problem):
+    def test_bare_rnce_is_unknown(self, blob_problem):
+        # The flags live in the method name; only the command line maps the
+        # bare name and its two flags to one.
         model, X = blob_problem
-        shift = ShiftSet("inf", 0.05)
-        for flags in ("ff", "ft", "tf", "tt"):
-            got = generate(
-                f"rnce-{flags}", model, shift, X[0], 1, X, robust_init=True, optimal=True
-            )
-            assert got.method == f"rnce-{flags}"
+        with pytest.raises(ValueError, match="unknown method 'rnce'"):
+            generate_all("rnce", model, ShiftSet("inf", 0.05), X[:1], 1, X)
+        with pytest.raises(TypeError, match="robust_init"):
+            generate_all("rnce-ff", model, ShiftSet("inf", 0.05), X[:1], 1, X, robust_init=True)
+        assert [resolve_method("rnce", ri, opt) for ri in (False, True) for opt in (False, True)] == [
+            "rnce-ff", "rnce-ft", "rnce-tf", "rnce-tt"
+        ]
+        assert resolve_method("gce-r", True, True) == "gce-r"
+
+    @pytest.mark.parametrize(
+        "methods, knobs",
+        [
+            (["gce", "gce-r"], {"max_rounds": -1}),
+            (["mce", "mce-r"], {"max_rounds": -1}),
+            (["mce", "mce-r"], {"margin_step": -1.0}),
+            (["nnce", "mce-r"], {"margin_step": np.nan}),
+        ],
+    )
+    def test_grid_checks_its_knobs_before_any_cell(self, blob_problem, monkeypatch, methods, knobs):
+        import cfcert.generators as generators
+
+        def no_batch(*args):
+            raise AssertionError("a GCE batch ran before the knobs were checked")
+
+        monkeypatch.setattr(generators, "_gce_rows", no_batch)
+        model, X = blob_problem
+        cells = []
+        with pytest.raises(ValueError, match=next(iter(knobs))):
+            cells.extend(generate_grid(methods, model, [ShiftSet("inf", 0.05)], X[:2], 1, X, **knobs))
+        assert cells == []
 
     @pytest.mark.parametrize("method", ["nnce", "rnce-tf"])
     def test_data_method_without_rows_is_named(self, blob_problem, method):
@@ -593,7 +644,7 @@ class TestGenerate:
         model, X = blob_problem
         for method in ("mce-x", "rnce-xy", "rnce-t"):
             with pytest.raises(ValueError, match="unknown method"):
-                generate(method, model, ShiftSet("inf", 0.05), X[0], 1, X)
+                generate_all(method, model, ShiftSet("inf", 0.05), X[:1], 1, X)
 
 
 ALL_METHODS = ("mce", "mce-r", "gce", "gce-r", "nnce", "rnce-ff", "rnce-ft", "rnce-tf", "rnce-tt")
@@ -608,14 +659,14 @@ class TestTargetChecks:
     def test_binary_target_out_of_range(self, blob_problem, method, target):
         model, X = blob_problem
         with pytest.raises(ValueError, match="binary target must be 0 or 1"):
-            generate(method, model, ShiftSet("inf", 0.05), X[0], target, X)
+            generate_all(method, model, ShiftSet("inf", 0.05), X[:1], target, X)
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     @pytest.mark.parametrize("target", [0, 4])
     def test_multi_class_target_out_of_range(self, multi_net, method, target):
         X = np.random.default_rng(3).uniform(0, 3, (30, 2))
         with pytest.raises(ValueError, match=f"target class {target} out of range 1..3"):
-            generate(method, multi_net, ShiftSet("inf", 0.05), X[0], target, X)
+            generate_all(method, multi_net, ShiftSet("inf", 0.05), X[:1], target, X)
 
     def test_candidate_and_walk_helpers_check_the_target(self, blob_problem):
         model, X = blob_problem

@@ -285,6 +285,22 @@ def test_model_dict_rejects_bad_type():
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("model_type", ["logistic", "relu_network"])
+def test_declared_num_classes_must_match_the_layers(multi_net, model_type):
+    doc = {
+        "model_type": model_type, "input_dim": 2, "num_classes": 3,
+        "layers": [{"weights": [[1.0, -1.0]], "bias": None}],
+    }
+    with pytest.raises(ValueError, match=r"declared num_classes 3 does not match layer shapes \(2\)"):
+        model_from_dict(doc)
+    doc = model_to_dict(multi_net)
+    doc["num_classes"] = 2
+    with pytest.raises(ValueError, match=r"declared num_classes 2 does not match layer shapes \(3\)"):
+        model_from_dict(doc)
+    doc["num_classes"] = 3
+    assert model_from_dict(doc).num_classes == 3
+
+
 def _logistic_doc(layers):
     return {"model_type": "logistic", "input_dim": 2, "num_classes": 2, "layers": layers}
 

@@ -194,6 +194,27 @@ def test_retrain_fleet_rejects_labels_outside_the_model_convention(mode):
         retrain_fleet(logistic, ds.X, ds.y, ds.X, ds.y, spec, "logistic", cfg)
 
 
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"learning_rate": 0.0}, "learning rate and batch size must be positive"),
+        ({"learning_rate": -np.inf}, "learning rate and batch size must be positive"),
+        ({"batch_size": 0}, "learning rate and batch size must be positive"),
+        ({"epochs": -1}, "epochs >= 0"),
+        ({"learning_rate": np.nan}, "learning rate must be finite, got nan"),
+        ({"learning_rate": np.inf}, "learning rate must be finite, got inf"),
+        ({"l2": -0.1}, "l2 must be finite and >= 0, got -0.1"),
+        ({"l2": np.nan}, "l2 must be finite and >= 0, got nan"),
+        ({"l2": np.inf}, "l2 must be finite and >= 0, got inf"),
+    ],
+)
+def test_train_config_rejects_bad_knobs(knobs, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**knobs)
+    TrainConfig(learning_rate=1e-3, l2=0.0)
+    TrainConfig(l2=0.5)
+
+
 def test_retrain_spec_validation():
     with pytest.raises(ValueError):
         RetrainSpec(mode="warp")
