@@ -139,15 +139,15 @@ def load_csv(path, schema: dict | str) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(row)}")
             try:
                 values = [float(v) for v in row[:-1]]
-                label = float(row[-1])
+                y_value = float(row[-1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not np.isfinite(values).all():
                 raise ValueError(f"{path}:{lineno}: feature values must be finite, got {row[:-1]}")
-            if not label.is_integer():
+            if not y_value.is_integer():
                 raise ValueError(f"{path}:{lineno}: label must be an integer, got {row[-1]!r}")
             rows.append(values)
-            labels.append(int(label))
+            labels.append(int(y_value))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     ds = Dataset(X=np.array(rows), y=np.array(labels), features=metas, label_name=label)

@@ -57,6 +57,17 @@ def test_load_csv_reads_an_integral_float_label(tmp_path):
     assert load_csv(csv_path, schema_path).y.tolist() == [1, 0, 2]
 
 
+def test_loaded_csv_saves_and_loads_again(tmp_path):
+    csv_path, schema_path = _write_dataset(tmp_path, ["0.5,1.0,1", "0.25,0.75,0"])
+    ds = load_csv(csv_path, schema_path)
+    assert ds.label_name == "label"
+    again = tmp_path / "again.csv"
+    save_csv(ds, again)
+    back = load_csv(again, schema_path)
+    assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+    assert back.label_name == "label"
+
+
 def test_csv_round_trip(tmp_path):
     ds = synth_binary(40, seed=0)
     path = tmp_path / "round.csv"
