@@ -27,9 +27,10 @@ import numpy as np
 from .data import Dataset, SplitSpec, split
 from .generators import DEFAULT_METHODS, GENERATORS, generate_grid
 from .intervals import ShiftSet
-from .metrics import DEFAULT_LOF_K, l1_normalized, lof_scores, validity_after_retraining
+from .metrics import DEFAULT_LOF_K, lof_scores, validity_after_retraining
 from .models import classify, classify_batch
 from .training import (
+    INCREMENTAL_FRACTION,
     RetrainSpec,
     TrainConfig,
     estimate_delta_incremental,
@@ -46,10 +47,6 @@ METHODS = tuple(GENERATORS)
 # Run once per delta label: their records carry a verdict at the shift.
 ROBUST_METHODS = tuple(name for name, method in GENERATORS.items() if method.robust)
 
-# Incremental retraining fine-tunes on this share of D2 for this many epochs,
-# both for the fleet and for the delta_inc estimate.
-INCREMENTAL_FRACTION = 0.10
-INCREMENTAL_ITERATIONS = 10
 # The delta_val estimate: validation inputs and the magnitude grid it scans.
 N_VAL = 20
 DELTA_GRID = tuple(np.round(np.arange(0.005, 0.2001, 0.005), 6))
@@ -171,12 +168,7 @@ def _run_seed(args):
 
     fleet = []
     for mode in ("complete", "leave_one_out", "incremental"):
-        spec = RetrainSpec(
-            mode=mode,
-            replicas=config.replicas,
-            fraction=INCREMENTAL_FRACTION,
-            iterations=INCREMENTAL_ITERATIONS,
-        )
+        spec = RetrainSpec(mode=mode, replicas=config.replicas)
         fleet += retrain_fleet(
             model, d1_train.X, d1_train.y, d2_train.X, d2_train.y, spec, config.architecture, cfg
         )
@@ -192,7 +184,6 @@ def _run_seed(args):
             d2_train.y,
             fractions=(INCREMENTAL_FRACTION,),
             replicas=config.replicas,
-            iterations=INCREMENTAL_ITERATIONS,
             config=cfg,
         )
         val_pool = d2_test.X[classify_batch(model, d2_test.X) == source_class]
@@ -233,7 +224,7 @@ def _run_seed(args):
         }
         if found:
             entry["vr"] = validity_after_retraining(ces, tgts, fleet)
-            entry["l1"] = float(np.mean([l1_normalized(x, r.x_prime) for x, r in zip(test_inputs, records) if r.found]))
+            entry["l1"] = float(np.mean([r.distance for r in found]))
             scored.append((entry, ces))
             for (lab, _), shift in zip(deltas, shifts):
                 entry[f"v_delta_{lab}"] = delta_validity(model, shift, ces, tgts, config.node_limit)

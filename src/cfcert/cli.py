@@ -26,6 +26,7 @@ from .generators import GENERATORS, generate_all, resolve_method
 from .intervals import ShiftSet
 from .models import classify_batch, counterfactual_target, load_model, save_model
 from .training import (
+    INCREMENTAL_ITERATIONS,
     TrainConfig,
     RetrainSpec,
     estimate_delta_incremental,
@@ -58,6 +59,13 @@ def _parse_arch(text: str):
     if text == "logistic":
         return "logistic"
     return tuple(int(v) for v in text.split(",") if v)
+
+
+def _train_config(args) -> TrainConfig:
+    """The SGD settings of the --lr, --epochs, --batch-size and --seed flags."""
+    return TrainConfig(
+        learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed
+    )
 
 
 def _read_inputs(path):
@@ -103,10 +111,7 @@ def cmd_train(args) -> int:
     dataset = _load_dataset(args)
     if args.scale:
         dataset = fit_scale(dataset)
-    config = TrainConfig(
-        learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed
-    )
-    model = train(dataset.X, dataset.y, _parse_arch(args.arch), config)
+    model = train(dataset.X, dataset.y, _parse_arch(args.arch), _train_config(args))
     accuracy = float(np.mean(classify_batch(model, dataset.X) == dataset.y))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -190,9 +195,7 @@ def cmd_explain(args) -> int:
 def cmd_estimate_delta(args) -> int:
     dataset = _load_dataset(args)
     d1_train, _, d2_train, d2_test = split(dataset, SplitSpec(seed=args.seed))
-    config = TrainConfig(
-        learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed
-    )
+    config = _train_config(args)
     arch = _parse_arch(args.arch)
     model = train(d1_train.X, d1_train.y, arch, config)
     if args.strategy == "incremental":
@@ -240,9 +243,7 @@ def cmd_benchmark(args) -> int:
         n_test=args.n_test,
         seeds=tuple(args.seed + i for i in range(args.n_seeds)),
         architecture=_parse_arch(args.arch),
-        train=TrainConfig(
-            learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=args.seed
-        ),
+        train=_train_config(args),
         replicas=args.replicas,
         node_limit=args.node_limit,
         workers=args.workers,
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_data(p)
     _add_train_knobs(p)
     p.add_argument("--replicas", type=int, default=5)
-    p.add_argument("--iterations", type=int, default=10)
+    p.add_argument("--iterations", type=int, default=INCREMENTAL_ITERATIONS)
     p.add_argument("--n-val", type=int, default=20)
     p.add_argument("--p", default="inf", choices=["1", "2", "inf"])
     p.add_argument("--seed", type=int, required=True)

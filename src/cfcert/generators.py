@@ -23,6 +23,7 @@ from .intervals import ShiftSet
 from .kdtree import KDTree
 from .metrics import l1_normalized, l1_rows
 from .milp import DEFAULT_NODE_LIMIT, branch_and_bound, encode_nearest_ce
+from .milp.encode import _check_margin
 from .models import (
     ParametricModel,
     _rows_matvec,
@@ -165,6 +166,14 @@ def _soft_threshold(v: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
+def _check_lams(lams) -> np.ndarray:
+    lam_arr = np.asarray(lams, dtype=np.float64).reshape(-1)
+    bad = lam_arr[~(np.isfinite(lam_arr) & (lam_arr >= 0.0))]
+    if bad.size:
+        raise ValueError(f"lam must be finite and >= 0, got {bad[0]}")
+    return lam_arr
+
+
 def _gce_rows(model, anchors, target: int, lams, step: float, max_iters: int, margin: float):
     """GCE records for rows of one iterate array: row i runs :func:`gce` from
     ``anchors[i]`` (validated feature vectors) with trade-off weight
@@ -174,10 +183,7 @@ def _gce_rows(model, anchors, target: int, lams, step: float, max_iters: int, ma
     so each row takes the steps a lone run would, bit for bit; no row
     depends on another."""
     check_target(model, target)
-    lam_arr = np.asarray(lams, dtype=np.float64).reshape(-1)
-    bad = lam_arr[~(np.isfinite(lam_arr) & (lam_arr >= 0.0))]
-    if bad.size:
-        raise ValueError(f"lam must be finite and >= 0, got {bad[0]}")
+    lam_arr = _check_lams(lams)
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and > 0, got {step}")
     if max_iters < 0:
@@ -558,8 +564,8 @@ def generate_grid(
     over inputs x rounds (:func:`_gce_rounds`), ``gce`` its round-0 rows,
     which do not depend on the rows beside them.
 
-    Every method name, ``max_rounds`` and ``margin_step`` are checked
-    before the first cell runs."""
+    Every method name and knob but ``node_limit`` is checked before the
+    first cell runs."""
     names = list(methods)
     for name in names:
         if name not in GENERATORS:
@@ -568,6 +574,8 @@ def generate_grid(
             raise ValueError(f"method {name!r} needs the training rows X")
     _check_max_rounds(max_rounds)
     _check_margin_step(margin_step)
+    _check_lams([lam])
+    _check_margin(margin)  # MCE's, the one method that reads it
     rounds = max(max_rounds, 1) if "gce-r" in names else 1
     knobs = dict(
         margin=margin, margin_step=margin_step, max_rounds=max_rounds, lam=lam,

@@ -78,7 +78,6 @@ class IntervalModel:
     """Same architecture as the source model, interval-valued parameters."""
 
     layers: tuple[IntervalLayer, ...]
-    delta: float
 
     @property
     def input_dim(self) -> int:
@@ -101,7 +100,7 @@ def abstract(model: ParametricModel, shift: ShiftSet) -> IntervalModel:
         )
         for w, b in affine_layers(model)
     )
-    return IntervalModel(layers=layers, delta=d)
+    return IntervalModel(layers=layers)
 
 
 def _interval_matvec(w_lo, w_hi, v_lo, v_hi):

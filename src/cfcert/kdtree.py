@@ -26,7 +26,7 @@ class KDTree:
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("k-d tree needs a non-empty 2-D point array")
         self.points = pts
-        self.n, self.dim = pts.shape
+        self.dim = pts.shape[1]
 
     def neighbors(self, query):
         """Yield (index, distance) pairs in non-decreasing distance order."""

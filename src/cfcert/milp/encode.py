@@ -160,6 +160,11 @@ def encode_output_bound(
     )
 
 
+def _check_margin(margin: float) -> None:
+    if margin < 0 or not np.isfinite(margin):
+        raise ValueError("margin must be finite and >= 0")
+
+
 def encode_nearest_ce(
     model: ParametricModel,
     x,
@@ -174,8 +179,7 @@ def encode_nearest_ce(
     (lo, hi) pair of finite per-feature arrays or scalars with lo <= hi,
     default the unit box.
     """
-    if margin < 0 or not np.isfinite(margin):
-        raise ValueError("margin must be finite and >= 0")
+    _check_margin(margin)
     n = model.input_dim
     x = as_feature_vector(x, n)
     check_target(model, target)

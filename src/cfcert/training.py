@@ -43,6 +43,10 @@ __all__ = [
 
 DEFAULT_DELTA_GRID = tuple(np.round(np.arange(0.005, 0.30001, 0.005), 6))
 DEFAULT_FRACTIONS = (0.02, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14, 0.16, 0.18, 0.20)
+# Incremental retraining fine-tunes on this share of D2 for this many epochs,
+# both for the retrained fleet and for the delta_inc estimate.
+INCREMENTAL_FRACTION = 0.10
+INCREMENTAL_ITERATIONS = 10
 
 
 @dataclass
@@ -70,8 +74,8 @@ class RetrainSpec:
 
     mode: str  # "incremental" | "complete" | "leave_one_out"
     replicas: int = 5
-    fraction: float = 0.10  # incremental only
-    iterations: int = 10  # incremental fine-tuning epochs
+    fraction: float = INCREMENTAL_FRACTION  # incremental only
+    iterations: int = INCREMENTAL_ITERATIONS  # incremental fine-tuning epochs
     removed: float = 0.01  # leave_one_out only
     seeds: tuple = field(default_factory=tuple)
 
@@ -90,26 +94,21 @@ class RetrainSpec:
             raise ValueError("iterations must be >= 0")
 
 
-def _arch_layout(architecture, input_dim: int, num_classes: int):
-    out = 1 if num_classes == 2 else num_classes
-    hidden = tuple(architecture) if architecture else ()
-    sizes = (input_dim,) + hidden + (out,)
-    return sizes
-
-
 def init_model(architecture, input_dim: int, num_classes: int, seed: int) -> ParametricModel:
-    """He-style uniform initialisation, biases at zero, fixed seed."""
+    """He-style uniform initialisation, biases at zero, fixed seed.  A
+    logistic model is the one-layer, one-row case."""
+    logistic = architecture in ("logistic", None)
+    hidden = () if logistic else tuple(architecture)
+    sizes = (input_dim, *hidden, 1 if logistic or num_classes == 2 else num_classes)
     rng = np.random.default_rng(seed)
-    if architecture in ("logistic", None):
-        scale = np.sqrt(2.0 / input_dim)
-        return LogisticModel(weights=rng.uniform(-scale, scale, input_dim), bias=0.0)
-    sizes = _arch_layout(architecture, input_dim, num_classes)
     layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         scale = np.sqrt(2.0 / fan_in)
         layers.append(
             Layer(weights=rng.uniform(-scale, scale, (fan_out, fan_in)), bias=np.zeros(fan_out))
         )
+    if logistic:
+        return LogisticModel(weights=layers[0].weights[0], bias=0.0)
     return ReluNetwork(layers=tuple(layers))
 
 
@@ -234,22 +233,17 @@ def _sgd(model: ParametricModel, Xs, ys, seeds, config: TrainConfig, epochs: int
     ]
 
 
-def train(X, y, architecture, config: TrainConfig, init: ParametricModel | None = None) -> ParametricModel:
-    """Train from a seeded initialisation (or the given warm start)."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if init is None:
-        num_classes = 2 if architecture in ("logistic", None) else _num_classes_from_labels(y)
-        init = init_model(architecture, X.shape[1], num_classes, config.seed)
-    return _sgd(init, X[None], y[None], (config.seed,), config, config.epochs)[0]
-
-
-def _is_multi(y) -> bool:
-    return int(np.max(y)) > 1 and 0 not in np.unique(y)
+def train(X, y, architecture, config: TrainConfig) -> ParametricModel:
+    """:func:`fine_tune` of the seeded :func:`init_model` for ``config.epochs``."""
+    num_classes = 2 if architecture in ("logistic", None) else _num_classes_from_labels(y)
+    start = init_model(architecture, np.shape(X)[1], num_classes, config.seed)
+    return fine_tune(start, X, y, config.epochs, config)
 
 
 def _num_classes_from_labels(y) -> int:
-    return int(np.max(y)) if _is_multi(y) else 2
+    """l for labels 1..l with l > 1, else 2 (labels 0/1)."""
+    top = int(np.max(y))
+    return top if top > 1 and 0 not in np.unique(y) else 2
 
 
 def fine_tune(model: ParametricModel, X, y, iterations: int, config: TrainConfig) -> ParametricModel:
@@ -258,6 +252,15 @@ def fine_tune(model: ParametricModel, X, y, iterations: int, config: TrainConfig
     rows."""
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     return _sgd(model, X[None], y[None], (config.seed,), config, iterations)[0]
+
+
+def _incremental(model: ParametricModel, X2, y2, k: int, seeds, config: TrainConfig, iterations: int):
+    """Incrementally retrained replicas, one stack: replica r fine-tunes
+    ``model`` on k rows of D2 that ``default_rng(seeds[r])`` picks, and
+    shuffles with a fresh generator of the same seed."""
+    n = X2.shape[0]
+    pick = np.stack([np.random.default_rng(seed).choice(n, size=k, replace=False) for seed in seeds])
+    return _sgd(model, X2[pick], y2[pick], seeds, config, iterations)
 
 
 def retrain_fleet(
@@ -281,11 +284,9 @@ def retrain_fleet(
     X2, y2 = np.asarray(X2, float), np.asarray(y2)
     _targets(model, np.concatenate([y1, y2]))  # every label, not only the rows drawn
     seeds = spec.seeds or tuple(config.seed + 1000 + r for r in range(spec.replicas))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     if spec.mode == "incremental":
         k = max(1, int(round(spec.fraction * X2.shape[0])))
-        pick = np.stack([rng.choice(X2.shape[0], size=k, replace=False) for rng in rngs])
-        return _sgd(model, X2[pick], y2[pick], seeds, config, spec.iterations)
+        return _incremental(model, X2, y2, k, seeds, config, spec.iterations)
     # "Same hyperparameter setting" includes the initialisation seed; replica
     # variation comes from the shuffling seed and the data subset.
     fresh_init = init_model(architecture, X1.shape[1], model.num_classes, config.seed)
@@ -295,7 +296,7 @@ def retrain_fleet(
     else:  # leave_one_out
         X, y = X1, y1
         drop = int(np.ceil(spec.removed * X1.shape[0]))
-        rows = np.stack([rng.permutation(X1.shape[0])[drop:] for rng in rngs])
+        rows = np.stack([np.random.default_rng(seed).permutation(X1.shape[0])[drop:] for seed in seeds])
     return _sgd(fresh_init, X[rows], y[rows], seeds, config, config.epochs)
 
 
@@ -305,13 +306,15 @@ def estimate_delta_incremental(
     y2,
     fractions=DEFAULT_FRACTIONS,
     replicas: int = 5,
-    iterations: int = 10,
+    iterations: int = INCREMENTAL_ITERATIONS,
     config: TrainConfig | None = None,
 ) -> dict:
     """Mean inf-distance to incrementally retrained replicas, per fraction.
 
-    A fraction's replicas fine-tune on equal-size picks, as one stack.  The
-    value at fraction 0.10 is reported as the incremental shift target.
+    A fraction's replicas fine-tune on equal-size picks, as one stack; a
+    fraction that picks no rows leaves them at the model, 0 apart.  The
+    value at :data:`INCREMENTAL_FRACTION` (else the last fraction's) is
+    reported as the incremental shift target.
     """
     if replicas < 1 or iterations < 0:
         raise ValueError("replica count must be >= 1 and iterations >= 0")
@@ -322,17 +325,11 @@ def estimate_delta_incremental(
     for f in fractions:
         if not 0 <= f <= 1:
             raise ValueError("fractions must lie in [0, 1]")
-        k = int(round(f * X2.shape[0]))
-        delta = 0.0
-        if k:
-            seeds = [config.seed + 101 * r + int(round(f * 10000)) for r in range(replicas)]
-            pick = np.stack(
-                [np.random.default_rng(seed).choice(X2.shape[0], size=k, replace=False) for seed in seeds]
-            )
-            tuned = _sgd(model, X2[pick], y2[pick], seeds, config, iterations)
-            delta = float(np.mean([p_distance(theta, flatten(t), "inf") for t in tuned]))
+        seeds = [config.seed + 101 * r + int(round(f * 10000)) for r in range(replicas)]
+        tuned = _incremental(model, X2, y2, int(round(f * X2.shape[0])), seeds, config, iterations)
+        delta = float(np.mean([p_distance(theta, flatten(t), "inf") for t in tuned]))
         per_fraction.append({"fraction": float(f), "delta": delta})
-    named = [row["delta"] for row in per_fraction if abs(row["fraction"] - 0.10) < 1e-9]
+    named = [row["delta"] for row in per_fraction if abs(row["fraction"] - INCREMENTAL_FRACTION) < 1e-9]
     delta_inc = named[0] if named else per_fraction[-1]["delta"]
     return {
         "strategy": "incremental",
@@ -379,6 +376,7 @@ def estimate_delta_validation(
         groups.setdefault(target, []).append(i)
     grid = sorted(float(g) for g in grid)
     per_point = []
+    report = {"strategy": "validation", "grid": grid, "per_point": per_point}
     for delta in grid:
         shift = ShiftSet(p, delta)
         ces = [None] * len(val_inputs)
@@ -400,17 +398,5 @@ def estimate_delta_validation(
         validity = int(valid.sum()) / len(ces)
         per_point.append({"delta": delta, "validity": validity})
         if validity == 1.0:
-            return {
-                "strategy": "validation",
-                "grid": grid,
-                "per_point": per_point,
-                "delta_val": delta,
-                "not_reached": False,
-            }
-    return {
-        "strategy": "validation",
-        "grid": grid,
-        "per_point": per_point,
-        "delta_val": grid[-1],
-        "not_reached": True,
-    }
+            return {**report, "delta_val": delta, "not_reached": False}
+    return {**report, "delta_val": grid[-1], "not_reached": True}

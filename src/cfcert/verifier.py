@@ -9,9 +9,11 @@ bound (strictly for lower classes: ties go to the lowest index).
 Each side is certified through the MILP encoding, except in a model without
 hidden layers, whose interval enclosure is exact: every parameter occurs
 once in its logit and no two logits share one.  An undefined interval
-verdict counts as not robust.  A solver node or iteration limit, and a
-certified endpoint outside the range its interval enclosure and the point
-model allow, are reported as not robust with a distinct ``unresolved`` flag.
+verdict counts as not robust.  A solve that ends without an optimum (a node
+or iteration limit, or an infeasible or unbounded status, which only
+numerical failure gives), and a certified endpoint outside the range its
+interval enclosure and the point model allow, are reported as not robust
+with a distinct ``unresolved`` flag.
 
 Callers that need only the yes/no answer use :func:`robust_flags`, which
 settles a row by the point model's class or by one batched interval
@@ -91,14 +93,14 @@ def logit_bound(
 ) -> tuple[float | None, int, bool]:
     """One certified endpoint of an output logit: (value, nodes, unresolved).
 
-    A search cut short by the node or the simplex iteration limit is
-    unresolved and has no value."""
+    A search that ends without an optimum is unresolved and has no value:
+    one cut short by the node or the simplex iteration limit, and one that
+    ends infeasible or unbounded, which the problem can only be through
+    numerical failure, since its shift set holds the point model."""
     enc = encode_output_bound(model, x, shift.delta, output_index, direction)
     res = branch_and_bound(enc.problem, node_limit=node_limit)
-    if res.status in ("node_limit", "iteration_limit"):
-        return None, res.nodes, True
     if not res.optimal:
-        raise RuntimeError(f"bound problem ended with status {res.status}")
+        return None, res.nodes, True
     return res.objective, res.nodes, False
 
 
@@ -145,7 +147,7 @@ def _certify(
     side its target demands.  Each side's certified endpoint replaces its
     interval-arithmetic one in ``bounds``; an unresolved side keeps the
     enclosure and makes the verdict not robust.  A side is unresolved when
-    its solver hit a limit or its endpoint fails :func:`_enclosed`.  A model
+    its solve found no optimum or its endpoint fails :func:`_enclosed`.  A model
     without hidden layers needs no solver: its enclosure is exact, so it is
     the certified endpoint of every side.
     The verdict is robust when every side is resolved and the certified

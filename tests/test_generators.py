@@ -613,6 +613,8 @@ class TestGenerate:
             (["mce", "mce-r"], {"max_rounds": -1}),
             (["mce", "mce-r"], {"margin_step": -1.0}),
             (["nnce", "mce-r"], {"margin_step": np.nan}),
+            (["mce", "gce"], {"lam": -1.0}),
+            (["nnce", "mce"], {"margin": -1.0}),
         ],
     )
     def test_grid_checks_its_knobs_before_any_cell(self, blob_problem, monkeypatch, methods, knobs):

@@ -267,6 +267,29 @@ def test_certificate_outside_its_enclosure_is_unresolved(binary_net, monkeypatch
         assert verdict.bounds[1] == (float(clamped), float(ia_hi[0]))
 
 
+@pytest.mark.parametrize("status", ["infeasible", "unbounded", "node_limit", "iteration_limit"])
+def test_solve_without_an_optimum_is_unresolved(binary_net, monkeypatch, status):
+    # A bound problem holds the point model, so an infeasible or unbounded
+    # end is numerical failure: the verdict gives up and a batch goes on.
+    shift = ShiftSet("inf", 0.05)
+    calls = []
+
+    def failing(problem, node_limit):
+        calls.append(status)
+        return SolveResult(status=status, nodes=3)
+
+    monkeypatch.setattr("cfcert.verifier.branch_and_bound", failing)
+    verdict = is_delta_robust(binary_net, shift, [2.0, 0.5], target=1)
+    assert not verdict.robust and verdict.unresolved and verdict.nodes_explored == 3
+    # Interval arithmetic settles the first row and the point class the
+    # last; the middle one reaches the solver.
+    calls.clear()
+    assert robust_flags(binary_net, shift, [[2.0, 0.5], [1.0, 0.9], [0.5, 2.0]], 1) == [
+        True, False, False
+    ]
+    assert calls == [status]
+
+
 @pytest.mark.parametrize("n_out", [1, 3])
 def test_single_hidden_layer_certificates_are_never_unresolved(n_out):
     # With one hidden layer every parameter box feeds one term, so interval
