@@ -70,6 +70,12 @@ class BenchmarkConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; choose from {METHODS}")
+        if self.n_test < 1 or not self.seeds:
+            raise ValueError(f"need n_test >= 1 and a seed, got {self.n_test} and {self.seeds}")
+        if self.replicas < 1:
+            raise ValueError("replica count must be >= 1")
+        for d in (0.0, *(self.deltas or ()), *(self.curve_grid or ())):
+            ShiftSet(self.p, d)  # the norm order and every magnitude
 
 
 @dataclass

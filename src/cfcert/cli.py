@@ -265,11 +265,10 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _add_common_data(p, with_synth=True):
+def _add_common_data(p):
     p.add_argument("--dataset", help="CSV dataset path")
     p.add_argument("--schema", help="JSON schema sidecar path")
-    if with_synth:
-        p.add_argument("--synth", help="synthetic dataset, e.g. moons:500 or blobs3:600")
+    p.add_argument("--synth", help="synthetic dataset, e.g. moons:500 or blobs3:600")
 
 
 def _add_train_knobs(p):

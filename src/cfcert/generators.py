@@ -236,23 +236,8 @@ def gce(
 
 
 def nnce(model: ParametricModel, X, x, target: int) -> CounterfactualRecord:
-    """Nearest training point classified to the target class."""
-    X = np.asarray(X, dtype=np.float64)
-    x = as_feature_vector(x, model.input_dim)
-    check_target(model, target)
-    valid = classify_batch(model, X) == target
-    if not valid.any():
-        return _not_found("nnce", target)
-    idx = np.flatnonzero(valid)
-    dists = l1_rows(X[idx], x)
-    pos = int(np.argmin(dists))  # argmin takes the lowest index on ties
-    return CounterfactualRecord(
-        method="nnce",
-        target_class=target,
-        found=True,
-        x_prime=X[idx[pos]].copy(),
-        distance=float(dists[pos]),
-    )
+    """Nearest target-class training point: the one-input ``nnce`` batch."""
+    return _nnce_batch(model, None, [x], target, X, {})[0]
 
 
 def _check_max_rounds(max_rounds: int) -> None:
@@ -466,11 +451,10 @@ def _rnce_name(robust_init: bool, optimal: bool) -> str:
 
 
 # The batch generators: (model, shift, inputs, target, X, knobs) -> records.
-# They read mce, mce_robust, nnce, _gce_rows, iterative_robustify,
-# get_candidates, KDTree and get_robust_ce from this module at call time, so
-# rebinding one of those names (as a tracer does) reaches them.  The GCE pair
-# reads its rows from knobs["gce_rounds"], the grid's one batch
-# (generate_grid).
+# They read mce, mce_robust, _gce_rows, iterative_robustify, get_candidates,
+# KDTree and get_robust_ce from this module at call time, so rebinding one of
+# those names (as a tracer does) reaches them.  The GCE pair reads its rows
+# from knobs["gce_rounds"], the grid's one batch (generate_grid).
 def _mce_batch(model, shift, inputs, target, X, k):
     return [mce(model, x, target, margin=k["margin"], node_limit=k["node_limit"]) for x in inputs]
 
@@ -495,7 +479,20 @@ def _gce_robust_batch(model, shift, inputs, target, X, k):
 
 
 def _nnce_batch(model, shift, inputs, target, X, k):
-    return [nnce(model, X, x, target) for x in inputs]
+    """One point-class filter for the batch, then each input's nearest
+    candidate, ties to the lowest row index."""
+    xs = [as_feature_vector(x, model.input_dim) for x in inputs]
+    X = np.asarray(X, dtype=np.float64)
+    C = X[get_candidates(model, X, shift, target)]
+    if not C.size:
+        return [_not_found("nnce", target) for _ in xs]
+    records = []
+    for x in xs:
+        dists = l1_rows(C, x)
+        pos = int(np.argmin(dists))  # argmin takes the lowest index on ties
+        records.append(CounterfactualRecord(method="nnce", target_class=target, found=True,
+                                            x_prime=C[pos].copy(), distance=float(dists[pos])))
+    return records
 
 
 def _rnce_batch(model, shift, inputs, target, X, k, robust_init, optimal):
@@ -578,8 +575,7 @@ def generate_grid(
     _check_margin(margin)  # MCE's, the one method that reads it
     rounds = max(max_rounds, 1) if "gce-r" in names else 1
     knobs = dict(
-        margin=margin, margin_step=margin_step, max_rounds=max_rounds, lam=lam,
-        node_limit=node_limit,
+        margin=margin, margin_step=margin_step, max_rounds=max_rounds, node_limit=node_limit,
         gce_rounds=cache(partial(_gce_rounds, model, inputs, target, lam, GCE_STEP,
                                  GCE_MAX_ITERS, rounds)),
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ParametricModel, affine_layers, as_feature_vector
+from .models import ParametricModel, _norm_p, affine_layers, as_feature_vector
 
 __all__ = [
     "ShiftSet",
@@ -30,17 +30,6 @@ __all__ = [
     "dominant_class",
     "sigmoid",
 ]
-
-
-def _norm_p(p):
-    if p in ("inf", "Inf", "INF", np.inf):
-        return float("inf")
-    p = float(p)
-    if p == float("inf"):
-        return p
-    if p not in (1.0, 2.0):
-        raise ValueError("supported norm orders are 1, 2 and inf")
-    return p
 
 
 @dataclass(frozen=True)

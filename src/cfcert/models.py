@@ -292,18 +292,24 @@ def counterfactual_target(model: ParametricModel, x, target: int | None) -> int:
     return target
 
 
+def _norm_p(p) -> float:
+    """A norm order as a float: 1, 2 or inf (also "inf", "Inf" or "INF")."""
+    p = float("inf") if p in ("inf", "Inf", "INF") else float(p)
+    if p not in (1.0, 2.0, float("inf")):
+        raise ValueError("supported norm orders are 1, 2 and inf")
+    return p
+
+
 def p_distance(theta: np.ndarray, theta_prime: np.ndarray, p) -> float:
-    """p-norm of the difference of two flattened parameter vectors."""
+    """p-norm (an order :func:`_norm_p` reads) of the difference of two vectors."""
+    p = _norm_p(p)
     a = np.asarray(theta, dtype=np.float64).reshape(-1)
     b = np.asarray(theta_prime, dtype=np.float64).reshape(-1)
     if a.size != b.size:
         raise ValueError(f"parameter vectors differ in length ({a.size} vs {b.size})")
     diff = np.abs(a - b)
-    if p in ("inf", np.inf) or p == float("inf"):
+    if p == float("inf"):
         return float(diff.max(initial=0.0))
-    p = float(p)
-    if p <= 0:
-        raise ValueError("norm order must be positive or inf")
     if p == 1:
         return float(diff.sum())
     return float((diff**p).sum() ** (1.0 / p))

@@ -14,20 +14,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generators import generate_all
 from .intervals import ShiftSet, sigmoid
+from .kdtree import KDTree
 from .models import (
     Layer,
     LogisticModel,
     ParametricModel,
     ReluNetwork,
     affine_layers,
+    as_feature_vector,
     classify_batch,
     counterfactual_target,
     flatten,
     from_affine_layers,
     p_distance,
 )
+from .verifier import robust_flags
 
 __all__ = [
     "TrainConfig",
@@ -351,19 +353,20 @@ def estimate_delta_validation(
     """Smallest grid shift magnitude whose certified counterfactuals are all
     valid under every retrained model.
 
-    Each validation input's counterfactual is its nearest target-class
-    candidate that passes the robustness test at the magnitude, ties to the
-    lowest row index: the robust nearest-neighbour generator's walk.  So at
-    each magnitude every target's inputs take one ``rnce-tf`` batch, which
-    tests each candidate once (:func:`~cfcert.generators.get_candidates`).
-    Magnitudes where it finds none for some validation input are skipped
-    with a warning; if no magnitude reaches full validity the grid maximum
-    is returned flagged ``not_reached``.
+    Each validation input's counterfactual is its nearest candidate that is
+    robust for its target at the magnitude, ties to the lowest row: the
+    ``rnce-tf`` walk.  Each input's walk over the candidates (:class:`KDTree`)
+    is taken once for the grid; each magnitude makes one :func:`robust_flags`
+    call per target.  Magnitudes where some input gets none are skipped with
+    a warning; if no magnitude reaches full validity the grid maximum is
+    returned flagged ``not_reached``.
     """
     if not retrained:
         raise ValueError("need at least one retrained model")
     X_candidates = np.asarray(X_candidates, dtype=np.float64)
-    val_inputs = [np.asarray(v, dtype=np.float64) for v in val_inputs]
+    if not X_candidates.size:
+        raise ValueError("need at least one candidate row")
+    val_inputs = [as_feature_vector(v, model.input_dim) for v in val_inputs]
     if not val_inputs:
         raise ValueError("need at least one validation input")
     if targets is None:
@@ -371,9 +374,9 @@ def estimate_delta_validation(
     elif len(targets) != len(val_inputs):
         raise ValueError(f"{len(targets)} targets for {len(val_inputs)} validation inputs")
     targets = [counterfactual_target(model, x, t) for x, t in zip(val_inputs, targets)]
-    groups = {}  # target -> the indices of its inputs
-    for i, target in enumerate(targets):
-        groups.setdefault(target, []).append(i)
+    groups = {t: [i for i, u in enumerate(targets) if u == t] for t in dict.fromkeys(targets)}
+    tree = KDTree(X_candidates)
+    walks = [[j for j, _ in tree.neighbors(x)] for x in val_inputs]
     grid = sorted(float(g) for g in grid)
     per_point = []
     report = {"strategy": "validation", "grid": grid, "per_point": per_point}
@@ -381,11 +384,10 @@ def estimate_delta_validation(
         shift = ShiftSet(p, delta)
         ces = [None] * len(val_inputs)
         for target, rows in groups.items():
-            inputs = [val_inputs[i] for i in rows]
-            records = generate_all("rnce-tf", model, shift, inputs, target, X_candidates)
-            for i, record in zip(rows, records):
-                ces[i] = record.x_prime
-            if not all(record.found for record in records):
+            flags = robust_flags(model, shift, X_candidates, target)
+            for i in rows:
+                ces[i] = next((X_candidates[j] for j in walks[i] if flags[j]), None)
+            if any(ces[i] is None for i in rows):
                 break
         if any(ce is None for ce in ces):
             warnings.warn(

@@ -255,10 +255,12 @@ def robust_flags(
     row) and where two logits, or a logit and 0, are equal up to rounding
     that the point model and interval arithmetic settle differently.  At
     delta 0 the shift set holds only the point model, so its class decides
-    every row.
+    every row.  Rows that are not ``input_dim`` wide are a ``ValueError``.
     """
     target = _target(model, target)
-    X = np.asarray(X, dtype=np.float64).reshape(-1, model.input_dim)
+    X = np.asarray(X, dtype=np.float64)
+    if not X.size:
+        return []
     flags = classify_batch(model, X) == target
     if shift.delta == 0.0:
         return flags.tolist()

@@ -36,6 +36,23 @@ def test_method_lists_keep_their_names_and_order():
     assert BenchmarkConfig().methods == ("mce", "mce-r", "nnce", "rnce-ff")
 
 
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"n_test": 0}, r"need n_test >= 1 and a seed, got 0 and \(0,"),
+        ({"seeds": ()}, r"need n_test >= 1 and a seed, got 20 and \(\)"),
+        ({"replicas": 0}, "replica count must be >= 1"),
+        ({"p": 3}, "supported norm orders are 1, 2 and inf"),
+        ({"deltas": (0.02, -0.01)}, "delta must be finite and >= 0"),
+        ({"curve_grid": (0.01, float("nan"))}, "delta must be finite and >= 0"),
+        ({"curve_grid": (-1.0,)}, "delta must be finite and >= 0"),
+    ],
+)
+def test_config_checks_its_settings_before_any_seed_trains(knobs, message):
+    with pytest.raises(ValueError, match=message):
+        BenchmarkConfig(**knobs)
+
+
 def test_class_pair_flips_the_first_class_to_the_last(binary_net, multi_net):
     # The study and `cfcert estimate-delta` explain source-class rows towards
     # this target.

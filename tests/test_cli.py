@@ -341,6 +341,15 @@ def test_benchmark_smoke_and_outputs(tmp_path, capsys):
         assert col in header
 
 
+def test_benchmark_without_seeds_is_an_error(tmp_path, capsys):
+    out = tmp_path / "bench"
+    argv = ["benchmark", "--synth", "moons:100", "--n-seeds", "0", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: need n_test >= 1 and a seed, got 20 and ()" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_manifest_has_no_kernel_mode(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["train", "--synth", "moons:100", "--epochs", "5", "--seed", "0", "--out", str(out)])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfcert.intervals import ShiftSet
 from cfcert.models import (
     Layer,
     LogisticModel,
@@ -117,6 +118,18 @@ def test_p_distance_basics():
     assert p_distance([1.0, 2.0], [0.0, 4.0], 1) == 3.0
     with pytest.raises(ValueError):
         p_distance([1.0], [1.0, 2.0], 1)
+
+
+def test_p_distance_reads_the_norm_orders_of_a_shift_set():
+    a, b = [0.0, 0.0], [0.5, 0.25]
+    for spelling in ("Inf", "INF", np.inf, float("inf")):
+        assert p_distance(a, b, spelling) == p_distance(a, b, "inf") == 0.5
+    assert p_distance(a, b, "2") == p_distance(a, b, 2)
+    for p in (3, 0.5, 0, -1):
+        with pytest.raises(ValueError, match="supported norm orders are 1, 2 and inf"):
+            ShiftSet(p, 0.1)
+        with pytest.raises(ValueError, match="supported norm orders are 1, 2 and inf"):
+            p_distance(a, b, p)
 
 
 @given(

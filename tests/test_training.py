@@ -6,7 +6,15 @@ import pytest
 from cfcert.data import synth_binary, synth_multiclass
 from cfcert.generators import rnce
 from cfcert.intervals import ShiftSet
-from cfcert.models import LogisticModel, classify_batch, flatten, p_distance, unflatten
+from cfcert.models import (
+    Layer,
+    LogisticModel,
+    ReluNetwork,
+    classify_batch,
+    flatten,
+    p_distance,
+    unflatten,
+)
 from cfcert.training import (
     RetrainSpec,
     TrainConfig,
@@ -346,37 +354,66 @@ class TestEstimateDeltaValidation:
         with pytest.raises(ValueError, match="targets for 10 validation inputs"):
             estimate_delta_validation(m, [m], ds.X, pool, targets=[1] * n_targets, grid=(0.01,))
 
-    def test_one_candidate_filter_per_magnitude(self, monkeypatch):
+    def test_one_filter_per_magnitude_and_target_and_one_walk_per_input(self, monkeypatch):
         # The scan equals rnce-ff run afresh for each input at every
-        # magnitude, while it tests each candidate once per magnitude: one
-        # robust candidate filter, and one k-d tree when it keeps a row.
-        from cfcert import generators
+        # magnitude, while it builds one walk order for the whole grid and
+        # tests each candidate once per magnitude and target.
+        import cfcert.training as training
 
         ds, m, pool = self._setup()
         hostile = unflatten(m, -flatten(m))  # no magnitude ends the scan
         grid = (0.01, 0.05, 0.1, 50.0)  # at 50 no candidate certifies
         want = _rnce_ff_scan(m, [hostile], ds.X, pool, [1] * len(pool), grid)
         filters, builds = [], []
-        get_candidates = generators.get_candidates
+        robust_flags = training.robust_flags
 
-        def counting_candidates(model, X, shift, target, robust_init, node_limit):
-            filters.append((shift.delta, target, robust_init))
-            return get_candidates(model, X, shift, target, robust_init, node_limit)
+        def counting_flags(model, shift, X, target):
+            filters.append((shift.delta, target, len(X)))
+            return robust_flags(model, shift, X, target)
 
-        class CountingTree(generators.KDTree):
+        class CountingTree(training.KDTree):
             def __init__(self, points):
                 builds.append(len(points))
                 super().__init__(points)
 
-        monkeypatch.setattr(generators, "get_candidates", counting_candidates)
-        monkeypatch.setattr(generators, "KDTree", CountingTree)
+        monkeypatch.setattr(training, "robust_flags", counting_flags)
+        monkeypatch.setattr(training, "KDTree", CountingTree)
         with pytest.warns(UserWarning, match="delta=50.0; skipping") as caught:
             rep = estimate_delta_validation(m, [hostile], ds.X, pool, [1] * len(pool), grid=grid)
         assert len(caught) == 1
-        assert filters == [(delta, 1, True) for delta in grid]
-        assert len(builds) == len(grid) - 1
+        assert filters == [(delta, 1, len(ds.X)) for delta in grid]
+        assert builds == [len(ds.X)]
         assert rep["per_point"] == want and want[0]["validity"] is not None
         assert rep["not_reached"] and rep["delta_val"] == 50.0
+
+    def test_first_target_without_a_counterfactual_ends_the_magnitude(self, monkeypatch):
+        # Two targets: at a magnitude where the first leaves an input without
+        # a counterfactual, the second target's candidates are not tested.
+        import cfcert.training as training
+
+        m = ReluNetwork(layers=(Layer(weights=np.eye(3), bias=np.zeros(3)),))
+        X = np.array([[0.1, 0.9, 0.1], [0.1, 0.1, 0.9], [0.2, 0.8, 0.1]])
+        pool = np.array([[0.9, 0.1, 0.1], [0.8, 0.1, 0.2]])
+        filters = []
+        robust_flags = training.robust_flags
+
+        def counting_flags(model, shift, X, target):
+            filters.append((shift.delta, target))
+            return robust_flags(model, shift, X, target)
+
+        monkeypatch.setattr(training, "robust_flags", counting_flags)
+        with pytest.warns(UserWarning, match="delta=50.0; skipping") as caught:
+            rep = estimate_delta_validation(m, [m], X, pool, [2, 3], grid=(50.0,))
+        assert len(caught) == 1 and filters == [(50.0, 2)]
+        assert rep["per_point"] == [{"delta": 50.0, "validity": None}] and rep["not_reached"]
+        rep = estimate_delta_validation(m, [m], X, pool, [2, 3], grid=(0.01,))
+        assert filters[1:] == [(0.01, 2), (0.01, 3)] and rep["delta_val"] == 0.01
+
+    def test_no_candidates_is_rejected(self):
+        ds, m, pool = self._setup()
+        for empty in (ds.X[:0], []):
+            with pytest.raises(ValueError, match="at least one candidate row"):
+                estimate_delta_validation(m, [m], empty, pool, [1] * len(pool), grid=(0.01,))
 
     @pytest.mark.parametrize("classes", [2, 3])
     def test_equals_a_per_input_rnce_ff_scan(self, classes):
@@ -418,3 +455,17 @@ class TestEstimateDeltaValidation:
         assert rep["per_point"][0]["validity"] is not None
         assert rep["per_point"][1] == {"delta": 50.0, "validity": None}
         assert rep["not_reached"] and rep["delta_val"] == 50.0
+
+
+def test_training_imports_nothing_from_the_generators():
+    # The validation scan walks the candidates itself (KDTree, robust_flags).
+    import ast
+    from pathlib import Path
+
+    import cfcert.training
+
+    tree = ast.parse(Path(cfcert.training.__file__).read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    assert {"generators", "cfcert.generators"}.isdisjoint(modules), modules
+    assert {"kdtree", "verifier"} <= modules

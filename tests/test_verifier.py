@@ -438,3 +438,21 @@ def test_robust_flags_check_the_target_like_is_delta_robust(logistic_ref, multi_
         with pytest.raises(ValueError):
             robust_flags(model, shift, [[0.5, 0.5]], target)
 
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_robust_flags_reject_a_batch_of_the_wrong_width(logistic_ref, delta):
+    # Six numbers are not three 2-feature rows, nor one CE of two rows.
+    from cfcert.generators import get_candidates
+
+    shift = ShiftSet("inf", delta)
+    wide = np.full((3, 4), 0.5)
+    message = r"batch shape \(3, 4\) does not match input dim 2"
+    with pytest.raises(ValueError, match=message):
+        robust_flags(logistic_ref, shift, wide)
+    with pytest.raises(ValueError, match=r"batch shape \(1, 4\) does not match input dim 2"):
+        delta_validity(logistic_ref, shift, [[0.2, 0.9, 0.2, 0.9]])
+    for robust_init in (False, True):
+        with pytest.raises(ValueError, match=message):
+            get_candidates(logistic_ref, wide, shift, 1, robust_init=robust_init)
+    assert robust_flags(logistic_ref, shift, np.zeros((0, 2))) == []
+
