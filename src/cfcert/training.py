@@ -116,8 +116,9 @@ def init_model(architecture, input_dim: int, num_classes: int, seed: int) -> Par
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
     Z = Z - Z.max(axis=-1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=-1, keepdims=True)
+    np.exp(Z, out=Z)
+    Z /= Z.sum(axis=-1, keepdims=True)
+    return Z
 
 
 def _stack(model: ParametricModel, replicas: int):
@@ -142,9 +143,11 @@ def _targets(model: ParametricModel, y) -> np.ndarray:
     return y if l == 1 else np.eye(l)[y.astype(np.int64) - 1]
 
 
-def _loss_and_param_grads(params, X, T, l2):
-    """Cross-entropy (on sigmoid/softmax of the logits) of each replica in a
-    stack, and its gradients.
+def _logits_and_param_grads(params, X, T, l2):
+    """Logits of each replica in a stack, and the gradients of its
+    cross-entropy (on sigmoid/softmax of the logits) plus ``0.5 * l2 * |w|^2``.
+    The loss itself is not computed: :func:`loss_and_grad` computes it from
+    the logits.
 
     ``params`` is a :func:`_stack`, ``X`` is ``(R, batch, in)`` and ``T``
     the rows' :func:`_targets`.  Replica r's slice is bit for bit a lone
@@ -161,16 +164,15 @@ def _loss_and_param_grads(params, X, T, l2):
         if i < len(params) - 1:
             np.maximum(V, 0.0, out=V)
             acts.append(V)
-    m = X.shape[1]
     if T.ndim == 2:
-        p = sigmoid(V[..., 0])
-        eps = 1e-12
-        loss = -(T * np.log(p + eps) + (1 - T) * np.log(1 - p + eps)).sum(axis=1) / m
-        dz = ((p - T) / m)[..., None]
+        dz = sigmoid(V[..., 0])
+        dz -= T
+        dz /= X.shape[1]
+        dz = dz[..., None]
     else:
-        P = _softmax(V)
-        loss = -np.log((P * T).sum(axis=-1) + 1e-12).sum(axis=1) / m
-        dz = (P - T) / m
+        dz = _softmax(V)
+        dz -= T
+        dz /= X.shape[1]
     grads = []
     g = dz
     for i in range(len(params) - 1, -1, -1):
@@ -178,20 +180,35 @@ def _loss_and_param_grads(params, X, T, l2):
         gw = g.transpose(0, 2, 1) @ acts[i]
         if l2:
             gw += l2 * w
-            loss += 0.5 * l2 * (w**2).sum(axis=(1, 2))
         gb = g.sum(axis=1, keepdims=True) if b is not None else None
         grads.append((gw, gb))
         if i > 0:
-            g = (g @ w) * (acts[i] > 0)
+            g = g @ w
+            g *= acts[i] > 0
     grads.reverse()
-    return loss, grads
+    return V, grads
 
 
 def loss_and_grad(model: ParametricModel, X, y, l2: float = 0.0):
     """Loss and the gradient as a flat vector in flatten() order (for
-    finite-difference checks)."""
+    finite-difference checks).
+
+    The one place the loss is computed: the mean cross-entropy of the
+    pass's logits, then ``0.5 * l2 * |w|^2`` layer by layer from the last.
+    """
     X, y = np.asarray(X, float), np.asarray(y)
-    loss, grads = _loss_and_param_grads(_stack(model, 1), X[None], _targets(model, y)[None], l2)
+    params, T = _stack(model, 1), _targets(model, y)[None]
+    V, grads = _logits_and_param_grads(params, X[None], T, l2)
+    m = X.shape[0]
+    if T.ndim == 2:
+        p = sigmoid(V[..., 0])
+        eps = 1e-12
+        loss = -(T * np.log(p + eps) + (1 - T) * np.log(1 - p + eps)).sum(axis=1) / m
+    else:
+        loss = -np.log((_softmax(V) * T).sum(axis=-1) + 1e-12).sum(axis=1) / m
+    if l2:
+        for w, _ in reversed(params):
+            loss += 0.5 * l2 * (w**2).sum(axis=(1, 2))
     parts = []
     for gw, gb in grads:
         parts.append(gw[0].flatten(order="F"))
@@ -207,28 +224,42 @@ def _sgd(model: ParametricModel, Xs, ys, seeds, config: TrainConfig, epochs: int
     each epoch with its own ``default_rng(seeds[r])``; its parameters equal
     a lone run's bit for bit.  With no epochs or no rows the input model
     itself is every replica.
+
+    A step computes the gradients and no loss.  Divergence is checked on
+    the parameters once per epoch: if after an epoch's last update any
+    parameter of any replica is not finite, training stops with
+    ``RuntimeError("training diverged: ...")``.  A step that goes non-finite
+    is caught at the end of its epoch (its NaN and inf arithmetic runs
+    silently until then), and parameters that stay finite pass however
+    large they are.
     """
     R, m = Xs.shape[:2]
     Ts = _targets(model, ys)
     if epochs == 0 or m == 0:
         return [model] * R
     params = _stack(model, R)
+    arrays = [a for layer in params for a in layer if a is not None]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     replica = np.arange(R)[:, None]
     rate, size = config.learning_rate, config.batch_size
-    for _ in range(epochs):
-        order = np.stack([rng.permutation(m) for rng in rngs])
-        X, T = Xs[replica, order], Ts[replica, order]
-        for start in range(0, m, size):
-            loss, grads = _loss_and_param_grads(
-                params, X[:, start : start + size], T[:, start : start + size], config.l2
-            )
-            if not np.isfinite(loss).all():
-                raise RuntimeError("training diverged: non-finite loss")
-            for (w, b), (gw, gb) in zip(params, grads):
-                w -= rate * gw
-                if b is not None:
-                    b -= rate * gb
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = np.stack([rng.permutation(m) for rng in rngs])
+            X, T = Xs[replica, order], Ts[replica, order]
+            for start in range(0, m, size):
+                _, grads = _logits_and_param_grads(
+                    params, X[:, start : start + size], T[:, start : start + size], config.l2
+                )
+                for (w, b), (gw, gb) in zip(params, grads):
+                    gw *= rate
+                    w -= gw
+                    if b is not None:
+                        gb *= rate
+                        b -= gb
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise RuntimeError(
+                    f"training diverged: non-finite parameters after epoch {epoch + 1}"
+                )
     return [
         from_affine_layers(model, [(w[r], None if b is None else b[r, 0]) for w, b in params])
         for r in range(R)
@@ -320,13 +351,16 @@ def estimate_delta_incremental(
     """
     if replicas < 1 or iterations < 0:
         raise ValueError("replica count must be >= 1 and iterations >= 0")
+    fractions = tuple(fractions)
+    if not fractions:
+        raise ValueError("need at least one fraction")
+    if not all(0 <= f <= 1 for f in fractions):
+        raise ValueError("fractions must lie in [0, 1]")
     X2, y2 = np.asarray(X2, float), np.asarray(y2)
     config = config or TrainConfig()
     theta = flatten(model)
     per_fraction = []
     for f in fractions:
-        if not 0 <= f <= 1:
-            raise ValueError("fractions must lie in [0, 1]")
         seeds = [config.seed + 101 * r + int(round(f * 10000)) for r in range(replicas)]
         tuned = _incremental(model, X2, y2, int(round(f * X2.shape[0])), seeds, config, iterations)
         delta = float(np.mean([p_distance(theta, flatten(t), "inf") for t in tuned]))

@@ -8,8 +8,10 @@ from cfcert.benchmark import BenchmarkConfig, run_benchmark
 from cfcert.data import SplitSpec, split, synth_binary
 from cfcert.generators import get_candidates
 from cfcert.intervals import ShiftSet
-from cfcert.models import affine_layers, classify_batch
-from cfcert.training import TrainConfig, train
+from cfcert.metrics import validity_after_retraining
+from cfcert.models import LogisticModel, affine_layers, classify, classify_batch, flatten, p_distance
+from cfcert.training import RetrainSpec, TrainConfig, retrain_fleet, train
+from cfcert.verifier import robust_flags
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +173,77 @@ def test_rnce_finds_nothing_where_no_training_row_is_robust():
     ((w, b),) = affine_layers(model)
     margins = rows @ w[0] + b[0] - delta * (np.abs(rows).sum(axis=1) + 1.0)
     assert rows.shape[0] > 0 and margins.max() < 0.0
+
+
+def _fleet_check(model, fleet, ces, targets, delta, p):
+    """The fleet oracle: a replica within ``delta`` of the model in the
+    p-norm lies in the shift set, so it must keep every CE certified at
+    ``delta`` in its target class.  Returns the number of (CE, in-box
+    replica) pairs checked and the pairs that break that."""
+    theta = flatten(model)
+    inside = [r for r in fleet if p_distance(theta, flatten(r), p) <= delta]
+    broken = [(x, t, r) for x, t in zip(ces, targets) for r in inside if classify(r, x) != t]
+    return len(ces) * len(inside), broken
+
+
+def test_every_certified_ce_keeps_its_class_under_the_fleet_inside_its_delta():
+    dataset = synth_binary(240, noise=0.2, seed=0)
+    config = BenchmarkConfig(
+        methods=benchmark.ROBUST_METHODS,
+        n_test=4,
+        seeds=(5, 6, 7),
+        architecture="logistic",
+        train=TrainConfig(epochs=100, seed=0, l2=0.05),
+        replicas=3,
+    )
+    report = run_benchmark(dataset, config)
+    checked = 0
+    for seed in config.seeds:
+        # The seed's fleet, rebuilt as _run_seed builds it.
+        d1_train, _, d2_train, _ = split(dataset, SplitSpec(seed=seed))
+        cfg = replace(config.train, seed=seed)
+        model = train(d1_train.X, d1_train.y, config.architecture, cfg)
+        fleet = [
+            replica
+            for mode in ("complete", "leave_one_out", "incremental")
+            for replica in retrain_fleet(
+                model, d1_train.X, d1_train.y, d2_train.X, d2_train.y,
+                RetrainSpec(mode=mode, replicas=config.replicas), config.architecture, cfg,
+            )
+        ]
+        for entry in (d for d in report.detail if d["seed"] == seed):
+            found = [r for r in entry["records"] if r["found"]]
+            if found:  # the same fleet the run scored
+                ces, tgts = [np.array(r["x_prime"]) for r in found], [r["target_class"] for r in found]
+                assert validity_after_retraining(ces, tgts, fleet) == entry["vr"]
+            robust = [r for r in found if r["robust"]]
+            pairs, broken = _fleet_check(
+                model,
+                fleet,
+                [np.array(r["x_prime"]) for r in robust],
+                [r["target_class"] for r in robust],
+                entry["deltas"][entry["target_delta"]],
+                config.p,
+            )
+            assert not broken, (seed, entry["method"], entry["target_delta"])
+            checked += pairs
+    assert checked > 0, "no certified CE met an in-box replica"
+
+
+def test_fleet_check_skips_a_replica_just_outside_delta():
+    # Class 1 is logit >= 0.  Shifting each parameter by s against x lowers
+    # the logit 1.1 by s (|x|_1 + 1) = 2.2 s, so x loses its class at s = 0.5.
+    model = LogisticModel(weights=[1.0, -2.0], bias=0.5)
+    x = np.array([1.0, 0.2])
+    delta = 0.5 * (1 - 1e-6)
+    assert robust_flags(model, ShiftSet("inf", delta), x[None], 1) == [True]
+
+    def shifted(s):
+        return LogisticModel(weights=[1.0 - s, -2.0 - s], bias=0.5 - s)
+
+    inside, outside = shifted(delta / 2), shifted(0.5 * (1 + 1e-6))
+    assert classify(outside, x) == 0
+    assert delta < p_distance(flatten(model), flatten(outside), "inf") < delta * (1 + 1e-5)
+    assert _fleet_check(model, [inside, outside], [x], [1], delta, "inf") == (1, [])
+    # Inside a larger delta it is counted, and x there is a wrong "robust".
+    assert len(_fleet_check(model, [outside], [x], [1], 2 * delta, "inf")[1]) == 1

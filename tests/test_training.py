@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cfcert import training
 from cfcert.data import synth_binary, synth_multiclass
 from cfcert.generators import rnce
 from cfcert.intervals import ShiftSet
@@ -92,6 +93,50 @@ def test_divergence_raises():
     X[0, 0] = np.nan
     with pytest.raises(RuntimeError, match="diverged"):
         train(X, ds.y, (4,), TrainConfig(epochs=5, seed=6))
+
+
+def test_a_step_to_infinite_weights_raises_divergence_not_a_model_error():
+    # One row with an infinite feature: the logit is infinite, so the loss
+    # stays finite while the update makes the weights non-finite.  The
+    # epoch-end check stops training before any model is built from them.
+    m = LogisticModel(weights=[0.5, -0.5], bias=0.0)
+    X = np.array([[np.inf, 1.0]])
+    cfg = TrainConfig(epochs=1, batch_size=1, seed=3)
+    with pytest.raises(RuntimeError, match="training diverged: .* after epoch 1"):
+        fine_tune(m, X, [0], 1, cfg)
+
+
+def test_huge_finite_weights_train_on():
+    # Divergence means non-finite parameters.  Weights near 1e200 overflow
+    # the l2 term of the loss, which no SGD step computes: training goes on
+    # and weight decay shrinks them.
+    m = LogisticModel(weights=[1e200, -1e200], bias=0.0)
+    ds = synth_binary(40, seed=4)
+    with np.errstate(over="ignore"):
+        assert loss_and_grad(m, ds.X, ds.y, l2=0.05)[0] == np.inf
+    tuned = fine_tune(m, ds.X, ds.y, 2, TrainConfig(epochs=2, seed=4, l2=0.05))
+    w = flatten(tuned)[:2]
+    assert np.isfinite(w).all()
+    assert 1e199 < w[0] < 1e200 and -1e200 < w[1] < -1e199
+
+
+def test_nan_logit_of_a_multiclass_net_diverges_at_the_end_of_its_epoch():
+    # The infinite feature makes both hidden units infinite, and the first
+    # logit is inf - inf = NaN.  The first epoch's first step poisons the
+    # parameters; the check at that epoch's end raises.
+    net = ReluNetwork(
+        layers=(
+            Layer(weights=np.array([[1.0, 0.0], [1.0, 0.0]]), bias=np.zeros(2)),
+            Layer(weights=np.array([[1.0, -1.0], [0.5, 0.5], [-0.5, 0.5]]), bias=np.zeros(3)),
+        )
+    )
+    X = np.array([[np.inf, 0.0], [1.0, 2.0], [0.5, -1.0], [-1.0, 0.3]])
+    with np.errstate(invalid="ignore"):
+        hidden = np.maximum(X[:1] @ net.layers[0].weights.T, 0.0)
+        assert np.isnan(hidden @ net.layers[1].weights.T)[0, 0]
+    cfg = TrainConfig(epochs=3, batch_size=1, seed=5)
+    with pytest.raises(RuntimeError, match="training diverged: .* after epoch 1$"):
+        fine_tune(net, X, [1, 2, 3, 1], 3, cfg)
 
 
 def test_fine_tune_zero_iterations_is_identity():
@@ -265,6 +310,22 @@ def test_estimate_delta_incremental_rejects_bad_counts(knobs):
     m = LogisticModel(weights=[0.5, -0.5], bias=0.1)
     with pytest.raises(ValueError):
         estimate_delta_incremental(m, ds.X, ds.y, fractions=(0.1,), **knobs)
+
+
+@pytest.mark.parametrize(
+    "fractions, message",
+    [((0.1, 1.5), r"fractions must lie in \[0, 1\]"), ((), "need at least one fraction")],
+)
+def test_estimate_delta_incremental_checks_every_fraction_before_training(
+    monkeypatch, fractions, message
+):
+    ds = synth_binary(60, seed=17)
+    m = LogisticModel(weights=[0.5, -0.5], bias=0.1)
+    calls, sgd = [], training._sgd
+    monkeypatch.setattr(training, "_sgd", lambda *args: calls.append(args) or sgd(*args))
+    with pytest.raises(ValueError, match=message):
+        estimate_delta_incremental(m, ds.X, ds.y, fractions=fractions)
+    assert calls == []
 
 
 def _rnce_ff_scan(model, retrained, X, inputs, targets, grid):
