@@ -1,11 +1,12 @@
 """End-to-end benchmark runner.
 
-For each seed: split the data, train the deployed model, build a retrained
-fleet (complete / leave-one-out / incremental replicas), pick the shift
-magnitudes (given explicitly or estimated), generate counterfactuals per
-method for a batch of test inputs, and score validity-after-retraining,
-certified validity per shift, cost and plausibility.  Results aggregate to
-mean/std over seeds.
+For each seed: split the data, train the deployed model with its complete
+and leave-one-out fleets as one schedule, fine-tune its incremental fleet,
+pick the shift magnitudes (given explicitly or estimated), generate
+counterfactuals per method for a batch of test inputs, check every CE flagged
+robust against the replicas inside its shift, and score
+validity-after-retraining, certified validity per shift, cost and
+plausibility.  Results aggregate to mean/std over seeds.
 
 Determinism: every cell derives its randomness from the run seed alone, and
 results are assembled in seed order, so reports are byte-identical at any
@@ -28,7 +29,7 @@ from .data import Dataset, SplitSpec, split
 from .generators import DEFAULT_METHODS, GENERATORS, generate_grid
 from .intervals import ShiftSet
 from .metrics import DEFAULT_LOF_K, lof_scores, validity_after_retraining
-from .models import classify, classify_batch
+from .models import classify, classify_batch, flatten, p_distance
 from .training import (
     INCREMENTAL_FRACTION,
     RetrainSpec,
@@ -36,9 +37,11 @@ from .training import (
     estimate_delta_incremental,
     estimate_delta_validation,
     retrain_fleet,
-    train,
+    train_with_fleets,
 )
-# is_delta_robust is unused here: perfbench/tracing.py::BINDINGS wraps it and raises if it is missing.
+# train and is_delta_robust are unused here: perfbench/tracing.py::BINDINGS
+# wraps them and raises if either is missing.
+from .training import train  # noqa: F401
 from .verifier import delta_validity, is_delta_robust  # noqa: F401
 
 __all__ = ["BenchmarkConfig", "MetricReport", "run_benchmark", "METHODS"]
@@ -170,14 +173,11 @@ def _run_seed(args):
     dataset, config, seed = args
     d1_train, d1_test, d2_train, d2_test = split(dataset, SplitSpec(seed=seed))
     cfg = replace(config.train, seed=seed)
-    model = train(d1_train.X, d1_train.y, config.architecture, cfg)
-
-    fleet = []
-    for mode in ("complete", "leave_one_out", "incremental"):
-        spec = RetrainSpec(mode=mode, replicas=config.replicas)
-        fleet += retrain_fleet(
-            model, d1_train.X, d1_train.y, d2_train.X, d2_train.y, spec, config.architecture, cfg
-        )
+    data = (d1_train.X, d1_train.y, d2_train.X, d2_train.y)
+    specs = [RetrainSpec(mode=mode, replicas=config.replicas) for mode in ("complete", "leave_one_out")]
+    model, fleet = train_with_fleets(*data, specs, config.architecture, cfg)
+    incremental = RetrainSpec(mode="incremental", replicas=config.replicas)
+    fleet += retrain_fleet(model, *data, incremental, config.architecture, cfg)
 
     source_class, target = class_pair(model)
 
@@ -210,12 +210,16 @@ def _run_seed(args):
     detail = []
     scored = []  # (entry, its CEs): one LOF call below scores them all
     shifts = [ShiftSet(config.p, d) for _, d in deltas]
+    theta = flatten(model)
+    distances = [p_distance(theta, flatten(replica), config.p) for replica in fleet]
     cells = generate_grid(
         config.methods, model, shifts, test_inputs, target, d1_train.X, node_limit=config.node_limit
     )
     started = time.perf_counter()
     for method, k, records in cells:
         seconds = time.perf_counter() - started
+        if k is not None:
+            _check_against_fleet(seed, method, deltas[k], records, fleet, distances)
         found = [r for r in records if r.found]
         ces = [r.x_prime for r in found]
         tgts = [r.target_class for r in found]
@@ -257,6 +261,25 @@ def _run_seed(args):
         for (entry, _), part in zip(scored, np.split(scores, ends[:-1])):
             entry["lof"] = float(np.mean(part))
     return detail
+
+
+def _check_against_fleet(seed, method, delta, records, fleet, distances):
+    """Every CE flagged robust at a shift keeps its target class under
+    every replica of the fleet inside that shift (``distances[i] <= delta``):
+    such a replica is one of the models the certificate covers.  A replica
+    that moves the CE is a wrong "robust" verdict, a ``RuntimeError``."""
+    label, magnitude = delta
+    robust = [r for r in records if r.found and r.robust]
+    if not robust:
+        return
+    ces = np.vstack([r.x_prime for r in robust])
+    targets = np.array([r.target_class for r in robust])
+    for i, (replica, distance) in enumerate(zip(fleet, distances)):
+        if distance <= magnitude and (classify_batch(replica, ces) != targets).any():
+            raise RuntimeError(
+                f"seed {seed}: {method} flags a CE robust at delta {label} that replica {i}"
+                f" ({distance!r} away) does not classify to its target"
+            )
 
 
 def pmap(fn, items, workers: int) -> list:

@@ -31,8 +31,8 @@ from .training import (
     RetrainSpec,
     estimate_delta_incremental,
     estimate_delta_validation,
-    retrain_fleet,
     train,
+    train_with_fleets,
 )
 from .verifier import is_delta_robust
 
@@ -197,8 +197,8 @@ def cmd_estimate_delta(args) -> int:
     d1_train, _, d2_train, d2_test = split(dataset, SplitSpec(seed=args.seed))
     config = _train_config(args)
     arch = _parse_arch(args.arch)
-    model = train(d1_train.X, d1_train.y, arch, config)
     if args.strategy == "incremental":
+        model = train(d1_train.X, d1_train.y, arch, config)
         report = estimate_delta_incremental(
             model,
             d2_train.X,
@@ -208,12 +208,10 @@ def cmd_estimate_delta(args) -> int:
             config=config,
         )
     else:
-        fleet = []
-        for mode in ("complete", "leave_one_out"):
-            spec = RetrainSpec(mode=mode, replicas=args.replicas)
-            fleet += retrain_fleet(
-                model, d1_train.X, d1_train.y, d2_train.X, d2_train.y, spec, arch, config
-            )
+        specs = [RetrainSpec(mode=mode, replicas=args.replicas) for mode in ("complete", "leave_one_out")]
+        model, fleet = train_with_fleets(
+            d1_train.X, d1_train.y, d2_train.X, d2_train.y, specs, arch, config
+        )
         source, target = class_pair(model)
         pool = d2_test.X[classify_batch(model, d2_test.X) == source][: args.n_val]
         report = estimate_delta_validation(

@@ -56,8 +56,14 @@ def lof_score(point, reference, k: int = DEFAULT_LOF_K) -> float:
 
 
 def lof_scores(points, reference, k: int = DEFAULT_LOF_K) -> np.ndarray:
+    """:func:`lof_score` of each row of ``points``.  Query rows and
+    reference rows of different widths are a ``ValueError``."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     ref = np.asarray(reference, dtype=np.float64)
+    if points.ndim != 2 or ref.ndim != 2 or points.shape[1] != ref.shape[1]:
+        raise ValueError(
+            f"query points are {points.shape[-1]} wide, reference rows {ref.shape[-1]}"
+        )
     n = ref.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"need reference size > k >= 1, got k={k}, n={n}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "fine_tune",
     "loss_and_grad",
     "retrain_fleet",
+    "train_with_fleets",
     "estimate_delta_incremental",
     "estimate_delta_validation",
 ]
@@ -217,13 +219,24 @@ def loss_and_grad(model: ParametricModel, X, y, l2: float = 0.0):
     return loss[0], np.concatenate(parts)
 
 
-def _sgd(model: ParametricModel, Xs, ys, seeds, config: TrainConfig, epochs: int) -> list:
-    """Minibatch SGD from ``model`` for R replicas that step as one stack.
+def _sgd(model: ParametricModel, runs, config: TrainConfig, epochs: int) -> list[list]:
+    """Minibatch SGD from ``model`` for every replica of every run, as one
+    schedule; one list of trained models per run.
 
-    Replica r trains on rows ``Xs[r]`` with labels ``ys[r]`` and shuffles
-    each epoch with its own ``default_rng(seeds[r])``; its parameters equal
-    a lone run's bit for bit.  With no epochs or no rows the input model
-    itself is every replica.
+    A run is ``(Xs, ys, seeds)``: R replicas with equal row counts, replica
+    r training on rows ``Xs[r]`` with labels ``ys[r]`` and shuffling each
+    epoch with its own ``default_rng(seeds[r])``.  Every replica's
+    parameters equal a lone run's bit for bit.  A run with no rows, and
+    every run when there are no epochs, gives the input model itself as
+    each replica.
+
+    One parameter stack holds every replica, run after run.  Each epoch
+    gathers every replica's shuffled rows into one padded ``(R, max rows,
+    d)`` buffer.  At each minibatch tick, each contiguous block of replicas
+    whose next minibatch has the same size steps as one call on a view of
+    that buffer, and updates its slice of the stack in place.  Runs of
+    unequal row counts therefore share the ticks where their minibatches
+    agree; a lone run is the one-block case.
 
     A step computes the gradients and no loss.  Divergence is checked on
     the parameters once per epoch: if after an epoch's last update any
@@ -233,24 +246,49 @@ def _sgd(model: ParametricModel, Xs, ys, seeds, config: TrainConfig, epochs: int
     silently until then), and parameters that stay finite pass however
     large they are.
     """
-    R, m = Xs.shape[:2]
-    Ts = _targets(model, ys)
-    if epochs == 0 or m == 0:
-        return [model] * R
+    runs = [(Xs, _targets(model, ys), seeds) for Xs, ys, seeds in runs]
+    fleets = [[model] * len(seeds) for _, _, seeds in runs]
+    live = [g for g, (Xs, _, _) in enumerate(runs) if Xs.shape[1]]
+    if epochs == 0 or not live:
+        return fleets
+    Xs, Ts, run_seeds = zip(*(runs[g] for g in live))
+    # Each replica's rows lie flat, replica after replica; a replica's
+    # gather indexes its own block, and its padding repeats its first row.
+    X = np.concatenate([x.reshape(-1, x.shape[2]) for x in Xs])
+    T = np.concatenate([t.reshape(-1, *t.shape[2:]) for t in Ts])
+    rows = np.repeat([x.shape[1] for x in Xs], [len(s) for s in run_seeds])
+    seeds = [seed for s in run_seeds for seed in s]
+    R, M = rows.size, int(rows.max())
+    base = np.cumsum(rows) - rows
+    idx = np.repeat(base, M).reshape(R, M)
+    shuffles = [
+        (np.random.default_rng(seed), m, idx[r, :m], offset)
+        for r, (seed, m, offset) in enumerate(zip(seeds, rows, base))
+    ]
+    Xb = np.empty((R, M, X.shape[1]))
+    Tb = np.empty((R, M, *T.shape[1:]), dtype=T.dtype)
     params = _stack(model, R)
     arrays = [a for layer in params for a in layer if a is not None]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    replica = np.arange(R)[:, None]
-    rate, size = config.learning_rate, config.batch_size
+    calls = []  # (rows, targets, parameter slices) per call, tick by tick
+    for start in range(0, M, config.batch_size):
+        lo = 0
+        for n, block in groupby(np.minimum(rows - start, config.batch_size).tolist()):
+            hi = lo + len(list(block))
+            if n > 0:
+                views = [(w[lo:hi], None if b is None else b[lo:hi]) for w, b in params]
+                calls.append((Xb[lo:hi, start : start + n], Tb[lo:hi, start : start + n], views))
+            lo = hi
+    rate = config.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            order = np.stack([rng.permutation(m) for rng in rngs])
-            X, T = Xs[replica, order], Ts[replica, order]
-            for start in range(0, m, size):
-                _, grads = _logits_and_param_grads(
-                    params, X[:, start : start + size], T[:, start : start + size], config.l2
-                )
-                for (w, b), (gw, gb) in zip(params, grads):
+            for rng, m, order, offset in shuffles:
+                np.add(rng.permutation(m), offset, out=order)
+            # Every index is in range; "clip" lets take write into the buffer directly.
+            np.take(X, idx, axis=0, out=Xb, mode="clip")
+            np.take(T, idx, axis=0, out=Tb, mode="clip")
+            for x, t, views in calls:
+                _, grads = _logits_and_param_grads(views, x, t, config.l2)
+                for (w, b), (gw, gb) in zip(views, grads):
                     gw *= rate
                     w -= gw
                     if b is not None:
@@ -260,17 +298,25 @@ def _sgd(model: ParametricModel, Xs, ys, seeds, config: TrainConfig, epochs: int
                 raise RuntimeError(
                     f"training diverged: non-finite parameters after epoch {epoch + 1}"
                 )
-    return [
+    trained = [
         from_affine_layers(model, [(w[r], None if b is None else b[r, 0]) for w, b in params])
         for r in range(R)
     ]
+    for g, s in zip(live, run_seeds):
+        fleets[g], trained = trained[: len(s)], trained[len(s) :]
+    return fleets
 
 
 def train(X, y, architecture, config: TrainConfig) -> ParametricModel:
     """:func:`fine_tune` of the seeded :func:`init_model` for ``config.epochs``."""
+    return fine_tune(_seeded_init(X, y, architecture, config), X, y, config.epochs, config)
+
+
+def _seeded_init(X, y, architecture, config: TrainConfig) -> ParametricModel:
+    """:func:`init_model` at ``config.seed``, as wide as X's rows, with the
+    classes that the labels y name."""
     num_classes = 2 if architecture in ("logistic", None) else _num_classes_from_labels(y)
-    start = init_model(architecture, np.shape(X)[1], num_classes, config.seed)
-    return fine_tune(start, X, y, config.epochs, config)
+    return init_model(architecture, np.shape(X)[1], num_classes, config.seed)
 
 
 def _num_classes_from_labels(y) -> int:
@@ -284,16 +330,37 @@ def fine_tune(model: ParametricModel, X, y, iterations: int, config: TrainConfig
     left untouched, and returned as is when there are no iterations or no
     rows."""
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
-    return _sgd(model, X[None], y[None], (config.seed,), config, iterations)[0]
+    return _sgd(model, [(X[None], y[None], (config.seed,))], config, iterations)[0][0]
 
 
 def _incremental(model: ParametricModel, X2, y2, k: int, seeds, config: TrainConfig, iterations: int):
-    """Incrementally retrained replicas, one stack: replica r fine-tunes
+    """Incrementally retrained replicas, one run: replica r fine-tunes
     ``model`` on k rows of D2 that ``default_rng(seeds[r])`` picks, and
     shuffles with a fresh generator of the same seed."""
     n = X2.shape[0]
     pick = np.stack([np.random.default_rng(seed).choice(n, size=k, replace=False) for seed in seeds])
-    return _sgd(model, X2[pick], y2[pick], seeds, config, iterations)
+    return _sgd(model, [(X2[pick], y2[pick], seeds)], config, iterations)[0]
+
+
+def _replica_seeds(spec: RetrainSpec, config: TrainConfig) -> tuple:
+    """The spec's seeds, else ``config.seed + 1000 + r`` for replica r."""
+    return spec.seeds or tuple(config.seed + 1000 + r for r in range(spec.replicas))
+
+
+def _from_scratch_run(X1, y1, X2, y2, spec: RetrainSpec, config: TrainConfig):
+    """A complete or leave-one-out spec's :func:`_sgd` run: every replica
+    on all of D1 and D2 (complete), or replica r on D1 less the first
+    ``ceil(removed * n)`` rows of ``default_rng(seeds[r])``'s permutation
+    (leave-one-out)."""
+    seeds = _replica_seeds(spec, config)
+    if spec.mode == "complete":
+        X, y = np.vstack([X1, X2]), np.concatenate([y1, y2])
+        rows = np.broadcast_to(np.arange(X.shape[0]), (len(seeds), X.shape[0]))
+    else:  # leave_one_out
+        X, y = X1, y1
+        drop = int(np.ceil(spec.removed * X1.shape[0]))
+        rows = np.stack([np.random.default_rng(seed).permutation(X1.shape[0])[drop:] for seed in seeds])
+    return X[rows], y[rows], seeds
 
 
 def retrain_fleet(
@@ -309,28 +376,48 @@ def retrain_fleet(
     """Replica retrained models according to the spec's mode.
 
     A mode's replicas share every shape (the same rows for ``complete``,
-    equal-size subsets otherwise), so they train as one stack.  Replica r
-    draws its data subset from ``default_rng(seeds[r])`` and its shuffles
-    from a fresh generator of the same seed.
+    equal-size subsets otherwise), so they train as one :func:`_sgd` run.
+    Replica r draws its data subset from ``default_rng(seeds[r])`` and its
+    shuffles from a fresh generator of the same seed.
     """
     X1, y1 = np.asarray(X1, float), np.asarray(y1)
     X2, y2 = np.asarray(X2, float), np.asarray(y2)
     _targets(model, np.concatenate([y1, y2]))  # every label, not only the rows drawn
-    seeds = spec.seeds or tuple(config.seed + 1000 + r for r in range(spec.replicas))
     if spec.mode == "incremental":
         k = max(1, int(round(spec.fraction * X2.shape[0])))
-        return _incremental(model, X2, y2, k, seeds, config, spec.iterations)
+        return _incremental(model, X2, y2, k, _replica_seeds(spec, config), config, spec.iterations)
     # "Same hyperparameter setting" includes the initialisation seed; replica
     # variation comes from the shuffling seed and the data subset.
     fresh_init = init_model(architecture, X1.shape[1], model.num_classes, config.seed)
-    if spec.mode == "complete":
-        X, y = np.vstack([X1, X2]), np.concatenate([y1, y2])
-        rows = np.broadcast_to(np.arange(X.shape[0]), (len(seeds), X.shape[0]))
-    else:  # leave_one_out
-        X, y = X1, y1
-        drop = int(np.ceil(spec.removed * X1.shape[0]))
-        rows = np.stack([np.random.default_rng(seed).permutation(X1.shape[0])[drop:] for seed in seeds])
-    return _sgd(fresh_init, X[rows], y[rows], seeds, config, config.epochs)
+    run = _from_scratch_run(X1, y1, X2, y2, spec, config)
+    return _sgd(fresh_init, [run], config, config.epochs)[0]
+
+
+def train_with_fleets(
+    X1, y1, X2, y2, specs, architecture, config: TrainConfig
+) -> tuple[ParametricModel, list[ParametricModel]]:
+    """The deployed model and its from-scratch retrained fleets, trained as
+    one :func:`_sgd` schedule: ``(model, fleet)``.
+
+    ``model`` is :func:`train` on D1; ``fleet`` holds each complete or
+    leave-one-out spec's :func:`retrain_fleet` replicas, flat and in spec
+    order.  All of them start from the seeded :func:`init_model` and train
+    ``config.epochs``, so their minibatches step together wherever their
+    sizes agree; every model equals its lone training bit for bit.  An
+    incremental spec is a ``ValueError``: its replicas fine-tune the
+    deployed model, so they come from :func:`retrain_fleet` afterwards.
+    Every label of D1 and D2 is checked before any training.
+    """
+    if any(spec.mode == "incremental" for spec in specs):
+        raise ValueError("incremental replicas fine-tune the deployed model: use retrain_fleet")
+    X1, y1 = np.asarray(X1, float), np.asarray(y1)
+    X2, y2 = np.asarray(X2, float), np.asarray(y2)
+    start = _seeded_init(X1, y1, architecture, config)
+    _targets(start, np.concatenate([y1, y2]))  # every label, not only the rows drawn
+    runs = [(X1[None], y1[None], (config.seed,))]
+    runs += [_from_scratch_run(X1, y1, X2, y2, spec, config) for spec in specs]
+    (model,), *fleets = _sgd(start, runs, config, config.epochs)
+    return model, [replica for fleet in fleets for replica in fleet]
 
 
 def estimate_delta_incremental(

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +7,19 @@ import pytest
 from cfcert import benchmark
 from cfcert.benchmark import BenchmarkConfig, run_benchmark
 from cfcert.data import SplitSpec, split, synth_binary
-from cfcert.generators import get_candidates
+from cfcert.generators import CounterfactualRecord, get_candidates
 from cfcert.intervals import ShiftSet
 from cfcert.metrics import validity_after_retraining
-from cfcert.models import LogisticModel, affine_layers, classify, classify_batch, flatten, p_distance
-from cfcert.training import RetrainSpec, TrainConfig, retrain_fleet, train
+from cfcert.models import (
+    LogisticModel,
+    affine_layers,
+    classify,
+    classify_batch,
+    flatten,
+    forward_batch,
+    p_distance,
+)
+from cfcert.training import RetrainSpec, TrainConfig, retrain_fleet, train, train_with_fleets
 from cfcert.verifier import robust_flags
 
 
@@ -173,6 +182,44 @@ def test_rnce_finds_nothing_where_no_training_row_is_robust():
     ((w, b),) = affine_layers(model)
     margins = rows @ w[0] + b[0] - delta * (np.abs(rows).sum(axis=1) + 1.0)
     assert rows.shape[0] > 0 and margins.max() < 0.0
+
+
+@pytest.mark.parametrize("architecture, p", [("logistic", "inf"), ((6,), 1), ((6,), 2)])
+def test_a_robust_flag_that_an_in_box_replica_refutes_fails_the_run(monkeypatch, architecture, p):
+    # A mutated certificate: rnce-ff's one record is flagged robust at a CE
+    # that the replica nearest the model sends to the source class.  The
+    # delta is that replica's distance, so it is the one replica inside.
+    dataset, seed = synth_binary(240, noise=0.2, seed=0), 5
+    config = BenchmarkConfig(
+        methods=("rnce-ff",),
+        p=p,
+        n_test=2,
+        seeds=(seed,),
+        architecture=architecture,
+        train=TrainConfig(epochs=20, seed=0, l2=0.05),
+        replicas=2,
+    )
+    # The seed's fleet, rebuilt as _run_seed builds it.
+    d1_train, _, d2_train, _ = split(dataset, SplitSpec(seed=seed))
+    data, cfg = (d1_train.X, d1_train.y, d2_train.X, d2_train.y), replace(config.train, seed=seed)
+    specs = [RetrainSpec(mode=mode, replicas=2) for mode in ("complete", "leave_one_out")]
+    model, fleet = train_with_fleets(*data, specs, architecture, cfg)
+    fleet += retrain_fleet(model, *data, RetrainSpec(mode="incremental", replicas=2), architecture, cfg)
+    distances = [p_distance(flatten(model), flatten(r), p) for r in fleet]
+    nearest = int(np.argmin(distances))
+    wrong = d1_train.X[np.argmin(forward_batch(fleet[nearest], d1_train.X)[:, 0])]
+    assert classify(fleet[nearest], wrong) == 0
+
+    def mutated_grid(methods, model, shifts, inputs, target, X, **knobs):
+        record = CounterfactualRecord(
+            method="rnce-ff", target_class=target, found=True, x_prime=wrong, robust=True, shift=shifts[0]
+        )
+        return [("rnce-ff", 0, [record])]
+
+    monkeypatch.setattr(benchmark, "generate_grid", mutated_grid)
+    label = re.escape(repr(float(distances[nearest])))
+    with pytest.raises(RuntimeError, match=rf"^seed 5: rnce-ff .* delta {label} .* replica {nearest} "):
+        run_benchmark(dataset, replace(config, deltas=(distances[nearest],)))
 
 
 def _fleet_check(model, fleet, ces, targets, delta, p):

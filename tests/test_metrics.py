@@ -110,6 +110,17 @@ def test_lof_k_validation():
         lof_score([0.0], np.zeros((3, 1)), k=3)
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_lof_rejects_query_points_of_another_width(width):
+    # A 1-wide point used to broadcast against the 2-wide rows and get a score.
+    ref = np.random.default_rng(5).uniform(0, 1, (50, 2))
+    point = np.full(width, 0.5)
+    with pytest.raises(ValueError, match=f"query points are {width} wide, reference rows 2"):
+        lof_scores([point], ref, k=5)
+    with pytest.raises(ValueError, match=f"query points are {width} wide, reference rows 2"):
+        lof_score(point, ref, k=5)
+
+
 def lof_broadcast(points, ref, k):
     """``lof_scores`` with its distances from one (n, n, d) and one (q, n, d)
     broadcast, the form it had before it went row by row."""

@@ -6,11 +6,15 @@ parameters' bytes, the incremental delta estimates and ``loss_and_grad``'s
 loss and gradient.  Covered: logistic models with and without bias, binary
 nets (8,) and (16, 16), a 3-class (8,) net, l2 of 0 and 0.05, a row count
 that is no multiple of the batch size, and a batch larger than every
-data set.
+data set.  ``train_with_fleets``, which trains the deployed model and its
+complete and leave-one-out fleets as one schedule, is held to the same lone
+runs on runs of unequal row counts.
 """
 
 import numpy as np
 import pytest
+
+from cfcert import training
 
 from cfcert.data import synth_binary, synth_multiclass
 from cfcert.models import LogisticModel, flatten
@@ -22,6 +26,7 @@ from cfcert.training import (
     loss_and_grad,
     retrain_fleet,
     train,
+    train_with_fleets,
 )
 from conftest import random_network
 from reference_sgd import (
@@ -134,3 +139,70 @@ def test_bias_free_net_fine_tunes_like_a_lone_run():
     got = retrain_fleet(net, *_data("8"), spec, (6, 5), config)
     _same_bytes(got, reference_retrain_fleet(net, *_data("8"), spec, (6, 5), config))
     assert all(layer.bias is None for m in got for layer in m.layers)
+
+
+# Desk's sizes: 105 rows of D1 and 105 of D2 give runs of 105 (the deployed
+# model), 210 (complete) and 103 (leave-one-out) rows, whose minibatches of
+# 32 are [32, 32, 32, 9], [32 x 6, 18] and [32, 32, 32, 7].
+FLEET_ARCHS = {"logistic": "logistic", "8": (8,), "8x4": (8, 4), "3class": (8,)}
+FLEET_CASES = {
+    "desk-rows": (TrainConfig(epochs=3, seed=31, l2=0.05), {}),
+    "batch-above-every-run": (TrainConfig(epochs=3, seed=31, batch_size=256), {}),
+    "given-seeds": (TrainConfig(epochs=2, seed=31), {"seeds": (5, 901, 17)}),
+    "no-epochs": (TrainConfig(epochs=0, seed=31), {}),
+    "leave-one-out-keeps-one-row": (TrainConfig(epochs=2, seed=31), {"removed": 0.99}),
+}
+
+
+def _fleet_data(name):
+    ds = synth_multiclass(210, 3, seed=32) if name == "3class" else synth_binary(210, seed=32)
+    rows = np.random.default_rng(32).permutation(210)
+    return ds.X[rows[:105]], ds.y[rows[:105]], ds.X[rows[105:]], ds.y[rows[105:]]
+
+
+@pytest.mark.parametrize("case", FLEET_CASES)
+@pytest.mark.parametrize("name", FLEET_ARCHS)
+def test_train_with_fleets_equals_lone_runs(name, case, monkeypatch):
+    config, knobs = FLEET_CASES[case]
+    data, arch = _fleet_data(name), FLEET_ARCHS[name]
+    specs = [RetrainSpec(mode=mode, replicas=3, **knobs) for mode in ("complete", "leave_one_out")]
+    steps, step = [], training._logits_and_param_grads
+    monkeypatch.setattr(
+        training, "_logits_and_param_grads", lambda *args: steps.append(args[1].shape) or step(*args)
+    )
+    model, fleet = train_with_fleets(*data, specs, arch, config)
+    want = reference_train(data[0], data[1], arch, config)
+    _same_bytes([model], [want])
+    _same_bytes(fleet, [r for spec in specs for r in reference_retrain_fleet(want, *data, spec, arch, config)])
+    if case == "desk-rows":
+        # Ticks 1-3 step all 7 replicas at once; tick 4 steps the three runs
+        # apart (9, 32 and 7 rows); ticks 5-7 step the complete run alone.
+        epoch = [(7, 32, 2)] * 3 + [(1, 9, 2), (3, 32, 2), (3, 7, 2)] + [(3, 32, 2)] * 2 + [(3, 18, 2)]
+        assert steps == epoch * config.epochs
+    if case == "no-epochs":
+        assert steps == []
+    if case == "leave-one-out-keeps-one-row":
+        assert (3, 1, 2) in steps  # the leave-one-out run's one-row minibatch
+
+
+@pytest.mark.parametrize(
+    "name, spec_mode, labels, message",
+    [
+        ("logistic", "incremental", None, "incremental"),
+        ("logistic", "complete", 2, "label 2 is not a class"),
+        ("3class", "leave_one_out", 0, "label 0 is not a class"),
+    ],
+)
+def test_train_with_fleets_checks_specs_and_labels_before_training(
+    monkeypatch, name, spec_mode, labels, message
+):
+    X1, y1, X2, y2 = _fleet_data(name)
+    if labels is not None:
+        y2 = y2.copy()
+        y2[-1] = labels  # a D2 label: only the complete run would read it
+    calls, sgd = [], training._sgd
+    monkeypatch.setattr(training, "_sgd", lambda *args: calls.append(args) or sgd(*args))
+    spec = RetrainSpec(mode=spec_mode, replicas=2)
+    with pytest.raises(ValueError, match=message):
+        train_with_fleets(X1, y1, X2, y2, [spec], FLEET_ARCHS[name], TrainConfig(epochs=2))
+    assert calls == []

@@ -100,6 +100,31 @@ def test_monotone_fragility(binary_net):
         assert all(a >= b for a, b in zip(flags, flags[1:]))
 
 
+@pytest.mark.parametrize("n_out", [1, 3])
+def test_milp_verdicts_are_monotone_over_a_sorted_delta_grid(n_out):
+    # The shift sets are nested, so a row refuted at one delta stays refuted
+    # at every larger one.  An unresolved verdict refutes nothing: it is not
+    # robust, but it licenses no verdict at the deltas after it.
+    grid = [0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32]
+    rng = np.random.default_rng(50 + n_out)
+    for _ in range(2):
+        net = random_network(rng, n_in=2, hidden=[4, 4], n_out=n_out)
+        milp = 0
+        for x in rng.uniform(-1, 1, (10, 2)):
+            target = classify(net, x)
+            refuted_at = None
+            for delta in grid:
+                shift = ShiftSet("inf", delta)
+                verdict = is_delta_robust(net, shift, x, target=target)
+                assert not (verdict.robust and refuted_at is not None), (x, refuted_at, delta)
+                if not verdict.robust and not verdict.unresolved and refuted_at is None:
+                    refuted_at = delta
+                # The point class is the target, so only interval arithmetic
+                # short of the target leaves the verdict to the MILP.
+                milp += dominant_class(*interval_forward(abstract(net, shift), x)) != target
+        assert milp > 0, "every verdict was settled by interval arithmetic"
+
+
 def test_verifier_never_contradicts_interval_verdict():
     rng = np.random.default_rng(4)
     for _ in range(15):
