@@ -172,6 +172,7 @@ def test_train_with_fleets_equals_lone_runs(name, case, monkeypatch):
     )
     model, fleet = train_with_fleets(*data, specs, arch, config)
     want = reference_train(data[0], data[1], arch, config)
+    assert want.num_outputs == (3 if name == "3class" else 1)
     _same_bytes([model], [want])
     _same_bytes(fleet, [r for spec in specs for r in reference_retrain_fleet(want, *data, spec, arch, config)])
     if case == "desk-rows":
@@ -199,7 +200,7 @@ def test_train_with_fleets_checks_specs_and_labels_before_training(
     X1, y1, X2, y2 = _fleet_data(name)
     if labels is not None:
         y2 = y2.copy()
-        y2[-1] = labels  # a D2 label: only the complete run would read it
+        y2[-1] = labels  # a D2 label, which only a complete run trains on
     calls, sgd = [], training._sgd
     monkeypatch.setattr(training, "_sgd", lambda *args: calls.append(args) or sgd(*args))
     spec = RetrainSpec(mode=spec_mode, replicas=2)
