@@ -132,19 +132,29 @@ def interval_forward(im: IntervalModel, x) -> tuple[np.ndarray, np.ndarray]:
     return interval_bounds(im, x, x)[-1]
 
 
-def dominant_class(lo: np.ndarray, hi: np.ndarray) -> int | None:
+def dominant_class(lo: np.ndarray, hi: np.ndarray) -> int | None | np.ndarray:
     """The class every logit vector in the box [lo, hi] is assigned, else
     None.  One logit: class 1 when the whole interval is >= 0, class 0 when
     it is < 0.  Several logits: the class c (1-based) whose lower bound
     reaches every other upper bound, strictly for lower classes, since ties
     go to the lowest class index as in point classification; at most one
-    class can."""
-    if lo.size == 1:
-        return 1 if lo[0] >= 0.0 else 0 if hi[0] < 0.0 else None
-    for i in range(lo.size):
-        if lo[i] > hi[:i].max(initial=-np.inf) and lo[i] >= hi[i + 1 :].max(initial=-np.inf):
-            return i + 1
-    return None
+    class can.  A (k, l) stack of boxes, one per row, gives the k classes as
+    an int array, -1 where the class is undefined."""
+    rows_lo, rows_hi = np.atleast_2d(lo, hi)
+    if rows_lo.shape[1] == 1:
+        cls = np.where(rows_lo[:, 0] >= 0.0, 1, np.where(rows_hi[:, 0] < 0.0, 0, -1))
+    else:
+        # Class i + 1 wins when its lower bound passes every upper bound
+        # before it and reaches every one after it.
+        before = np.maximum.accumulate(rows_hi, axis=1)  # column i: max of hi[:i + 1]
+        after = np.maximum.accumulate(rows_hi[:, ::-1], axis=1)[:, ::-1]  # max of hi[i:]
+        wins = np.ones(rows_lo.shape, dtype=bool)
+        wins[:, 1:] = rows_lo[:, 1:] > before[:, :-1]
+        wins[:, :-1] &= rows_lo[:, :-1] >= after[:, 1:]
+        cls = np.where(wins.any(axis=1), wins.argmax(axis=1) + 1, -1)
+    if np.ndim(lo) == 2:
+        return cls
+    return None if cls[0] < 0 else int(cls[0])
 
 
 def sigmoid(z):

@@ -7,11 +7,13 @@ honoured, which is how the encoders presolve stably active/inactive ReLUs.
 A node whose relaxation hits the simplex iteration limit ends the search with
 status ``iteration_limit``.
 
-The root relaxation is solved cold.  Every child only fixes one more
-binary, so it is re-solved from its parent's optimal tableau
+The root relaxation is the problem's own LP, solved cold, so it starts
+from the standard form the LP keeps (shared by the problems
+``MilpProblem.with_objective`` makes of it).  Every child only fixes one
+more binary, so it is re-solved from its parent's optimal tableau
 (``simplex_solve(..., warm=parent)``): each stack entry carries its parent's
-result.  A node's LP is the root's with other bounds
-(``LinearProgram.with_bounds``), so its rows are validated once per tree.
+result.  A child's LP is the root's with other bounds
+(``LinearProgram.with_bounds``), so its rows are never validated again.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def branch_and_bound(milp: MilpProblem, node_limit: int = DEFAULT_NODE_LIMIT) ->
             break
         lo, hi, parent = stack.pop()
         nodes += 1
-        res = simplex_solve(lp.with_bounds(lo, hi), warm=parent)
+        res = simplex_solve(lp if parent is None else lp.with_bounds(lo, hi), warm=parent)
         if res.status == "infeasible":
             continue
         if res.status == "iteration_limit":

@@ -112,9 +112,10 @@ def _layer_rows(num_vars, v, prev, up, low, xi=None, pre=None):
 def _milp(c, blocks, lo, hi, sense, binaries_of) -> MilpProblem:
     empty = np.empty((0, c.size)), np.empty(0, dtype=np.int64), np.empty(0)
     A, rel, rhs = (np.concatenate(part) for part in zip(empty, *blocks))
-    lp = LinearProgram(c=c, A=A, rel=rel, rhs=rhs, lo=lo, hi=hi, sense=sense)
+    # The rows, bounds and binaries are valid as built: skip the checks.
+    lp = LinearProgram._built(c, A, rel, rhs, lo, hi, sense)
     binaries = np.concatenate(binaries_of) if binaries_of else np.empty(0, dtype=np.int64)
-    return MilpProblem(lp=lp, binary_idx=binaries)
+    return MilpProblem._built(lp, binaries)
 
 
 def encode_output_bound(
@@ -123,8 +124,17 @@ def encode_output_bound(
     delta: float,
     output_index: int = 0,
     direction: str = "min",
+    *,
+    im: IntervalModel | None = None,
 ) -> EncodedProblem:
-    """Bound one output logit of the delta-widened model at a fixed input."""
+    """Bound one output logit of the delta-widened model at a fixed input.
+
+    ``im`` is the model's interval abstraction at ``delta``
+    (``abstract(model, ShiftSet(p, delta))``, the same box for every p),
+    when the caller has it already.  The rows and bounds do not depend on
+    the logit or the direction: another side of the same verdict is
+    ``problem.with_objective`` with 1.0 on another of ``var_index["out"]``,
+    and ``pre[-1]`` is every logit's interval-arithmetic enclosure."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     if direction not in ("min", "max"):
@@ -134,7 +144,8 @@ def encode_output_bound(
     if not 0 <= output_index < out_size:
         raise ValueError(f"output index {output_index} out of range for {out_size} outputs")
 
-    im = abstract(model, ShiftSet("inf", delta))
+    if im is None:
+        im = abstract(model, ShiftSet("inf", delta))
     pre = interval_bounds(im, x, x)
     layer_vars, xi_idx, lo, hi = _layout(im, pre, head=0, first=1)
     box = layer_vars[0]

@@ -18,7 +18,9 @@ EQ = 2
 class LinearProgram:
     """Dense LP: objective, constraint rows with relations, variable bounds.
 
-    Bounds may be +/-inf but not NaN; coefficients must be finite.
+    Bounds may be +/-inf but not NaN; coefficients must be finite.  LPs
+    made from one another (``with_bounds``, ``with_objective``) share
+    arrays, so none is changed in place.
     """
 
     c: np.ndarray
@@ -28,6 +30,9 @@ class LinearProgram:
     lo: np.ndarray
     hi: np.ndarray
     sense: str = "min"
+    # The objective-free standard form of the rows and bounds, which the
+    # first cold solve builds (``simplex``); ``with_objective`` shares it.
+    _standard: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=np.float64).reshape(-1)
@@ -44,8 +49,17 @@ class LinearProgram:
             raise ValueError("LP coefficients must be finite")
         if not np.all(np.isfinite(self.rhs)):
             raise ValueError("LP right-hand sides must be finite")
-        if self.sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
+        _check_sense(self.sense)
+
+    @classmethod
+    def _built(cls, c, A, rel, rhs, lo, hi, sense) -> LinearProgram:
+        """An LP from arrays that already have the dtypes and shapes the
+        checks give them, without the checks: an encoder's rows are valid as
+        it builds them."""
+        lp = cls.__new__(cls)
+        lp.c, lp.A, lp.rel, lp.rhs, lp.lo, lp.hi, lp.sense = c, A, rel, rhs, lo, hi, sense
+        lp._standard = None
+        return lp
 
     @property
     def num_vars(self) -> int:
@@ -56,7 +70,27 @@ class LinearProgram:
         ``rel`` and ``rhs``, which are not validated again."""
         lp = copy.copy(self)
         lp.lo, lp.hi = _bounds(lo, hi, self.num_vars)
+        lp._standard = None
         return lp
+
+    def with_objective(self, c, sense: str) -> LinearProgram:
+        """The same LP under another objective and sense.  It shares ``A``,
+        ``rel``, ``rhs``, ``lo`` and ``hi``, which are not validated again,
+        and the standard form a cold solve has built of them."""
+        c = np.asarray(c, dtype=np.float64).reshape(-1)
+        if c.size != self.num_vars:
+            raise ValueError("objective size disagrees with variable count")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("LP coefficients must be finite")
+        _check_sense(sense)
+        lp = copy.copy(self)
+        lp.c, lp.sense = c, sense
+        return lp
+
+
+def _check_sense(sense: str) -> None:
+    if sense not in ("min", "max"):
+        raise ValueError("sense must be 'min' or 'max'")
 
 
 def _bounds(lo, hi, n: int):
@@ -89,6 +123,21 @@ class MilpProblem:
             box = np.concatenate([self.lp.lo[self.binary_idx], self.lp.hi[self.binary_idx]])
             if not np.all((box == 0.0) | (box == 1.0)):
                 raise ValueError("binary bounds must each be 0 or 1")
+
+    @classmethod
+    def _built(cls, lp: LinearProgram, binary_idx: np.ndarray) -> MilpProblem:
+        """A problem from an int64 index array of distinct binaries whose
+        bounds are each 0 or 1, without the checks."""
+        milp = cls.__new__(cls)
+        milp.lp, milp.binary_idx = lp, binary_idx
+        return milp
+
+    def with_objective(self, c, sense: str) -> MilpProblem:
+        """The same problem under another objective and sense
+        (``LinearProgram.with_objective``)."""
+        milp = copy.copy(self)
+        milp.lp = self.lp.with_objective(c, sense)
+        return milp
 
 
 @dataclass

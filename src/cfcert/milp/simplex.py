@@ -21,7 +21,10 @@ feasible basis with no artificial variable.  The true costs are then priced
 out on that basis for the primal loop.  A variable with finite ``lo == hi``
 (a stable ReLU binary, a branch-and-bound fixing) is substituted out: it
 gets no column and no row, its value moves into the right-hand side, and it
-is returned as given, bit for bit.
+is returned as given, bit for bit.  All of this but the two cost rows
+depends only on the rows and the bounds, so it is built once per LP and
+kept on it; an LP that ``LinearProgram.with_objective`` makes of it starts
+each cold solve from a copy of the same tableau.
 
 **Warm start.**  An optimal result keeps its final tableau, basis and
 column map (``SolveResult._tableau``).  ``simplex_solve(child, warm=parent)``
@@ -89,11 +92,28 @@ class _Tableau(NamedTuple):
     hi: np.ndarray
 
 
+class _Standard(NamedTuple):
+    """The objective-free start of every cold solve of an LP's rows and
+    bounds: the tableau over a zero cost row and its slack basis, the column
+    map, and each y column's x and sign, which price an objective on it."""
+
+    tab: np.ndarray
+    basis: np.ndarray
+    kinds: np.ndarray
+    consts: np.ndarray
+    cols: np.ndarray
+    slack: np.ndarray
+    src: np.ndarray
+    sgn: np.ndarray
+
+
 def _standardise(lp: LinearProgram):
-    """Rewrite the LP as min c.y, A y (rel) b, y >= 0 plus bound rows.
+    """Rewrite the LP's rows and bounds as A y (rel) b, y >= 0 plus bound
+    rows; the objective becomes ``_cost(lp, src, sgn)``.
 
     ``cols`` maps each x to its y column (FREE takes two, FIXED none);
-    ``boxed`` lists the owners of the bound rows ``y <= hi - lo``, in order.
+    ``boxed`` lists the owners of the bound rows ``y <= hi - lo``, in order;
+    ``src`` is the x of each y column and ``sgn`` its coefficient in x.
     """
     lo, hi = lp.lo, lp.hi
     if (lo > hi).any():
@@ -117,18 +137,19 @@ def _standardise(lp: LinearProgram):
     A = np.zeros((m0 + boxed.size, ny))
     np.multiply(lp.A[:, src], sgn, out=A[:m0])
     A[m0 + np.arange(boxed.size), cols[boxed]] = 1.0
-    c = (1.0 if lp.sense == "min" else -1.0) * sgn * lp.c[src]
     b = np.concatenate([lp.rhs - lp.A @ consts, hi[boxed] - lo[boxed]])
     rel = np.concatenate([lp.rel, np.full(boxed.size, LE)])
-    return A, b, rel, c, kinds, consts, cols, boxed
+    return A, b, rel, kinds, consts, cols, boxed, src, sgn
 
 
-def _cold_tableau(A, b, rel, c):
-    """[A | I | b] over max(c, 0) with every row as LE and its slack basic.
+def _cost(lp: LinearProgram, src, sgn):
+    """The LP's objective over the y columns, as a minimisation."""
+    return (1.0 if lp.sense == "min" else -1.0) * sgn * lp.c[src]
 
-    Returns the tableau, its basis and the true cost row to install once
-    the dual loop has made the basis feasible.
-    """
+
+def _cold_tableau(A, b, rel):
+    """[A | I | b] over a zero cost row, with every row as LE and its slack
+    basic."""
     eq = rel == EQ
     sign = np.where(rel == GE, -1.0, 1.0)
     A = np.vstack([sign[:, None] * A, -A[eq]])
@@ -139,10 +160,23 @@ def _cold_tableau(A, b, rel, c):
     basis = n + np.arange(m)
     tab[np.arange(m), basis] = 1.0
     tab[:m, -1] = b
-    tab[m, :n] = np.maximum(c, 0.0)
-    cost = np.zeros(n + m + 1)
-    cost[:n] = c
-    return tab, basis, cost
+    return tab, basis
+
+
+def _standard_form(lp: LinearProgram) -> _Standard | None:
+    """The LP's ``_Standard``, built by its first cold solve and kept on it;
+    None when its box is empty."""
+    if lp._standard is None:
+        std = _standardise(lp)
+        if std is None:
+            return None
+        A, b, rel, kinds, consts, cols, boxed, src, sgn = std
+        tab, basis = _cold_tableau(A, b, rel)
+        # Row r's slack is column n + r; EQ rows' negated copies come last.
+        slack = np.full(lp.num_vars, -1, dtype=np.int64)
+        slack[boxed] = A.shape[1] + lp.A.shape[0] + np.arange(boxed.size)
+        lp._standard = _Standard(tab, basis, kinds, consts, cols, slack, src, sgn)
+    return lp._standard
 
 
 def simplex_solve(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
@@ -154,15 +188,20 @@ def simplex_solve(lp: LinearProgram, warm: SolveResult | None = None) -> SolveRe
     """
     if warm is not None:
         return _resolve(lp, warm)
-    std = _standardise(lp)
-    if std is None:
+    form = _standard_form(lp)
+    if form is None:
         return SolveResult(status="infeasible")
-    A, b, rel, c, kinds, consts, cols, boxed = std
-    tab, basis, cost = _cold_tableau(A, b, rel, c)
-    # Row r's slack is column n + r; EQ rows' negated copies come last.
-    slack = np.full(lp.num_vars, -1, dtype=np.int64)
-    slack[boxed] = A.shape[1] + lp.A.shape[0] + np.arange(boxed.size)
-    start = _Tableau(tab, basis, kinds, consts, cols, slack, lp.lo.copy(), lp.hi.copy())
+    # The cost row over max(c, 0) makes the slack basis dual feasible; the
+    # true costs replace it once the dual loop has made the basis feasible.
+    c = _cost(lp, form.src, form.sgn)
+    tab = form.tab.copy()
+    tab[-1, : c.size] = np.maximum(c, 0.0)
+    cost = np.zeros(tab.shape[1])
+    cost[: c.size] = c
+    start = _Tableau(
+        tab, form.basis.copy(), form.kinds, form.consts, form.cols, form.slack,
+        lp.lo.copy(), lp.hi.copy(),
+    )
     return _optimise(lp, start, cost)
 
 

@@ -137,6 +137,18 @@ def _exact(model: ParametricModel) -> bool:
     return len(affine_layers(model)) == 1
 
 
+def _side_problems(enc, sides):
+    """The MILP of each side, made when the loop reaches it: the encoded
+    problem for the first side, then that problem with each further side's
+    objective, which shares the standard form the first side's solve built."""
+    yield enc.problem
+    out = enc.var_index["out"]
+    for index, direction, _ in sides[1:]:
+        c = np.zeros(enc.problem.lp.num_vars)
+        c[out[index]] = 1.0
+        yield enc.problem.with_objective(c, direction)
+
+
 def _certify(
     model: ParametricModel, shift: ShiftSet, x, target: int, node_limit: int
 ) -> RobustnessVerdict:
@@ -150,6 +162,13 @@ def _certify(
     its solve found no optimum or its endpoint fails :func:`_enclosed`.  A model
     without hidden layers needs no solver: its enclosure is exact, so it is
     the certified endpoint of every side.
+    Every side is the same MILP over the one enclosure with another
+    objective, so a verdict abstracts the model once, encodes it once (the
+    enclosure is the encoding's ``pre[-1]``) and builds one standard form;
+    each further side adds only its objective
+    (``MilpProblem.with_objective``).  Every side still solves from the
+    tableau a problem of its own would start from, so the bounds and node
+    counts equal :func:`logit_bound`'s bit for bit.
     The verdict is robust when every side is resolved and the certified
     box assigns the target (:func:`dominant_class`).
     """
@@ -159,25 +178,32 @@ def _certify(
         t0 = target - 1
         sides = [(t0, "min", target)]
         sides += [(j, "max", j + 1) for j in range(model.num_outputs) if j != t0]
-    ia_lo, ia_hi = interval_forward(abstract(model, shift), x)
-    exact = _exact(model)
-    point = None if exact else forward(model, x)
+    im = abstract(model, shift)
     bounds: dict[int, tuple[float, float]] = {}
     nodes = 0
     unresolved = False
-    for index, direction, label in sides:
-        lo, hi = float(ia_lo[index]), float(ia_hi[index])
-        if not exact:
-            value, n, u = logit_bound(model, shift, x, index, direction, node_limit)
-            nodes += n
-            value = None if u else _enclosed(value, direction, lo, hi, float(point[index]))
+    if _exact(model):
+        ia_lo, ia_hi = interval_forward(im, x)
+        for index, _, label in sides:
+            bounds[label] = (float(ia_lo[index]), float(ia_hi[index]))
+    else:
+        index, direction, _ = sides[0]
+        enc = encode_output_bound(model, x, shift.delta, index, direction, im=im)
+        (ia_lo, ia_hi), point = enc.pre[-1], forward(model, x)
+        for (index, direction, label), problem in zip(sides, _side_problems(enc, sides)):
+            lo, hi = float(ia_lo[index]), float(ia_hi[index])
+            res = branch_and_bound(problem, node_limit=node_limit)
+            nodes += res.nodes
+            value = None
+            if res.optimal:
+                value = _enclosed(res.objective, direction, lo, hi, float(point[index]))
             if value is None:
                 unresolved = True
             elif direction == "min":
                 lo = value
             else:
                 hi = value
-        bounds[label] = (lo, hi)
+            bounds[label] = (lo, hi)
     lo, hi = (np.array(side) for side in zip(*(bounds[k] for k in sorted(bounds))))
     robust = not unresolved and dominant_class(lo, hi) == target
     return RobustnessVerdict(
@@ -267,11 +293,10 @@ def robust_flags(
     rows = np.flatnonzero(flags)
     lo, hi = interval_bounds(abstract(model, shift), X[rows], X[rows])[-1]
     exact = _exact(model)
-    for i, row_lo, row_hi in zip(rows, lo, hi):
-        if dominant_class(row_lo, row_hi) != target:
-            flags[i] = not exact and is_delta_robust(
-                model, shift, X[i], target=target, node_limit=node_limit
-            ).robust
+    for i in rows[dominant_class(lo, hi) != target]:
+        flags[i] = not exact and is_delta_robust(
+            model, shift, X[i], target=target, node_limit=node_limit
+        ).robust
     return flags.tolist()
 
 

@@ -12,7 +12,7 @@ import pytest
 import reference_encode
 from cfcert.milp import simplex_solve
 from cfcert.milp.problem import GE, LE, LinearProgram
-from cfcert.models import Layer, LogisticModel, ReluNetwork, flatten, unflatten
+from cfcert.models import Layer, LogisticModel, ReluNetwork, affine_layers, flatten, unflatten
 
 
 @pytest.fixture
@@ -60,10 +60,7 @@ def sample_shifted_logits(model, x, delta, n_samples, rng):
     """Logits of n_samples models with every parameter shifted within
     +/- delta (the inf-ball), evaluated batch-wise per layer."""
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(model, LogisticModel):
-        layers = [(model.weights.reshape(1, -1), None if model.bias is None else np.array([model.bias]))]
-    else:
-        layers = [(l.weights, l.bias) for l in model.layers]
+    layers = affine_layers(model)
     V = np.broadcast_to(x, (n_samples, x.size)).copy()
     for i, (w, b) in enumerate(layers):
         W = w + rng.uniform(-delta, delta, (n_samples,) + w.shape)

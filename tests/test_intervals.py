@@ -162,6 +162,33 @@ def test_verdict_trichotomy(multi_net):
             assert lo[label - 1] >= others.max()
 
 
+def _loop_dominant_class(lo, hi):
+    """``dominant_class`` of one box as a loop over the classes."""
+    if lo.size == 1:
+        return 1 if lo[0] >= 0.0 else 0 if hi[0] < 0.0 else None
+    for i in range(lo.size):
+        if lo[i] > hi[:i].max(initial=-np.inf) and lo[i] >= hi[i + 1 :].max(initial=-np.inf):
+            return i + 1
+    return None
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_dominant_class_of_a_stack_equals_its_rows(width):
+    # Endpoints on a coarse grid, so ties between classes are common; some
+    # boxes are points and some hold a NaN.
+    rng = np.random.default_rng(50 + width)
+    ends = rng.integers(-3, 4, (2000, 2, width)) / 2.0
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    lo[::4] = hi[::4]
+    lo[1::50, rng.integers(width)] = np.nan
+    want = [_loop_dominant_class(row_lo, row_hi) for row_lo, row_hi in zip(lo, hi)]
+    assert [dominant_class(row_lo, row_hi) for row_lo, row_hi in zip(lo, hi)] == want
+    got = dominant_class(lo, hi)
+    assert got.shape == (2000,) and got.tolist() == [-1 if c is None else c for c in want]
+    assert {-1, 1}.issubset(got.tolist()) and len(set(got.tolist())) > 2
+    assert dominant_class(lo[:0], hi[:0]).shape == (0,)
+
+
 def _same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 

@@ -359,8 +359,8 @@ class TestSimplex:
         shapes = []
         cold_tableau = simplex._cold_tableau
 
-        def spy(A, b, rel, c):
-            out = cold_tableau(A, b, rel, c)
+        def spy(A, b, rel):
+            out = cold_tableau(A, b, rel)
             shapes.append(out[0].shape)
             return out
 
@@ -440,7 +440,7 @@ class TestSimplex:
         assert res.objective == pytest.approx(2.0 * third - tenth)
 
     def test_standard_form_matches_the_per_variable_loop(self):
-        from cfcert.milp.simplex import _standardise
+        from cfcert.milp.simplex import _cost, _standardise
 
         rng = np.random.default_rng(17)
         lps = [_random_lp(rng) for _ in range(300)]
@@ -455,6 +455,8 @@ class TestSimplex:
             if want is None:
                 assert got is None
                 continue
+            A, b, rel, kinds, consts, cols, boxed, src, sgn = got
+            got = A, b, rel, _cost(lp, src, sgn), kinds, consts, cols, boxed
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -545,6 +547,48 @@ class TestBranchAndBound:
         assert tight.sense == "max" and list(tight.hi) == [1.0, 0.5] and list(lp.hi) == [1.0, 1.0]
         with pytest.raises(ValueError):
             lp.with_bounds([0], [1])
+
+    def test_with_objective_shares_the_rows_and_the_standard_form(self):
+        from cfcert.milp.simplex import _standard_form
+
+        lp = _lp([1.0, 2.0], [[1, 1]], [LE], [1.0], [0, 0], [1, 1], "max")
+        assert simplex_solve(lp).objective == pytest.approx(2.0)
+        form = lp._standard
+        assert form is not None and _standard_form(lp) is form
+        other = lp.with_objective([1.0, -1.0], "min")
+        for name in ("A", "rel", "rhs", "lo", "hi", "_standard"):
+            assert getattr(other, name) is getattr(lp, name)
+        assert list(other.c) == [1.0, -1.0] and other.sense == "min" and list(lp.c) == [1.0, 2.0]
+        assert simplex_solve(other).objective == pytest.approx(-1.0)
+        assert lp.with_bounds([0, 0], [1, 0.5])._standard is None
+        for c, sense in (([1.0], "min"), ([1.0, np.inf], "min"), ([1.0, 1.0], "maximise")):
+            with pytest.raises(ValueError):
+                lp.with_objective(c, sense)
+        milp = MilpProblem(lp=lp, binary_idx=[1])
+        side = milp.with_objective([0.0, 1.0], "min")
+        assert side.binary_idx is milp.binary_idx and side.lp.A is lp.A
+        assert branch_and_bound(side).objective == pytest.approx(0.0)
+
+    def test_encoded_problems_are_what_the_checked_constructors_make(self):
+        # The encoders skip the checks; their arrays already pass them and
+        # already have the dtypes and shapes the checks would give.
+        rng = np.random.default_rng(23)
+        for hidden, n_out in (([], 1), ([4], 1), ([4, 4], 3)):
+            net = random_network(rng, n_in=3, hidden=hidden, n_out=n_out)
+            x = rng.uniform(0, 1, 3)
+            for enc in (
+                encode_output_bound(net, x, 0.05, n_out - 1, "max"),
+                encode_nearest_ce(net, x, target=n_out, margin=0.05),
+            ):
+                built = enc.problem
+                names = ("c", "A", "rel", "rhs", "lo", "hi")
+                lp = _lp(*(getattr(built.lp, name) for name in names), built.lp.sense)
+                checked = MilpProblem(lp=lp, binary_idx=built.binary_idx)
+                for name in names:
+                    a, b = getattr(built.lp, name), getattr(checked.lp, name)
+                    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert built.binary_idx.dtype == checked.binary_idx.dtype == np.int64
+                assert built.lp.sense == checked.lp.sense and built.lp._standard is None
 
     def test_nan_bounds_are_rejected(self):
         # A NaN bound used to read as no bound: min -x, x <= 5 over [0, nan] gave x = 5.
