@@ -156,6 +156,13 @@ def cmd_verify(args) -> int:
     ]
     verdicts = pmap(_verify_job, jobs, args.workers)
     _write_jsonl(args.out, verdicts)
+    unresolved = sum(v.unresolved for v in verdicts)
+    if unresolved:
+        print(
+            f"warning: {unresolved} of {len(verdicts)} verdicts unresolved (no certified"
+            f" optimum within --node-limit {args.node_limit}); they read not robust",
+            file=sys.stderr,
+        )
     return 0 if all(v.robust for v in verdicts) else 1
 
 

@@ -9,11 +9,11 @@ status ``iteration_limit``.
 
 The root relaxation is the problem's own LP, solved cold, so it starts
 from the standard form the LP keeps (shared by the problems
-``MilpProblem.with_objective`` makes of it).  Every child only fixes one
-more binary, so it is re-solved from its parent's optimal tableau
-(``simplex_solve(..., warm=parent)``): each stack entry carries its parent's
-result.  A child's LP is the root's with other bounds
-(``LinearProgram.with_bounds``), so its rows are never validated again.
+``MilpProblem.with_objective`` makes of it).  Every child fixes one more
+binary, so each stack entry is ``(parent result, j, value)`` and the child
+is the root LP re-solved from its parent's optimal tableau with x_j fixed at
+``value`` (``simplex_solve(lp, warm=...)``): no child LP is made and no
+bound array copied.
 """
 
 from __future__ import annotations
@@ -41,14 +41,13 @@ def branch_and_bound(milp: MilpProblem, node_limit: int = DEFAULT_NODE_LIMIT) ->
     nodes = 0
     hit_limit = False
 
-    stack = [(lp.lo.copy(), lp.hi.copy(), None)]
+    stack = [None]  # the root, then (parent result, j, value) per child
     while stack:
         if nodes >= node_limit:
             hit_limit = True
             break
-        lo, hi, parent = stack.pop()
         nodes += 1
-        res = simplex_solve(lp if parent is None else lp.with_bounds(lo, hi), warm=parent)
+        res = simplex_solve(lp, warm=stack.pop())
         if res.status == "infeasible":
             continue
         if res.status == "iteration_limit":
@@ -67,17 +66,9 @@ def branch_and_bound(milp: MilpProblem, node_limit: int = DEFAULT_NODE_LIMIT) ->
             best_x = res.x
             continue
         j = binaries[int(np.argmax(frac))]
-        value = res.x[j]
-        lo0, hi0 = lo.copy(), hi.copy()
-        lo0[j] = hi0[j] = 0.0
-        lo1, hi1 = lo.copy(), hi.copy()
-        lo1[j] = hi1[j] = 1.0
-        if value >= 0.5:
-            stack.append((lo0, hi0, res))
-            stack.append((lo1, hi1, res))  # explored first
-        else:
-            stack.append((lo1, hi1, res))
-            stack.append((lo0, hi0, res))
+        first = 1.0 if res.x[j] >= 0.5 else 0.0  # the rounded value, explored first
+        stack.append((res, j, 1.0 - first))
+        stack.append((res, j, first))
 
     if best_x is None:
         if hit_limit:

@@ -19,8 +19,8 @@ class LinearProgram:
     """Dense LP: objective, constraint rows with relations, variable bounds.
 
     Bounds may be +/-inf but not NaN; coefficients must be finite.  LPs
-    made from one another (``with_bounds``, ``with_objective``) share
-    arrays, so none is changed in place.
+    made from one another (``with_objective``) share arrays, so none is
+    changed in place.
     """
 
     c: np.ndarray
@@ -64,14 +64,6 @@ class LinearProgram:
     @property
     def num_vars(self) -> int:
         return self.c.size
-
-    def with_bounds(self, lo, hi) -> LinearProgram:
-        """The same LP over other variable bounds.  It shares ``c``, ``A``,
-        ``rel`` and ``rhs``, which are not validated again."""
-        lp = copy.copy(self)
-        lp.lo, lp.hi = _bounds(lo, hi, self.num_vars)
-        lp._standard = None
-        return lp
 
     def with_objective(self, c, sense: str) -> LinearProgram:
         """The same LP under another objective and sense.  It shares ``A``,
@@ -118,8 +110,8 @@ class MilpProblem:
                 raise ValueError("binary index out of range")
             if np.unique(self.binary_idx).size != self.binary_idx.size:
                 raise ValueError("binary indices must be distinct")
-            # Branch and bound fixes a binary by moving its bounds to 0 or 1,
-            # which a warm start can do only from 0 or 1.
+            # Branch and bound fixes a binary at 0 or 1, which a warm start
+            # can do only in the box [0, 1].
             box = np.concatenate([self.lp.lo[self.binary_idx], self.lp.hi[self.binary_idx]])
             if not np.all((box == 0.0) | (box == 1.0)):
                 raise ValueError("binary bounds must each be 0 or 1")
@@ -146,9 +138,9 @@ class SolveResult:
     objective: float | None = None
     x: np.ndarray | None = None
     nodes: int = 0
-    # The final tableau of an optimal simplex solve.  A child LP with tighter
-    # bounds re-solves from a copy of it with only its right-hand sides
-    # moved (``simplex_solve(child, warm=result)``).
+    # The final tableau of an optimal simplex solve.  A branch-and-bound
+    # child, one more binary fixed, re-solves from a copy of it with only its
+    # right-hand sides moved (``simplex_solve(lp, warm=(result, j, value))``).
     _tableau: object = field(default=None, repr=False, compare=False)
 
     @property

@@ -19,27 +19,29 @@ whatever the signs of ``b`` (the cost-modification dual phase 1 of
 Koberstein, *The dual simplex method*, 2005), so the dual loop finds a
 feasible basis with no artificial variable.  The true costs are then priced
 out on that basis for the primal loop.  A variable with finite ``lo == hi``
-(a stable ReLU binary, a branch-and-bound fixing) is substituted out: it
-gets no column and no row, its value moves into the right-hand side, and it
-is returned as given, bit for bit.  All of this but the two cost rows
-depends only on the rows and the bounds, so it is built once per LP and
-kept on it; an LP that ``LinearProgram.with_objective`` makes of it starts
-each cold solve from a copy of the same tableau.
+(a stable ReLU binary) is substituted out: it gets no column and no row, its
+value moves into the right-hand side, and it is returned as given, bit for
+bit.  All of this but the two cost rows depends only on the rows and the
+bounds, so it is built once per LP and kept on it; an LP that
+``LinearProgram.with_objective`` makes of it starts each cold solve from a
+copy of the same tableau.
 
 **Warm start.**  An optimal result keeps its final tableau, basis and
-column map (``SolveResult._tableau``).  ``simplex_solve(child, warm=parent)``
-re-solves an LP that differs from the parent's only by tighter bounds, as a
-branch-and-bound child does.  A tighter bound is a new right-hand side, not
-a new row (Koberstein, 2005): raising ``lo`` by ``d`` under ``x = lo + y``
-substitutes ``y = d + y'``, which moves the right-hand-side column by ``-d``
-times y's column, and so does lowering ``hi`` under ``x = hi - y``; lowering
-``hi`` of a boxed ``x = lo + y`` moves it by ``-d`` times the slack column of
-x's bound row.  The reduced costs and the basis do not change, so the moved
-tableau keeps the parent's shape and stays dual feasible.  The primal loop
-has work only if the dual loop had to perturb the costs to leave a
-degenerate face.  Only finite bounds can move: a warm start that makes an
-infinite bound finite raises ``ValueError``.  The parent's tableau, basis
-and constants are copied, never changed.
+column map (``SolveResult._tableau``).  A branch-and-bound child is its
+parent with one more binary fixed, so ``simplex_solve(lp, warm=(parent, j,
+value))`` fixes x_j, free in its root box [0, 1], at 0 or 1 in a copy of
+the parent's tableau.  The fixing is a new right-hand side, not a new row
+(Koberstein, 2005): fixing at 1 substitutes ``y = 1 + y'`` in ``x = y``,
+which moves the right-hand-side column by minus y's column; fixing at 0
+makes x's bound row ``y + s = 1`` read ``y + s' = 0``, which moves it by
+minus the slack's column.  Either way the row left forces the column to 0,
+and x_j is then read back as ``value`` exactly.  The reduced costs and the
+basis do not change, so the moved tableau keeps the parent's shape and
+stays dual feasible.  The primal loop has work only if the dual loop had to
+perturb the costs to leave a degenerate face.  Anything else (a parent that
+is not optimal, a variable fixed already or not boxed in [0, 1], a value
+other than 0 or 1) raises ``ValueError``.  The parent's tableau, basis and
+constants are copied, never changed.
 """
 
 from __future__ import annotations
@@ -73,14 +75,16 @@ _STATUS = {
 _SHIFT_LO = 0  # x = lo + y
 _SHIFT_HI = 1  # x = hi - y
 _FREE = 2  # x = y_pos - y_neg
-_FIXED = 3  # x = lo = hi, no column
+_FIXED = 3  # x = lo = hi; a warm start's fixing keeps its column
 # Per kind: how many y columns x takes, and the coefficient of the first in x.
 _WIDTH = np.array([1, 1, 2, 0])
 _SIGN = np.array([1.0, -1.0, 1.0, 0.0])
 
 
 class _Tableau(NamedTuple):
-    """A tableau and the column map that reads x off it."""
+    """A tableau and the column map that reads x off it.  An LP's standard
+    form, the start of its every cold solve, is one over a zero cost row and
+    its slack basis; ``src`` and ``sgn`` price an objective on it."""
 
     tab: np.ndarray  # (m+1) x (n+1): [B^-1 A | B^-1 b] over reduced costs
     basis: np.ndarray
@@ -88,23 +92,8 @@ class _Tableau(NamedTuple):
     consts: np.ndarray
     cols: np.ndarray
     slack: np.ndarray  # slack column of x's bound row, -1 if x has none
-    lo: np.ndarray  # the bounds the tableau is for
-    hi: np.ndarray
-
-
-class _Standard(NamedTuple):
-    """The objective-free start of every cold solve of an LP's rows and
-    bounds: the tableau over a zero cost row and its slack basis, the column
-    map, and each y column's x and sign, which price an objective on it."""
-
-    tab: np.ndarray
-    basis: np.ndarray
-    kinds: np.ndarray
-    consts: np.ndarray
-    cols: np.ndarray
-    slack: np.ndarray
-    src: np.ndarray
-    sgn: np.ndarray
+    src: np.ndarray  # the x of each y column
+    sgn: np.ndarray  # its coefficient in x
 
 
 def _standardise(lp: LinearProgram):
@@ -163,8 +152,8 @@ def _cold_tableau(A, b, rel):
     return tab, basis
 
 
-def _standard_form(lp: LinearProgram) -> _Standard | None:
-    """The LP's ``_Standard``, built by its first cold solve and kept on it;
+def _standard_form(lp: LinearProgram) -> _Tableau | None:
+    """The LP's standard form, built by its first cold solve and kept on it;
     None when its box is empty."""
     if lp._standard is None:
         std = _standardise(lp)
@@ -175,19 +164,19 @@ def _standard_form(lp: LinearProgram) -> _Standard | None:
         # Row r's slack is column n + r; EQ rows' negated copies come last.
         slack = np.full(lp.num_vars, -1, dtype=np.int64)
         slack[boxed] = A.shape[1] + lp.A.shape[0] + np.arange(boxed.size)
-        lp._standard = _Standard(tab, basis, kinds, consts, cols, slack, src, sgn)
+        lp._standard = _Tableau(tab, basis, kinds, consts, cols, slack, src, sgn)
     return lp._standard
 
 
-def simplex_solve(lp: LinearProgram, warm: SolveResult | None = None) -> SolveResult:
+def simplex_solve(lp: LinearProgram, warm: tuple | None = None) -> SolveResult:
     """Certified optimum of the LP (continuous relaxation engine).
 
-    ``warm`` is an optimal result of ``simplex_solve`` for an LP with the
-    same objective and rows whose bounds ``lp`` only tightens; ``lp`` is then
-    re-solved from that result's tableau.
+    ``warm`` is ``(parent, j, value)``: ``parent`` an optimal result of
+    ``simplex_solve`` for ``lp``, perhaps itself warm-started, and ``lp`` is
+    re-solved from its tableau with x_j fixed at ``value``.
     """
     if warm is not None:
-        return _resolve(lp, warm)
+        return _fix(lp, *warm)
     form = _standard_form(lp)
     if form is None:
         return SolveResult(status="infeasible")
@@ -198,48 +187,27 @@ def simplex_solve(lp: LinearProgram, warm: SolveResult | None = None) -> SolveRe
     tab[-1, : c.size] = np.maximum(c, 0.0)
     cost = np.zeros(tab.shape[1])
     cost[: c.size] = c
-    start = _Tableau(
-        tab, form.basis.copy(), form.kinds, form.consts, form.cols, form.slack,
-        lp.lo.copy(), lp.hi.copy(),
-    )
-    return _optimise(lp, start, cost)
+    return _optimise(lp, form._replace(tab=tab, basis=form.basis.copy()), cost)
 
 
-def _resolve(lp: LinearProgram, warm: SolveResult) -> SolveResult:
-    """Re-solve ``lp`` from the optimal tableau of ``warm``."""
-    parent = warm._tableau
-    if parent is None:
+def _fix(lp: LinearProgram, parent: SolveResult, j, value) -> SolveResult:
+    """Re-solve ``lp`` from the optimal tableau of ``parent`` with x_j fixed
+    at ``value``."""
+    start = parent._tableau
+    if start is None:
         raise ValueError("a warm start needs an optimal result of simplex_solve")
-    lo, hi = lp.lo, lp.hi
-    if np.any(lo < parent.lo) or np.any(hi > parent.hi):
-        raise ValueError("a warm-started LP may only tighten its parent's bounds")
-    if np.any(lo > hi):
-        return SolveResult(status="infeasible")
-
-    tab, consts = parent.tab.copy(), parent.consts.copy()
-
-    def move(column, d):  # the right-hand sides once a bound moves by d
-        if not np.isfinite(d):
-            raise ValueError("a warm start may only move finite bounds")
-        tab[:, -1] -= d * tab[:, column]
-
-    # A variable fixed in the parent has no column, but it cannot tighten
-    # without lo > hi.
-    for j in np.flatnonzero((lo > parent.lo) | (hi < parent.hi)).tolist():
-        if lo[j] > parent.lo[j]:  # x = lo + y
-            d = lo[j] - parent.lo[j]
-            move(parent.cols[j], d)
-            consts[j] += d
-        if hi[j] < parent.hi[j]:
-            d = parent.hi[j] - hi[j]
-            if parent.kinds[j] == _SHIFT_HI:  # x = hi - y
-                move(parent.cols[j], d)
-                consts[j] -= d
-            else:  # the bound row y + s = hi - lo of a boxed x = lo + y
-                move(parent.slack[j], d)
-    basis = parent.basis.copy()  # _optimise pivots it in place
-    start = parent._replace(tab=tab, basis=basis, consts=consts, lo=lo.copy(), hi=hi.copy())
-    return _optimise(lp, start)
+    if value not in (0.0, 1.0) or lp.lo[j] != 0.0 or lp.hi[j] != 1.0 or start.kinds[j] == _FIXED:
+        raise ValueError("a warm start fixes a variable free in [0, 1] at 0 or 1")
+    tab, consts, kinds = start.tab.copy(), start.consts, start.kinds.copy()
+    if value == 1.0:  # x = y = 1 + y'
+        tab[:, -1] -= tab[:, start.cols[j]]
+        consts = consts.copy()
+        consts[j] = 1.0
+    else:  # the bound row y + s = 1 becomes y + s' = 0
+        tab[:, -1] -= tab[:, start.slack[j]]
+    kinds[j] = _FIXED
+    basis = start.basis.copy()  # _optimise pivots it in place
+    return _optimise(lp, start._replace(tab=tab, basis=basis, kinds=kinds, consts=consts))
 
 
 def _optimise(lp: LinearProgram, start: _Tableau, cost=None) -> SolveResult:
@@ -275,9 +243,5 @@ def _extract(lp: LinearProgram, final: _Tableau) -> SolveResult:
     x[on] -= y[cols[on]]
     on = kinds == _FREE
     x[on] = y[cols[on]] - y[cols[on] + 1]
-    # A variable fixed by a warm start keeps its column; return its value
-    # exactly, as a cold solve does.
-    fixed = (lp.lo == lp.hi) & np.isfinite(lp.lo)
-    x[fixed] = lp.lo[fixed]
     obj = float(lp.c @ x)
     return SolveResult(status="optimal", objective=obj, x=x, _tableau=final)

@@ -124,8 +124,9 @@ def enumerate_pattern_bound(network, x, delta, output_index, direction):
 
 
 def cap_warm_dual_loops(monkeypatch, max_iter: int) -> None:
-    """Cap the dual simplex of every warm-started (child) LP that branch and
-    bound solves at ``max_iter`` pivots; root LPs run it uncapped."""
+    """Cap the dual simplex of every child that branch and bound re-solves
+    from its parent's tableau (``warm=(parent, j, value)``) at ``max_iter``
+    pivots; root LPs run it uncapped."""
     from cfcert.milp import branch_bound, simplex
 
     real_loop, real_solve = simplex.dual_pivot_loop, branch_bound.simplex_solve

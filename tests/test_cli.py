@@ -7,7 +7,9 @@ from cfcert.cli import main
 from cfcert.data import synth_binary
 from cfcert.generators import generate_all, resolve_method
 from cfcert.intervals import ShiftSet
-from cfcert.models import load_model
+from cfcert.models import load_model, save_model
+
+from conftest import random_network
 
 
 @pytest.fixture
@@ -140,6 +142,28 @@ def test_verify_soundness_flag(tmp_path, example_model_file, capsys):
     )
     out = json.loads(capsys.readouterr().out.strip())
     assert rc == 0 and out["strictly_robust"] is True
+
+
+def test_verify_names_unresolved_verdicts_on_stderr(tmp_path, capsys):
+    # With no node to explore, every side of a net's verdict is unresolved;
+    # stdout keeps one record per verdict and the exit code stays 1.
+    net = random_network(np.random.default_rng(0), n_in=2, hidden=[4])
+    model = tmp_path / "net.json"
+    save_model(net, model)
+    ces = _inputs_file(tmp_path, [[0.2, 0.9], [0.7, 0.3], [0.5, 0.5]])
+    args = ["verify", "--model", str(model), "--delta", "0.05", "--ces", str(ces), "--target", "1"]
+    rc = main(args + ["--node-limit", "0"])
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert rc == 1 and len(records) == 3 and all(r["unresolved"] for r in records)
+    assert captured.err.splitlines() == [
+        "warning: 3 of 3 verdicts unresolved (no certified optimum within --node-limit 0);"
+        " they read not robust"
+    ]
+    main(args)
+    captured = capsys.readouterr()
+    assert not any(json.loads(line)["unresolved"] for line in captured.out.splitlines())
+    assert captured.err == ""
 
 
 def test_explain_rnce_delta_zero_matches_nnce(tmp_path, example_model_file, capsys):

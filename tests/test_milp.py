@@ -52,6 +52,17 @@ def _random_lp(rng):
     )
 
 
+def _random_binary_lp(rng):
+    """``_random_lp`` with some variables (at least one) boxed in [0, 1], and
+    their indices."""
+    lp = _random_lp(rng)
+    free = rng.random(lp.num_vars) < 0.5
+    free[rng.integers(lp.num_vars)] = True
+    lo, hi = lp.lo.copy(), lp.hi.copy()
+    lo[free], hi[free] = 0.0, 1.0
+    return _lp(lp.c, lp.A, lp.rel, lp.rhs, lo, hi, lp.sense), np.flatnonzero(free)
+
+
 def _linprog(lp):
     """(status, objective) of an LP according to scipy's HiGHS LP solver."""
     from scipy.optimize import linprog
@@ -283,72 +294,65 @@ class TestSimplex:
                 _assert_feasible(lp, res.x)
         assert min(seen.values()) >= 20, seen  # every status is exercised
 
-    def test_warm_started_children_match_cold_solves_and_highs(self):
-        # Solve a random LP, tighten one or two finite bounds (raise lo, lower
-        # hi, or fix), re-solve from the parent's tableau, then do the same
-        # to that child: the warm result must match the cold solve and HiGHS.
+    def test_warm_fixed_binaries_match_cold_solves_and_highs(self):
+        # Solve a random LP with some variables boxed in [0, 1], fix one of
+        # them at 0 or 1 from the parent's tableau, then one more from that
+        # child's: each warm result must match the cold solve of the LP with
+        # those variables' lo == hi, and HiGHS.
         pytest.importorskip("scipy")
         rng = np.random.default_rng(13)
         seen = {name: 0 for name in HIGHS_STATUS.values()}
         for _ in range(600):
-            lp = _random_lp(rng)
-            parent = simplex_solve(lp)
-            for _level in range(2):
+            root, free = _random_binary_lp(rng)
+            parent, lo, hi = simplex_solve(root), root.lo.copy(), root.hi.copy()
+            for j in rng.permutation(free)[:2]:
                 if not parent.optimal:
                     break
-                lo, hi = lp.lo.copy(), lp.hi.copy()
-                for j in rng.choice(lp.num_vars, int(rng.integers(1, 3)), replace=False):
-                    # A far target often makes the child infeasible.
-                    t = parent.x[j] + rng.normal() * (3.0 if rng.random() < 0.3 else 0.5)
-                    side = int(rng.integers(0, 3))  # 0: lo, 1: hi, 2: both (fix)
-                    if side != 1 and np.isfinite(lo[j]):
-                        lo[j] = max(lo[j], t)
-                    if side != 0 and np.isfinite(hi[j]):
-                        hi[j] = min(hi[j], t)
-                child = _lp(lp.c, lp.A, lp.rel, lp.rhs, lo, hi, lp.sense)
+                value = float(rng.integers(0, 2))
                 kept = parent._tableau
-                before = kept.tab.copy(), kept.basis.copy(), kept.consts.copy()
-                warm = simplex_solve(child, warm=parent)
-                after = kept.tab, kept.basis, kept.consts
+                before = [a.copy() for a in (kept.tab, kept.basis, kept.kinds, kept.consts)]
+                warm = simplex_solve(root, warm=(parent, j, value))
+                after = kept.tab, kept.basis, kept.kinds, kept.consts
                 assert all(map(np.array_equal, after, before))  # not changed in place
-                cold = simplex_solve(child)
-                status, objective = _linprog(child)
+                lo[j] = hi[j] = value
+                fixed = _lp(root.c, root.A, root.rel, root.rhs, lo.copy(), hi.copy(), root.sense)
+                cold = simplex_solve(fixed)
+                status, objective = _linprog(fixed)
                 assert warm.status == cold.status == status
                 seen[status] += 1
                 if warm.optimal:
                     assert warm.objective == pytest.approx(objective, abs=1e-7)
                     assert cold.objective == pytest.approx(objective, abs=1e-7)
-                    _assert_feasible(child, warm.x)
-                    fixed = child.lo == child.hi
-                    assert np.array_equal(warm.x[fixed], child.lo[fixed])
-                lp, parent = child, warm
+                    _assert_feasible(fixed, warm.x)
+                    assert np.array_equal(warm.x[lo == hi], lo[lo == hi])  # returned exactly
+                parent = warm
         assert seen["optimal"] >= 100 and seen["infeasible"] >= 50, seen
-        assert seen["unbounded"] == 0  # tightening keeps a bounded optimum
+        assert seen["unbounded"] == 0  # fixing keeps a bounded optimum
 
-    def test_warm_start_rejects_looser_bounds(self):
-        lp = _lp([1.0, 1.0], [[1, 1]], [GE], [1.0], [0, 0], [1, 1])
-        parent = simplex_solve(lp)
-        looser = _lp([1.0, 1.0], [[1, 1]], [GE], [1.0], [0, 0], [2, 1])
-        with pytest.raises(ValueError):
-            simplex_solve(looser, warm=parent)
-        with pytest.raises(ValueError):
-            simplex_solve(lp, warm=simplex_solve(_lp([1.0], [[1.0]], [GE], [2.0], [0.0], [1.0])))
-        # Only finite bounds move: fixing a lower-only variable, tightening a
-        # free one, or raising the lower bound of an upper-only one is refused.
+    def test_warm_start_fixes_only_a_free_binary_at_zero_or_one(self):
         inf = np.inf
         lp = _lp(
-            [1.0, 1.0, -1.0], [[1, 1, 1], [0, 1, 0]], [LE, EQ], [3.0, 0.5],
-            [0, -inf, -inf], [inf, inf, 2],
+            [1.0, 1.0, -1.0, 1.0, 1.0], [[1, 1, 1, 1, 1]], [LE], [3.0],
+            [0, 0, -inf, 1, 0], [1, 2, inf, 1, 1],
         )
         parent = simplex_solve(lp)
         assert parent.optimal
-        for lo, hi in (
-            ([0.5, -inf, -inf], [0.5, inf, 2]),
-            ([0, -1, -inf], [inf, inf, 2]),
-            ([0, -inf, 1], [inf, inf, 2]),
-        ):
-            with pytest.raises(ValueError, match="finite"):
-                simplex_solve(lp.with_bounds(lo, hi), warm=parent)
+        child = simplex_solve(lp, warm=(parent, 0, 1.0))
+        assert child.optimal and child.x[0] == 1.0
+        refusals = [
+            (parent, 1, 0.0),  # boxed in [0, 2]
+            (parent, 2, 1.0),  # unbounded above
+            (parent, 3, 1.0),  # fixed in the root
+            (child, 0, 1.0),  # fixed by a warm start already
+            (child, 0, 0.0),
+        ]
+        refusals += [(parent, 4, value) for value in (0.5, -1.0, 2.0, np.nan)]
+        infeasible = simplex_solve(_lp([1.0], [[1.0]], [GE], [2.0], [0.0], [1.0]))
+        assert infeasible.status == "infeasible"
+        refusals.append((infeasible, 0, 1.0))  # not an optimal result
+        for warm in refusals:
+            with pytest.raises(ValueError):
+                simplex_solve(lp, warm=warm)
 
     @staticmethod
     def _cold_columns(monkeypatch, lp):
@@ -540,14 +544,6 @@ class TestBranchAndBound:
         assert res.optimal and res.nodes > 1
         assert not calls
 
-    def test_with_bounds_shares_the_rows(self):
-        lp = _lp([1.0, 2.0], [[1, 1]], [LE], [1.0], [0, 0], [1, 1], "max")
-        tight = lp.with_bounds([0, 0], [1, 0.5])
-        assert tight.c is lp.c and tight.A is lp.A and tight.rel is lp.rel and tight.rhs is lp.rhs
-        assert tight.sense == "max" and list(tight.hi) == [1.0, 0.5] and list(lp.hi) == [1.0, 1.0]
-        with pytest.raises(ValueError):
-            lp.with_bounds([0], [1])
-
     def test_with_objective_shares_the_rows_and_the_standard_form(self):
         from cfcert.milp.simplex import _standard_form
 
@@ -560,7 +556,7 @@ class TestBranchAndBound:
             assert getattr(other, name) is getattr(lp, name)
         assert list(other.c) == [1.0, -1.0] and other.sense == "min" and list(lp.c) == [1.0, 2.0]
         assert simplex_solve(other).objective == pytest.approx(-1.0)
-        assert lp.with_bounds([0, 0], [1, 0.5])._standard is None
+        assert _lp(lp.c, lp.A, lp.rel, lp.rhs, [0, 0], [1, 0.5], lp.sense)._standard is None
         for c, sense in (([1.0], "min"), ([1.0, np.inf], "min"), ([1.0, 1.0], "maximise")):
             with pytest.raises(ValueError):
                 lp.with_objective(c, sense)
@@ -595,31 +591,31 @@ class TestBranchAndBound:
         for lo, hi in (([0.0], [np.nan]), ([np.nan], [1.0])):
             with pytest.raises(ValueError, match="NaN"):
                 _lp([-1.0], [[1.0]], [LE], [5.0], lo, hi)
-        lp = _lp([-1.0], [[1.0]], [LE], [5.0], [0.0], [1.0])
-        for lo, hi in (([0.0], [np.nan]), ([np.nan], [1.0])):
-            with pytest.raises(ValueError, match="NaN"):
-                lp.with_bounds(lo, hi)
 
     def test_binary_bounds_must_each_be_zero_or_one(self):
-        lp = _lp([1.0, 1.0], [[1, 1]], [LE], [1.0], [0, 0], [1, 1])
-        MilpProblem(lp=lp.with_bounds([0, 1], [1, 1]), binary_idx=[0, 1])  # a fixed binary
+        def lp(lo, hi):
+            return _lp([1.0, 1.0], [[1, 1]], [LE], [1.0], lo, hi)
+
+        MilpProblem(lp=lp([0, 1], [1, 1]), binary_idx=[0, 1])  # a fixed binary
         for lo, hi in (
             ([0, 0], [1, np.inf]), ([-np.inf, 0], [1, 1]), ([0, 0], [2, 1]), ([0, -1], [1, 1]),
             ([0.3, 0], [1, 1]),  # feasible binaries, but branching would loosen 0.3 to 0
         ):
             with pytest.raises(ValueError, match="binary bounds"):
-                MilpProblem(lp=lp.with_bounds(lo, hi), binary_idx=[0, 1])
-        MilpProblem(lp=lp.with_bounds([0, -1], [1, 1]), binary_idx=[0])  # x1 is continuous
+                MilpProblem(lp=lp(lo, hi), binary_idx=[0, 1])
+        MilpProblem(lp=lp([0, -1], [1, 1]), binary_idx=[0])  # x1 is continuous
 
     def test_children_keep_the_root_tableau_shape(self, monkeypatch):
-        # A child moves right-hand sides: no row or column is ever added.
+        # A child moves right-hand sides of the root LP's tableau: no LP is
+        # made and no row or column is ever added.
         from cfcert.milp import branch_bound
 
         real_solve = branch_bound.simplex_solve
-        shapes = []
+        shapes, lps = [], []
 
         def solve(lp, warm=None):
             res = real_solve(lp, warm=warm)
+            lps.append(lp)
             if res.optimal:
                 shapes.append((warm is not None, res._tableau.tab.shape))
             return res
@@ -632,6 +628,7 @@ class TestBranchAndBound:
         (root, root_shape), *children = shapes
         assert not root and len(children) > 1
         assert all(warm and shape == root_shape for warm, shape in children)
+        assert all(lp is problem.lp for lp in lps)
 
     def test_infeasible_milp(self):
         lp = _lp([1.0], [[1.0]], [GE], [2.0], [0.0], [1.0])
@@ -709,15 +706,23 @@ class TestBranchAndBound:
                 cleanups.append(out[0] == STATUS_OPTIMAL and bool(np.any(tab[-1, :-1] < -tol)))
             return out
 
+        bounds = {}  # id of each result -> (result, lo, hi) of the LP it solved
+
         def solve(lp, warm=None):
             warm_solve[0] = warm is not None
             res = real_solve(lp, warm=warm)
+            lo, hi = lp.lo, lp.hi
             if warm is not None:
                 warm_solve[0] = False
-                cold = real_solve(lp)
+                parent, j, value = warm
+                _, lo, hi = bounds[id(parent)]
+                lo, hi = lo.copy(), hi.copy()
+                lo[j] = hi[j] = value
+                cold = real_solve(_lp(lp.c, lp.A, lp.rel, lp.rhs, lo, hi, lp.sense))
                 assert res.status == cold.status
                 if res.optimal:
                     assert res.objective == pytest.approx(cold.objective, abs=1e-9)
+            bounds[id(res)] = res, lo, hi
             return res
 
         monkeypatch.setattr(simplex, "dual_pivot_loop", loop)
@@ -725,6 +730,7 @@ class TestBranchAndBound:
         rng = np.random.default_rng(8)
         for _ in range(10):
             cleanups.clear()
+            bounds.clear()
             net = random_network(rng, n_in=3, hidden=[12, 12])
             problem = encode_nearest_ce(net, rng.uniform(0, 1, 3), target=0, margin=0.1).problem
             got = branch_and_bound(problem)
