@@ -200,7 +200,6 @@ def _run_seed(args):
             val_pool[:N_VAL],
             targets=[target] * min(N_VAL, val_pool.shape[0]),
             grid=DELTA_GRID,
-            p=config.p,
         )
         deltas = [("val", float(val["delta_val"])), ("inc", float(inc["delta_inc"]))]
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .benchmark import METHODS, BenchmarkConfig, class_pair, pmap, run_benchmark
 from .data import Dataset, SplitSpec, fit_scale, load_csv, split, synth_binary, synth_multiclass
-from .generators import GENERATORS, generate_all, resolve_method
+from .generators import GENERATORS, generate_all
 from .intervals import ShiftSet
 from .models import classify_batch, counterfactual_target, load_model, save_model
 from .training import (
@@ -68,17 +68,13 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _read_inputs(path):
-    """The document of an inputs file, checked to hold an "inputs" list."""
+def _load_inputs(path):
+    """The rows of an inputs file's "inputs" list, and its "targets" list or
+    None."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or not isinstance(doc.get("inputs"), list):
         raise ValueError(f'{path}: needs an "inputs" list')
-    return doc
-
-
-def _load_inputs(path):
-    doc = _read_inputs(path)
     inputs = [np.asarray(row, dtype=np.float64) for row in doc["inputs"]]
     targets = doc.get("targets")
     if targets is not None and (not isinstance(targets, list) or len(targets) != len(inputs)):
@@ -138,18 +134,18 @@ def _verify_job(job):
 
 def cmd_verify(args) -> int:
     model = load_model(args.model)
-    shift = ShiftSet(args.p, args.delta)
+    shift = ShiftSet("inf", args.delta)
     inputs, targets = _load_inputs(args.ces)
     if targets is None:
         targets = [args.target] * len(inputs)
     original = None
-    if args.check_soundness:
-        if not args.input:
-            raise ValueError("--check-soundness needs --input with the original point")
-        rows = _read_inputs(args.input)["inputs"]
-        if not rows:
-            raise ValueError(f'{args.input}: the "inputs" list is empty')
-        original = np.asarray(rows[0], dtype=np.float64)
+    if args.check_soundness is not None:
+        rows, _ = _load_inputs(args.check_soundness)
+        if len(rows) != 1:
+            raise ValueError(
+                f'{args.check_soundness}: the "inputs" list must hold one point, not {len(rows)}'
+            )
+        original = rows[0]
     jobs = [
         (model, shift, x_prime, target, original, args.node_limit)
         for x_prime, target in zip(inputs, targets)
@@ -174,9 +170,8 @@ def _explain_job(method, model, shift, X, knobs, job):
 def cmd_explain(args) -> int:
     model = load_model(args.model)
     inputs, targets = _load_inputs(args.inputs)
-    shift = ShiftSet(args.p, args.delta)
-    method = resolve_method(args.method, args.robust_init == "t", args.optimal == "t")
-    X_train = _load_dataset(args).X if GENERATORS[method].uses_data else None
+    shift = ShiftSet("inf", args.delta)
+    X_train = _load_dataset(args).X if GENERATORS[args.method].uses_data else None
     knobs = dict(margin=args.margin, margin_step=args.margin_step, max_rounds=args.max_iters,
                  lam=args.lam, node_limit=args.node_limit)
     # One generate_all batch per target class and worker share, all in one
@@ -189,7 +184,7 @@ def cmd_explain(args) -> int:
         (target, part) for target, rows in groups.items()
         for part in np.array_split(rows, max(args.workers, 1)) if part.size
     ]
-    run = partial(_explain_job, method, model, shift, X_train, knobs)
+    run = partial(_explain_job, args.method, model, shift, X_train, knobs)
     batches = pmap(run, [(target, [inputs[i] for i in part]) for target, part in jobs], args.workers)
     records = [None] * len(inputs)
     for (_, part), batch in zip(jobs, batches):
@@ -227,7 +222,6 @@ def cmd_estimate_delta(args) -> int:
             d1_train.X,
             pool,
             targets=[target] * pool.shape[0],
-            p=args.p,
         )
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -299,11 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify counterfactuals against a shift budget")
     p.add_argument("--model", required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--p", default="inf", choices=["1", "2", "inf"])
     p.add_argument("--ces", required=True, help="JSON file with {'inputs': [...]}")
     p.add_argument("--target", type=int, default=None)
-    p.add_argument("--check-soundness", action="store_true")
-    p.add_argument("--input", help="JSON file with the original input (for soundness)")
+    p.add_argument("--check-soundness", metavar="FILE", help="JSON file with the one original input")
     p.add_argument("--node-limit", type=int, default=1_000_000)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="write verdict JSONL here instead of stdout")
@@ -311,14 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="generate counterfactuals")
     p.add_argument("--model", required=True)
-    p.add_argument("--method", required=True, choices=[*GENERATORS, "rnce"])
+    p.add_argument("--method", required=True, choices=list(GENERATORS))
     _add_common_data(p)
     p.add_argument("--inputs", required=True, help="JSON file with {'inputs': [...]}")
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--p", default="inf", choices=["1", "2", "inf"])
-    p.add_argument("--robust-init", default="f", choices=["t", "f"])
-    p.add_argument("--optimal", default="f", choices=["t", "f"])
     p.add_argument("--margin", type=float, default=0.0)
     p.add_argument("--margin-step", type=float, default=0.1)
     p.add_argument("--max-iters", type=int, default=10)
@@ -336,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=5)
     p.add_argument("--iterations", type=int, default=INCREMENTAL_ITERATIONS)
     p.add_argument("--n-val", type=int, default=20)
-    p.add_argument("--p", default="inf", choices=["1", "2", "inf"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate_delta)

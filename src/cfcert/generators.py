@@ -41,7 +41,6 @@ __all__ = [
     "CounterfactualRecord",
     "GENERATORS",
     "DEFAULT_METHODS",
-    "resolve_method",
     "mce",
     "gce",
     "nnce",
@@ -536,12 +535,6 @@ GENERATORS = {
 }
 # What a benchmark runs when it is given no methods.
 DEFAULT_METHODS = ("mce", "mce-r", "nnce", "rnce-ff")
-
-
-def resolve_method(method: str, robust_init: bool = False, optimal: bool = False) -> str:
-    """The :data:`GENERATORS` name of a command-line method: the bare
-    ``rnce`` takes its ``rnce-XY`` name from the two flags."""
-    return _rnce_name(robust_init, optimal) if method == "rnce" else method
 
 
 def generate_grid(

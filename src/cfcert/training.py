@@ -469,7 +469,6 @@ def estimate_delta_validation(
     val_inputs,
     targets=None,
     grid=DEFAULT_DELTA_GRID,
-    p="inf",
 ) -> dict:
     """Smallest grid shift magnitude whose certified counterfactuals are all
     valid under every retrained model.
@@ -478,7 +477,8 @@ def estimate_delta_validation(
     robust for its target at the magnitude, ties to the lowest row: the
     ``rnce-tf`` walk.  Each input's walk over the candidates (:class:`KDTree`)
     is taken once for the grid; each magnitude makes one :func:`robust_flags`
-    call per target.  Magnitudes where some input gets none are skipped with
+    call per target over the magnitude's inf-box, which holds the p-ball of
+    every norm order.  Magnitudes where some input gets none are skipped with
     a warning; if no magnitude reaches full validity the grid maximum is
     returned flagged ``not_reached``.
     """
@@ -502,7 +502,7 @@ def estimate_delta_validation(
     per_point = []
     report = {"strategy": "validation", "grid": grid, "per_point": per_point}
     for delta in grid:
-        shift = ShiftSet(p, delta)
+        shift = ShiftSet("inf", delta)
         ces = [None] * len(val_inputs)
         for target, rows in groups.items():
             flags = robust_flags(model, shift, X_candidates, target)

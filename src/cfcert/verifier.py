@@ -37,6 +37,7 @@ from .models import (
     ParametricModel,
     affine_layers,
     check_target,
+    class_of_logits,
     classify,
     classify_batch,
     forward,
@@ -170,7 +171,9 @@ def _certify(
     tableau a problem of its own would start from, so the bounds and node
     counts equal :func:`logit_bound`'s bit for bit.
     The verdict is robust when every side is resolved and the certified
-    box assigns the target (:func:`dominant_class`).
+    box assigns the target (:func:`dominant_class`).  It is unresolved when
+    some side is and the point model, which lies in the shift set, assigns
+    the target; a point of another class already refutes it.
     """
     if model.num_outputs == 1:
         sides = [(0, "min" if target == 1 else "max", 1)]
@@ -206,6 +209,8 @@ def _certify(
             bounds[label] = (lo, hi)
     lo, hi = (np.array(side) for side in zip(*(bounds[k] for k in sorted(bounds))))
     robust = not unresolved and dominant_class(lo, hi) == target
+    # Only the MILP branch, which sets point, leaves a side unresolved.
+    unresolved = unresolved and class_of_logits(point) == target
     return RobustnessVerdict(
         robust=robust,
         target_class=target,

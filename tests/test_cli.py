@@ -5,7 +5,7 @@ import pytest
 
 from cfcert.cli import main
 from cfcert.data import synth_binary
-from cfcert.generators import generate_all, resolve_method
+from cfcert.generators import generate_all
 from cfcert.intervals import ShiftSet
 from cfcert.models import load_model, save_model
 
@@ -136,7 +136,6 @@ def test_verify_soundness_flag(tmp_path, example_model_file, capsys):
             "--ces",
             str(ces),
             "--check-soundness",
-            "--input",
             str(orig),
         ]
     )
@@ -146,13 +145,21 @@ def test_verify_soundness_flag(tmp_path, example_model_file, capsys):
 
 def test_verify_names_unresolved_verdicts_on_stderr(tmp_path, capsys):
     # With no node to explore, every side of a net's verdict is unresolved;
-    # stdout keeps one record per verdict and the exit code stays 1.
+    # stdout keeps one record per verdict and the exit code stays 1.  All
+    # three points are class 0, so at target 1 their own class refutes them:
+    # resolved, not robust, and no warning.
     net = random_network(np.random.default_rng(0), n_in=2, hidden=[4])
     model = tmp_path / "net.json"
     save_model(net, model)
     ces = _inputs_file(tmp_path, [[0.2, 0.9], [0.7, 0.3], [0.5, 0.5]])
-    args = ["verify", "--model", str(model), "--delta", "0.05", "--ces", str(ces), "--target", "1"]
-    rc = main(args + ["--node-limit", "0"])
+    args = ["verify", "--model", str(model), "--delta", "0.05", "--ces", str(ces)]
+    rc = main(args + ["--target", "1", "--node-limit", "0"])
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert rc == 1 and len(records) == 3
+    assert not any(r["robust"] or r["unresolved"] for r in records)
+    assert captured.err == ""
+    rc = main(args + ["--target", "0", "--node-limit", "0"])
     captured = capsys.readouterr()
     records = [json.loads(line) for line in captured.out.splitlines()]
     assert rc == 1 and len(records) == 3 and all(r["unresolved"] for r in records)
@@ -160,7 +167,7 @@ def test_verify_names_unresolved_verdicts_on_stderr(tmp_path, capsys):
         "warning: 3 of 3 verdicts unresolved (no certified optimum within --node-limit 0);"
         " they read not robust"
     ]
-    main(args)
+    main(args + ["--target", "0"])
     captured = capsys.readouterr()
     assert not any(json.loads(line)["unresolved"] for line in captured.out.splitlines())
     assert captured.err == ""
@@ -172,7 +179,7 @@ def test_explain_rnce_delta_zero_matches_nnce(tmp_path, example_model_file, caps
     rc = main(["explain", "--method", "nnce", *common])
     nnce_out = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
     assert rc == 0
-    rc = main(["explain", "--method", "rnce", "--delta", "0.0", *common])
+    rc = main(["explain", "--method", "rnce-ff", "--delta", "0.0", *common])
     rnce_out = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
     assert rc == 0
     for a, b in zip(nnce_out, rnce_out):
@@ -251,7 +258,7 @@ def test_explain_gce_r_negative_rounds_is_an_error(tmp_path, example_model_file,
     assert captured.err.startswith("error: ") and "max_rounds" in captured.err
 
 
-@pytest.mark.parametrize("method", ["gce", "gce-r", "rnce"])
+@pytest.mark.parametrize("method", ["gce", "gce-r", "rnce-ff"])
 def test_explain_is_the_same_at_any_worker_count(tmp_path, example_model_file, method):
     # The targets change from input to input, so explain's per-target batches
     # must be put back in input order.
@@ -269,10 +276,8 @@ def test_explain_is_the_same_at_any_worker_count(tmp_path, example_model_file, m
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     model, X = load_model(example_model_file), synth_binary(100, seed=0).X
-    # The bare rnce is the command line's name for rnce-ff at the default flags.
-    name = resolve_method(method)
     want = "".join(
-        json.dumps(generate_all(name, model, ShiftSet("inf", 0.05), [x], t, X)[0].to_dict(), sort_keys=True)
+        json.dumps(generate_all(method, model, ShiftSet("inf", 0.05), [x], t, X)[0].to_dict(), sort_keys=True)
         + "\n"
         for x, t in zip(rows, targets)
     )
@@ -399,7 +404,7 @@ def test_targets_that_do_not_match_the_inputs_are_an_error(
     assert captured.err == f'error: {path}: "targets" must list one class for each of the 3 inputs\n'
 
 
-@pytest.mark.parametrize("method", ["mce", "nnce", "rnce"])
+@pytest.mark.parametrize("method", ["mce", "nnce", "rnce-ff"])
 def test_explain_out_of_range_target_is_an_error(tmp_path, example_model_file, capsys, method):
     inputs = _inputs_file(tmp_path, [[0.7, 0.5]])
     rc = main(
@@ -448,7 +453,7 @@ def test_inputs_file_without_an_inputs_list_is_an_error(
         argv = ["verify", "--model", model, "--delta", "0.01", "--ces", str(bad)]
     elif command == "verify-soundness":
         argv = ["verify", "--model", model, "--delta", "0.01", "--ces", str(good),
-                "--check-soundness", "--input", str(bad)]
+                "--check-soundness", str(bad)]
     else:
         argv = ["explain", "--method", "mce", "--model", model, "--inputs", str(bad)]
     rc = main(argv)
@@ -457,13 +462,47 @@ def test_inputs_file_without_an_inputs_list_is_an_error(
     assert captured.err == f'error: {bad}: needs an "inputs" list\n'
 
 
-def test_verify_soundness_input_without_a_point_is_an_error(tmp_path, example_model_file, capsys):
-    empty = _inputs_file(tmp_path, [], name="empty.json")
+@pytest.mark.parametrize("rows", [[], [[0.7, 0.5], [0.2, 0.5]]], ids=["no-point", "two-points"])
+def test_verify_soundness_input_must_hold_one_point(tmp_path, example_model_file, capsys, rows):
+    # The soundness check reads one original point; another count is an error.
+    originals = _inputs_file(tmp_path, rows, name="originals.json")
     good = _inputs_file(tmp_path, [[0.1, 0.9]])
     rc = main(
         ["verify", "--model", str(example_model_file), "--delta", "0.01", "--ces", str(good),
-         "--check-soundness", "--input", str(empty)]
+         "--check-soundness", str(originals)]
     )
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err == f'error: {empty}: the "inputs" list is empty\n'
+    assert captured.err == (
+        f'error: {originals}: the "inputs" list must hold one point, not {len(rows)}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["verify", "--p", "1"],
+        ["verify", "--input", "x.json"],
+        ["explain", "--p", "1"],
+        ["explain", "--robust-init", "t"],
+        ["explain", "--optimal", "t"],
+        ["explain", "--method", "rnce"],
+        ["estimate-delta", "--p", "1"],
+    ],
+    ids=" ".join,
+)
+def test_removed_spellings_are_usage_errors(tmp_path, example_model_file, capsys, extra):
+    # The certificate is the inf-box for every norm order and the rnce flags
+    # live in the method name, so these flags are gone, not ignored.
+    inputs = str(_inputs_file(tmp_path, [[0.7, 0.5]]))
+    model = str(example_model_file)
+    base = {
+        "verify": ["verify", "--model", model, "--delta", "0.05", "--ces", inputs],
+        "explain": ["explain", "--method", "rnce-ff", "--model", model, "--inputs", inputs,
+                    "--synth", "moons:100"],
+        "estimate-delta": ["estimate-delta", "--strategy", "validation", "--synth", "moons:100",
+                           "--seed", "0"],
+    }[extra[0]]
+    with pytest.raises(SystemExit) as exc:
+        main([*base, *extra[1:]])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""

@@ -18,7 +18,6 @@ from cfcert.generators import (
     mce,
     mce_robust,
     nnce,
-    resolve_method,
     rnce,
 )
 from cfcert.intervals import ShiftSet
@@ -594,17 +593,12 @@ class TestGenerate:
             assert got.to_dict() == want.to_dict(), method
 
     def test_bare_rnce_is_unknown(self, blob_problem):
-        # The flags live in the method name; only the command line maps the
-        # bare name and its two flags to one.
+        # The flags live in the method name, as on the command line.
         model, X = blob_problem
         with pytest.raises(ValueError, match="unknown method 'rnce'"):
             generate_all("rnce", model, ShiftSet("inf", 0.05), X[:1], 1, X)
         with pytest.raises(TypeError, match="robust_init"):
             generate_all("rnce-ff", model, ShiftSet("inf", 0.05), X[:1], 1, X, robust_init=True)
-        assert [resolve_method("rnce", ri, opt) for ri in (False, True) for opt in (False, True)] == [
-            "rnce-ff", "rnce-ft", "rnce-tf", "rnce-tt"
-        ]
-        assert resolve_method("gce-r", True, True) == "gce-r"
 
     @pytest.mark.parametrize(
         "methods, knobs",

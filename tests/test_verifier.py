@@ -171,9 +171,12 @@ def test_node_limit_reports_unresolved():
     rng = np.random.default_rng(6)
     # Large delta keeps every ReLU unstable so branching is unavoidable.
     net = random_network(rng, n_in=3, hidden=[6, 6], n_out=1)
-    verdict = is_delta_robust(
-        net, ShiftSet("inf", 0.5), rng.uniform(0, 1, 3), node_limit=1
-    )
+    x = rng.uniform(0, 1, 3)
+    # The point is class 0, and the point model lies in the shift set, so at
+    # target 1 the verdict is settled however its side ended.
+    verdict = is_delta_robust(net, ShiftSet("inf", 0.5), x, node_limit=1)
+    assert not verdict.robust and not verdict.unresolved
+    verdict = is_delta_robust(net, ShiftSet("inf", 0.5), x, target=0, node_limit=1)
     assert not verdict.robust and verdict.unresolved
 
 
